@@ -13,7 +13,7 @@ convolution operators built from the weights.
 
 import numpy as np
 
-from helmbie import TrigPolynomial, grid, interpolate, psi_hat, weight_table
+from helmbie import TrigPolynomial, grid, psi_hat, weight_table
 from helmbie.fourier import dld_apply, lambda_apply, weighted_conv
 
 print("weight coefficients (normalization: (1/2pi) int psi e_{-n})")
@@ -25,15 +25,15 @@ print(f"  psihat_2(6) = {psi_hat(2, 6):+.12f}   (= (1/7 + 1/5 - 2/6)/4)")
 
 print("\ninterpolation of g(t) = 1/(2 + cos t): L2 error vs N")
 g = lambda t: 1.0 / (2.0 + np.cos(t))
-fine = grid(256).nodes
+fine = grid(256)
 for N in (4, 8, 16, 32):
-    p = interpolate(g(grid(N).nodes))
+    p = TrigPolynomial(g(grid(N)))
     err = np.sqrt(np.mean(np.abs(p.eval(fine) - g(fine)) ** 2))
     print(f"  N = {N:3d}: {err:.3e}")
 
 print("\nproduct quadrature is diagonal on Fourier modes:")
 N = 16
-t = grid(N).nodes
+t = grid(N)
 out = weighted_conv(weight_table(1, N), np.exp(2j * t))
 print("  int psi_1(s-t) e_2(t) dt / e_2(s) =",
       f"{(out[3] / np.exp(2j * t[3])).real:+.12f}",

@@ -19,7 +19,7 @@ from helmbie import OperatorFamily, circle, grid
 
 k, N = 2.0, 64
 fam = OperatorFamily(circle(), k, N)
-t = grid(N).nodes
+t = grid(N)
 
 
 def eigs(n):

@@ -15,7 +15,7 @@ at O(1).
 
 import numpy as np
 
-from helmbie import FieldEvaluator, OperatorFamily, grid, kite
+from helmbie import FieldEvaluator, OperatorFamily, grid_geometry, kite
 from helmbie.formulations import PointSource
 
 curve = kite()
@@ -25,10 +25,7 @@ src = PointSource((0.1, 0.2))
 print("Calderon residuals (max norm) vs N:")
 for N in (16, 32, 64, 128):
     fam = OperatorFamily(curve, k, N)
-    t = grid(N).nodes
-    xb = curve.point(t)
-    d1 = curve.d1(t)
-    m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+    _, xb, m = grid_geometry(curve, N)
     a = src.value(k, xb)
     phi = np.sum(src.gradient(k, xb) * m, axis=-1)
     eye = np.eye(2 * N)
@@ -40,10 +37,7 @@ for N in (16, 32, 64, 128):
 
 print("\nGreen representation at N = 128:")
 N = 128
-t = grid(N).nodes
-xb = curve.point(t)
-d1 = curve.d1(t)
-m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+_, xb, m = grid_geometry(curve, N)
 a = src.value(k, xb)
 phi = np.sum(src.gradient(k, xb) * m, axis=-1)
 ev = FieldEvaluator(curve, [("sl", k, -phi), ("dl", k, a)])

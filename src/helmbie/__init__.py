@@ -4,39 +4,24 @@ closed curves, plus direct and indirect boundary-integral formulations of the
 acoustic transmission problem."""
 
 from .geometry import (
-    GridNodes,
     ParametricCurve,
     cavity,
     circle,
-    curve_eval,
     ellipse,
     grid,
+    grid_geometry,
     kite,
     make_curve,
-    outward_normal,
 )
 from .fourier import (
     TrigPolynomial,
-    WeightTable,
-    interpolate,
     psi_hat,
     sobolev_norm,
     weight_table,
     weighted_conv,
 )
 from .kernels import KernelContext
-from .operators import (
-    DiscreteOperator,
-    OperatorFamily,
-    assemble_h,
-    assemble_k,
-    assemble_kt,
-    assemble_r_tilde,
-    assemble_t,
-    assemble_v,
-    load_operator,
-    save_operator,
-)
+from .operators import DiscreteOperator, OperatorFamily, load_operator, save_operator
 from .linalg import GmresResult, gmres, lu_solve
 from .formulations import (
     PlaneWave,

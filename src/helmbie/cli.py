@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import FieldEvaluator
-from .formulations import assemble, solve
 from .harness import (
     ConfigError,
     StudyConfig,
     VERIFICATION_SUITES,
+    _far_field_of,
+    _solve_cell,
+    _write_far_field,
     run_convergence,
     run_verification,
 )
@@ -53,31 +54,16 @@ def _cmd_solve(args) -> int:
     problem = cfg.build_problem()
     form = cfg.formulations[0]
     n = max(cfg.n_ladder)
-    kw = {}
-    if form == "l3" and cfg.kappa is not None:
-        kw["kappa"] = cfg.kappa
-    if form == "l4" and cfg.rho is not None:
-        kw["rho"] = cfg.rho
     t0 = time.perf_counter()
     try:
-        system = assemble(form, problem, n, **kw)
-        if cfg.solver == "gmres":
-            result = solve(system, method="gmres", tol=cfg.gmres_tol, maxit=4 * n)
-        else:
-            result = solve(system)
+        result = _solve_cell(problem, form, n, cfg)
     except (GmresError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     elapsed = time.perf_counter() - t0
     angles = np.linspace(0.0, 2.0 * np.pi, cfg.directions, endpoint=False)
-    ff = FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    ff_path = cfg.out_dir / f"farfield_{form}_N{n}.csv"
-    lines = ["angle,re,im"] + [
-        f"{a:.10f},{v.real:.16e},{v.imag:.16e}"
-        for a, v in zip(ff.angles, ff.values)
-    ]
-    ff_path.write_text("\n".join(lines) + "\n")
+    ff = _far_field_of(problem, result, angles)
+    ff_path = _write_far_field(cfg.out_dir, form, n, ff)
     summary = {
         "formulation": form,
         "N": n,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .geometry import ParametricCurve, grid
+from .geometry import ParametricCurve, grid_geometry
 
 __all__ = [
     "FarFieldPattern",
@@ -40,21 +40,19 @@ def far_field_constant(k: float) -> complex:
     return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * k)
 
 
-def _grid_geometry(curve: ParametricCurve, n_density: int):
-    if n_density % 2 != 0:
+def _on_grid(curve: ParametricCurve, density):
+    """Complex nodal density, its N, and x(t), m(t) on its 2N grid."""
+    density = np.asarray(density, dtype=complex)
+    if density.size % 2 != 0:
         raise ValueError("density must have an even number of nodal values")
-    N = n_density // 2
-    nodes = grid(N).nodes
-    xb = curve.point(nodes)
-    d1 = curve.d1(nodes)
-    m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)  # unnormalized outward normal
-    return N, nodes, xb, m
+    N = density.size // 2
+    _, xb, m = grid_geometry(curve, N)
+    return density, N, xb, m
 
 
 def single_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int Phi_k(p - x(t)) phi(t) dt off the curve."""
-    density = np.asarray(density, dtype=complex)
-    N, _, xb, _ = _grid_geometry(curve, density.size)
+    density, N, xb, _ = _on_grid(curve, density)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     diff = pts[:, None, :] - xb[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
@@ -64,8 +62,7 @@ def single_layer_potential(curve, k, density, points):
 
 def double_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int dPhi_k/dn(t) |x'(t)| g(t) dt off the curve."""
-    density = np.asarray(density, dtype=complex)
-    N, _, xb, m = _grid_geometry(curve, density.size)
+    density, N, xb, m = _on_grid(curve, density)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     diff = pts[:, None, :] - xb[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
@@ -82,16 +79,14 @@ def _directions(angles):
 
 
 def single_layer_far_field(curve, k, density, angles):
-    density = np.asarray(density, dtype=complex)
-    N, _, xb, _ = _grid_geometry(curve, density.size)
+    density, N, xb, _ = _on_grid(curve, density)
     xhat = _directions(angles)
     phase = np.exp(-1j * k * (xhat @ xb.T))
     return far_field_constant(k) * (np.pi / N) * (phase @ density)
 
 
 def double_layer_far_field(curve, k, density, angles):
-    density = np.asarray(density, dtype=complex)
-    N, _, xb, m = _grid_geometry(curve, density.size)
+    density, N, xb, m = _on_grid(curve, density)
     xhat = _directions(angles)
     phase = np.exp(-1j * k * (xhat @ xb.T))
     dot = xhat @ m.T
@@ -145,6 +140,9 @@ class FieldEvaluator:
         sizes = {len(np.asarray(d)) for _, _, d in terms}
         if len(sizes) != 1:
             raise ValueError("all densities must share one grid")
+        unknown = {kind for kind, _, _ in terms} - {"sl", "dl"}
+        if unknown:
+            raise ValueError(f"unknown potential kinds {sorted(unknown)}")
         self.curve = curve
         self.terms = [(kind, k, np.asarray(d, dtype=complex)) for kind, k, d in terms]
         self.N = sizes.pop() // 2
@@ -169,10 +167,8 @@ class FieldEvaluator:
         for kind, k, density in self.terms:
             if kind == "sl":
                 out += single_layer_potential(self.curve, k, density, pts)
-            elif kind == "dl":
-                out += double_layer_potential(self.curve, k, density, pts)
             else:
-                raise ValueError(f"unknown potential kind {kind!r}")
+                out += double_layer_potential(self.curve, k, density, pts)
         return out
 
     def far_field(self, angles) -> FarFieldPattern:

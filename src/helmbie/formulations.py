@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, specfun
 from .fourier import TrigPolynomial, dld_matrix, lambda_matrix
-from .geometry import ParametricCurve, grid
+from .geometry import ParametricCurve, grid_geometry
 from .operators import OperatorFamily
 
 __all__ = [
@@ -58,6 +58,12 @@ class PlaneWave:
     """Incident plane wave e^{i k d.x} with |d| = 1."""
 
     direction: tuple = (1.0, 0.0)
+
+    def __post_init__(self):
+        norm = np.linalg.norm(np.asarray(self.direction, dtype=float))
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"plane-wave direction must be finite and nonzero, "
+                             f"got {self.direction}")
 
     def value(self, k, points):
         d = np.asarray(self.direction, dtype=float)
@@ -109,10 +115,17 @@ class TransmissionProblem:
     incident: object
 
     def __post_init__(self):
-        if self.k_plus <= 0 or self.k_minus <= 0:
-            raise ValueError("wavenumbers must be positive")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        for name in ("k_plus", "k_minus", "nu"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if isinstance(self.incident, PointSource):
+            curve = self.curve
+            dist = curve.distance([self.incident.location])[0]
+            # below the boundary-sampling resolution the source is
+            # indistinguishable from a point on the curve
+            if dist <= 2.0 * np.pi * curve.max_speed() / 4096:
+                raise ValueError("point source sits on the boundary")
 
 
 @dataclass(frozen=True)
@@ -126,17 +139,8 @@ class TransmissionData:
 
 def build_data(problem: TransmissionProblem, N: int) -> TransmissionData:
     """Sample h = -(u_inc o x), eta = -(d_n u_inc o x)|x'| on the 2N grid."""
-    curve, inc, k = problem.curve, problem.incident, problem.k_plus
-    if isinstance(inc, PointSource):
-        dist = curve.distance([inc.location])[0]
-        # below the boundary-sampling resolution the source is
-        # indistinguishable from a point on the curve
-        if dist <= 2.0 * np.pi * curve.max_speed() / 4096:
-            raise ValueError("point source sits on the boundary")
-    nodes = grid(N).nodes
-    xb = curve.point(nodes)
-    d1 = curve.d1(nodes)
-    m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)  # |x'| already inside
+    inc, k = problem.incident, problem.k_plus
+    _, xb, m = grid_geometry(problem.curve, N)  # |x'| already inside m
     h = -inc.value(k, xb)
     eta = -np.sum(inc.gradient(k, xb) * m, axis=-1)
     return TransmissionData(TrigPolynomial(h), TrigPolynomial(eta), N)
@@ -156,6 +160,7 @@ class FormulationSystem:
     N: int
     problem: TransmissionProblem
     data: TransmissionData
+    kind: str = "direct"  # reconstruction: "direct" | "indirect"
     family: str = "plain"
     kappa: Optional[complex] = None
     rho: Optional[float] = None
@@ -264,17 +269,17 @@ def _l2_matrix(problem, N, family, fp, fm):
 def assemble_l2(
     problem: TransmissionProblem, N: int, family: str = "tilde"
 ) -> FormulationSystem:
-    """First-kind direct system; 'tilde' is the accurate discretization,
-    'plain' the unanalyzed single-layer variant run only for comparison."""
+    """First-kind direct system; 'tilde' is the accurate discretization
+    ('l2'), 'plain' the unanalyzed single-layer variant ('l2plain') run only
+    for comparison."""
     if family not in ("tilde", "plain"):
         raise ValueError("family must be 'tilde' or 'plain'")
     fp, fm, _ = _op_families(problem, N)
     matrix = _l2_matrix(problem, N, family, fp, fm)
     data = build_data(problem, N)
     rhs = np.concatenate([data.h.nodal, data.eta.nodal])
-    return FormulationSystem(
-        "l2", matrix, rhs, N, problem, data, family=family
-    )
+    name = "l2" if family == "tilde" else "l2plain"
+    return FormulationSystem(name, matrix, rhs, N, problem, data, family=family)
 
 
 def _regularizer(problem, N, fk):
@@ -352,6 +357,7 @@ def assemble_l4(
         N,
         problem,
         data,
+        kind="indirect",
         rho=rho,
         aux={"kt_minus": kt_m, "v_minus": v_m},
     )
@@ -367,9 +373,7 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     if formulation == "l2":
         return assemble_l2(problem, N, family="tilde")
     if formulation == "l2plain":
-        system = assemble_l2(problem, N, family="plain")
-        system.formulation = "l2plain"
-        return system
+        return assemble_l2(problem, N, family="plain")
     if formulation == "l3":
         return assemble_l3(problem, N, **kw)
     if formulation == "l4":
@@ -405,25 +409,15 @@ def solve(
     else:
         raise ValueError("method must be 'lu' or 'gmres'")
 
-    if system.formulation == "l4":
-        return SolveResult(
-            "indirect",
-            system.formulation,
-            system.N,
-            system.problem,
-            system.data,
-            diag,
-            mu=x,
-            aux=system.aux,
-        )
     n2 = system.N * 2
+    densities = {"mu": x} if system.kind == "indirect" else {"a": x[:n2], "phi": x[n2:]}
     return SolveResult(
-        "direct",
+        system.kind,
         system.formulation,
         system.N,
         system.problem,
         system.data,
         diag,
-        a=x[:n2],
-        phi=x[n2:],
+        aux=system.aux,
+        **densities,
     )

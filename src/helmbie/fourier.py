@@ -30,15 +30,11 @@ literature; the quadrature-oracle test pins the normalization used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "TrigPolynomial",
-    "WeightTable",
     "fft_modes",
-    "interpolate",
     "psi_hat",
     "weight_table",
     "weighted_conv",
@@ -100,11 +96,6 @@ class TrigPolynomial:
         return self.nodal.size
 
 
-def interpolate(samples) -> TrigPolynomial:
-    """Unique element of T_N matching the 2N samples; O(N log N)."""
-    return TrigPolynomial(samples)
-
-
 def psi_hat(m: int, n):
     """Fourier coefficient psihat_m(n) of the quadrature weight psi_m."""
     n = np.asarray(n, dtype=int)
@@ -130,34 +121,23 @@ def psi_hat(m: int, n):
     return out
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Symbol psihat_m(n) for |n| <= N, stored in FFT layout."""
-
-    m: int
-    N: int
-    values: np.ndarray
-
-    def __len__(self):
-        return self.values.size
+def weight_table(m: int, N: int) -> np.ndarray:
+    """Symbol psihat_m(n), -N < n <= N, in FFT layout."""
+    return psi_hat(m, fft_modes(N))
 
 
-def weight_table(m: int, N: int) -> WeightTable:
-    return WeightTable(m, N, psi_hat(m, fft_modes(N)))
-
-
-def weighted_conv(table: WeightTable, product_samples) -> np.ndarray:
+def weighted_conv(table: np.ndarray, product_samples) -> np.ndarray:
     """Nodal values of s -> int psi_m(s-t) P_N[g](t) dt for nodal g.
 
     Diagonal in the Fourier basis: multiply the interpolant's coefficients by
     2 pi psihat_m(n); forward FFT, multiply, inverse FFT.
     """
     samples = np.asarray(product_samples, dtype=complex)
-    if samples.size != 2 * table.N:
+    if samples.size != table.size:
         raise ValueError(
-            f"sample count {samples.size} does not match table size {2 * table.N}"
+            f"sample count {samples.size} does not match table size {table.size}"
         )
-    return np.fft.ifft(np.fft.fft(samples) * (2.0 * np.pi * table.values))
+    return np.fft.ifft(np.fft.fft(samples) * (2.0 * np.pi * table))
 
 
 def circulant_from_symbol(symbol) -> np.ndarray:
@@ -173,9 +153,9 @@ def circulant_from_symbol(symbol) -> np.ndarray:
     return w[idx]
 
 
-def conv_matrix(table: WeightTable) -> np.ndarray:
+def conv_matrix(table: np.ndarray) -> np.ndarray:
     """Dense quadrature-weight matrix W with W @ g = weighted_conv(table, g)."""
-    return circulant_from_symbol(2.0 * np.pi * table.values)
+    return circulant_from_symbol(2.0 * np.pi * table)
 
 
 def lambda_symbol(N: int) -> np.ndarray:

@@ -18,16 +18,14 @@ cavity       : dimpled limacon r(t) = 1.35 (1 - 0.7 cos t), i.e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ParametricCurve",
-    "GridNodes",
     "grid",
-    "curve_eval",
-    "outward_normal",
+    "grid_geometry",
     "circle",
     "ellipse",
     "kite",
@@ -109,37 +107,20 @@ class ParametricCurve:
         return d.min(axis=1)
 
 
-@dataclass(frozen=True)
-class GridNodes:
-    """Uniform collocation grid t_j = j pi / N, j = 0..2N-1."""
-
-    N: int
-    nodes: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        object.__setattr__(
-            self, "nodes", np.arange(2 * self.N) * (np.pi / self.N)
-        )
-
-    def __len__(self):
-        return 2 * self.N
+def grid(N: int) -> np.ndarray:
+    """2N equispaced nodes t_j = j pi / N on [0, 2 pi)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return np.arange(2 * N) * (np.pi / N)
 
 
-def grid(N: int) -> GridNodes:
-    """2N equispaced nodes on [0, 2 pi), spacing pi/N."""
-    return GridNodes(N)
-
-
-def curve_eval(curve: ParametricCurve, t):
-    """Return (x(t), x'(t), x''(t)) from the closed-form expressions."""
-    return curve.point(t), curve.d1(t), curve.d2(t)
-
-
-def outward_normal(curve: ParametricCurve, t):
-    """Unit normal pointing into the exterior domain."""
-    return curve.normal(t)
+def grid_geometry(curve: ParametricCurve, N: int):
+    """Nodes t, x(t) and the unnormalized outward normal m(t) = (x2', -x1')
+    on the 2N grid; |m| = |x'|."""
+    nodes = grid(N)
+    x = curve.point(nodes)
+    d1 = curve.d1(nodes)
+    return nodes, x, np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
 
 
 def circle(radius: float = 1.0) -> ParametricCurve:

@@ -29,9 +29,9 @@ from .formulations import (
     solve,
 )
 from .fourier import TrigPolynomial, psi_hat
-from .geometry import grid, make_curve
+from .geometry import grid, grid_geometry, make_curve
 from .linalg import GmresError, gmres
-from .operators import OperatorFamily
+from .operators import MIN_N, OperatorFamily
 
 __all__ = [
     "ConfigError",
@@ -168,26 +168,27 @@ class StudyConfig:
         return cls.from_mapping(raw)
 
     def validate(self):
+        if self.incident_kind not in ("plane", "point"):
+            raise ConfigError("incident must be 'plane' or 'point'")
         try:
-            make_curve(self.curve_name, *self.curve_params)
+            self.build_problem()
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad curve selection: {exc}") from exc
-        if self.k_plus <= 0 or self.k_minus <= 0 or self.nu <= 0:
-            raise ConfigError("k_plus, k_minus and nu must be positive")
+            raise ConfigError(f"bad problem: {exc}") from exc
         bad = [f for f in self.formulations if f not in _FORMULATIONS]
         if bad:
             raise ConfigError(f"unknown formulations {bad}")
         if not self.n_ladder:
             raise ConfigError("empty N ladder")
+        if min(self.n_ladder) < MIN_N:
+            raise ConfigError(f"ladder N must be >= {MIN_N}")
         if self.reference_formulation != "self2x":
             if self.reference_formulation not in _FORMULATIONS:
                 raise ConfigError(
                     f"unknown reference formulation {self.reference_formulation!r}"
                 )
+            # with the ladder at >= MIN_N this also keeps n_reference >= MIN_N
             if self.n_reference < 2 * max(self.n_ladder):
                 raise ConfigError("n_reference must be >= 2x the largest ladder N")
-        if self.incident_kind not in ("plane", "point"):
-            raise ConfigError("incident must be 'plane' or 'point'")
         if self.solver not in ("lu", "gmres"):
             raise ConfigError("solver must be 'lu' or 'gmres'")
         if self.directions < 1 or self.threads < 1:
@@ -255,14 +256,27 @@ def _solve_cell(problem, form, N, cfg):
         kw["rho"] = cfg.rho
     system = assemble(form, problem, N, **kw)
     if cfg.solver == "gmres":
-        result = solve(system, method="gmres", tol=cfg.gmres_tol, maxit=4 * N)
-    else:
-        result = solve(system)
-    return result
+        return solve(system, method="gmres", tol=cfg.gmres_tol, maxit=4 * N)
+    return solve(system)
 
 
 def _far_field_of(problem, result, angles):
     return FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
+
+
+def _write_far_field(out_dir, form, N, ff):
+    """Write one far field as angle,re,im CSV; returns the path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"farfield_{form}_N{N}.csv"
+    lines = ["angle,re,im"] + [
+        f"{a:.10f},{v.real:.16e},{v.imag:.16e}"
+        for a, v in zip(ff.angles, ff.values)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_CELL_ERRORS = (GmresError, np.linalg.LinAlgError, ValueError)
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
@@ -271,23 +285,25 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     angles = np.linspace(0.0, 2.0 * np.pi, config.directions, endpoint=False)
     report = StudyReport(config)
 
-    ref_cache = {}
-
-    def reference_for(form, N):
+    def reference_key(form, N):
         if config.reference_formulation == "self2x":
-            key = (form, 2 * N)
-        else:
-            key = (config.reference_formulation, config.n_reference)
-        if key not in ref_cache:
-            res = _solve_cell(problem, key[0], key[1], config)
-            ref_cache[key] = _far_field_of(problem, res, angles)
-        return ref_cache[key]
+            return (form, 2 * N)
+        return (config.reference_formulation, config.n_reference)
+
+    def reference(key):
+        """Far field of one reference, or the exception that stopped it."""
+        try:
+            return _far_field_of(problem, _solve_cell(problem, *key, config), angles)
+        except _CELL_ERRORS as exc:
+            return exc
 
     def run_cell(cell):
         form, N = cell
+        ref = refs[reference_key(form, N)]
+        if isinstance(ref, Exception):
+            return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(ref))
         t0 = time.perf_counter()
         try:
-            ref = reference_for(form, N)
             result = _solve_cell(problem, form, N, config)
             ff = _far_field_of(problem, result, angles)
             err = far_field_linf_diff(ff, ref)
@@ -296,33 +312,21 @@ def run_convergence(config: StudyConfig) -> StudyReport:
                 time.perf_counter() - t0,
             )
             if config.dump_farfield:
-                config.out_dir.mkdir(parents=True, exist_ok=True)
-                path = config.out_dir / f"farfield_{form}_N{N}.csv"
-                lines = ["angle,re,im"] + [
-                    f"{a:.10f},{v.real:.16e},{v.imag:.16e}"
-                    for a, v in zip(ff.angles, ff.values)
-                ]
-                path.write_text("\n".join(lines) + "\n")
+                _write_far_field(config.out_dir, form, N, ff)
             return row
-        except (GmresError, np.linalg.LinAlgError, ValueError) as exc:
+        except _CELL_ERRORS as exc:
             return StudyRow(
                 form, N, float("nan"), 0, time.perf_counter() - t0,
                 failure=str(exc),
             )
 
     cells = [(f, N) for f in config.formulations for N in config.n_ladder]
-    # the shared reference is built once, outside the pool, for determinism;
-    # a failure here is re-raised per cell and recorded on every row
-    if config.reference_formulation != "self2x":
-        try:
-            reference_for(config.formulations[0], config.n_ladder[0])
-        except (GmresError, np.linalg.LinAlgError, ValueError):
-            pass
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    # every distinct reference is solved once, before any cell runs; a
+    # failed one is recorded on each row that needs it
+    keys = sorted({reference_key(f, N) for f, N in cells})
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        refs = dict(zip(keys, pool.map(reference, keys)))
+        rows = list(pool.map(run_cell, cells))
     report.rows = sorted(rows, key=lambda r: (r.formulation, r.N))
     if config.reference_formulation == "self2x":
         report.reference_label = "self at 2N"
@@ -457,7 +461,7 @@ def verify_circle(k: float = 2.0, N: int = 64, n_max: int = 8) -> VerificationRe
     """Operator eigenvalues on the unit circle vs separation of variables."""
     rep = VerificationReport("circle")
     fam = OperatorFamily(make_curve("circle"), k, N)
-    t = grid(N).nodes
+    t = grid(N)
     groups = {
         "V plain": (fam.v_plain, 0, 1e-10),
         "K plain": (fam.k_plain, 1, 1e-10),
@@ -480,10 +484,7 @@ def verify_circle(k: float = 2.0, N: int = 64, n_max: int = 8) -> VerificationRe
 
 def _interior_source_cauchy(curve, k, N, location):
     src = PointSource(location)
-    t = grid(N).nodes
-    xb = curve.point(t)
-    d1 = curve.d1(t)
-    m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+    _, xb, m = grid_geometry(curve, N)
     a = src.value(k, xb)
     phi = np.sum(src.gradient(k, xb) * m, axis=-1)
     return a, phi
@@ -565,12 +566,12 @@ def verify_rates() -> VerificationReport:
     k = 8.0
     n_ref = 512
     fam_ref = OperatorFamily(curve, k, n_ref)
-    t_ref = grid(n_ref).nodes
+    t_ref = grid(n_ref)
     ref = TrigPolynomial(fam_ref.v_tilde.matrix @ np.exp(np.cos(t_ref)))
     errs = {}
     for N in (32, 48, 64):
         fam = OperatorFamily(curve, k, N)
-        t = grid(N).nodes
+        t = grid(N)
         phi = np.exp(np.cos(t))
         target = ref.eval(t)
         errs[N] = {}

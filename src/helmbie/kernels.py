@@ -55,11 +55,10 @@ import numpy as np
 
 from . import specfun
 from .fourier import fft_modes
-from .geometry import GridNodes, ParametricCurve, grid
+from .geometry import ParametricCurve, grid
 
 __all__ = [
     "KernelContext",
-    "KernelMatrix",
     "kernel_a",
     "kernel_b",
     "kernel_c",
@@ -88,31 +87,19 @@ class KernelContext:
     k: complex
 
     def __post_init__(self):
-        k = self.k
-        if isinstance(k, complex) or np.iscomplexobj(k):
-            k = complex(k)
-            if k == 0 or k.imag < 0:
-                raise ValueError("complex wavenumber needs Im k >= 0 and k != 0")
-            if k.imag == 0:
-                k = k.real
-        if isinstance(k, float) or isinstance(k, int):
-            k = float(k)
-            if k <= 0:
-                raise ValueError("real wavenumber must be positive")
+        k = complex(self.k) if np.iscomplexobj(self.k) else float(self.k)
+        if isinstance(k, complex) and k.imag == 0:
+            k = k.real
+        if isinstance(k, complex):
+            if not (np.isfinite(k) and k.imag > 0):
+                raise ValueError(f"complex wavenumber needs Im k > 0, got {k}")
+        elif not (np.isfinite(k) and k > 0):
+            raise ValueError(f"real wavenumber must be finite and positive, got {k}")
         object.__setattr__(self, "k", k)
 
     @property
     def is_complex(self) -> bool:
         return isinstance(self.k, complex)
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Grid samples of one smooth kernel factor; finite everywhere."""
-
-    values: np.ndarray
-    which: str
-    grid: GridNodes
 
 
 def _j0(ctx, z):
@@ -275,21 +262,21 @@ _POINTWISE = {
 
 def sin2_matrix(N: int) -> np.ndarray:
     """sin^2((s_i - t_j)/2) on the collocation grid."""
-    nodes = grid(N).nodes
+    nodes = grid(N)
     half = np.sin(0.5 * (nodes[:, None] - nodes[None, :]))
     return half * half
 
 
-def kernel_matrix(ctx: KernelContext, which: str, N: int) -> KernelMatrix:
+def kernel_matrix(ctx: KernelContext, which: str, N: int) -> np.ndarray:
     """Grid samples of one smooth kernel factor, diagonal filled analytically."""
     if which not in _POINTWISE:
         raise ValueError(f"unknown kernel {which!r}; choices {sorted(_POINTWISE)}")
-    g = grid(N)
-    S, T = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    nodes = grid(N)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
     values = np.asarray(_POINTWISE[which](ctx, S, T))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"non-finite entries in kernel {which}")
-    return KernelMatrix(values, which, g)
+    return values
 
 
 def _spectral_derivative(values, axis):
@@ -312,8 +299,8 @@ def ef_matrices(ctx: KernelContext, N: int, oversample: int = 1):
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     M = oversample * N
-    g = grid(M)
-    S, T = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    nodes = grid(M)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
 
     a_mat = np.asarray(kernel_a(ctx, S, T), dtype=complex)
     b_mat = kernel_b(ctx, S, T)
@@ -329,7 +316,7 @@ def ef_matrices(ctx: KernelContext, N: int, oversample: int = 1):
     cos_d = np.cos(diff)
     half = np.sin(0.5 * diff)
     sin2 = half * half
-    d1 = ctx.curve.d1(g.nodes)
+    d1 = ctx.curve.d1(nodes)
     xdx = d1 @ d1.T  # x'(s_i) . x'(t_j)
 
     k2 = ctx.k * ctx.k

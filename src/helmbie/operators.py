@@ -32,17 +32,12 @@ from .kernels import KernelContext, ef_matrices, kernel_matrix, sin2_matrix
 __all__ = [
     "DiscreteOperator",
     "OperatorFamily",
-    "assemble_v",
-    "assemble_k",
-    "assemble_kt",
-    "assemble_r_tilde",
-    "assemble_t",
-    "assemble_h",
+    "MIN_N",
     "save_operator",
     "load_operator",
 ]
 
-_MIN_N = 8
+MIN_N = 8  # smallest grid the operators are assembled on
 
 
 @dataclass(frozen=True)
@@ -62,22 +57,18 @@ class DiscreteOperator:
         return self.apply(v)
 
 
-def _check_n(N: int):
-    if N < _MIN_N:
-        raise ValueError(f"N must be >= {_MIN_N}")
-
-
 class OperatorFamily:
     """Lazy cache of all discrete operators for one (curve, k, N) triple."""
 
     def __init__(self, curve: ParametricCurve, k, N: int, oversample: int = 1):
-        _check_n(N)
+        if N < MIN_N:
+            raise ValueError(f"N must be >= {MIN_N}")
         self.ctx = KernelContext(curve, k)
         self.N = N
         self.oversample = oversample
 
     def _kernel(self, which):
-        return kernel_matrix(self.ctx, which, self.N).values
+        return kernel_matrix(self.ctx, which, self.N)
 
     @cached_property
     def _w0(self):
@@ -150,43 +141,6 @@ class OperatorFamily:
     @cached_property
     def h_op(self):
         return self._wrap(self.dld_mat + self.t_op.matrix, "plain", "H")
-
-
-def assemble_v(ctx: KernelContext, N: int, family: str = "plain") -> DiscreteOperator:
-    """Discrete single layer; 'plain' log-split or 'tilde' Lambda-split."""
-    fam = OperatorFamily(ctx.curve, ctx.k, N)
-    if family == "plain":
-        return fam.v_plain
-    if family == "tilde":
-        return fam.v_tilde
-    raise ValueError("family must be 'plain' or 'tilde'")
-
-
-def assemble_k(ctx: KernelContext, N: int, family: str = "plain") -> DiscreteOperator:
-    """Discrete double layer."""
-    fam = OperatorFamily(ctx.curve, ctx.k, N)
-    return fam.k_plain if family == "plain" else fam.k_tilde
-
-
-def assemble_kt(ctx: KernelContext, N: int, family: str = "plain") -> DiscreteOperator:
-    """Discrete adjoint double layer (kernels sampled with swapped arguments)."""
-    fam = OperatorFamily(ctx.curve, ctx.k, N)
-    return fam.kt_plain if family == "plain" else fam.kt_tilde
-
-
-def assemble_r_tilde(ctx: KernelContext, N: int) -> DiscreteOperator:
-    """Smooth remainder R~ of the Lambda-split single layer."""
-    return OperatorFamily(ctx.curve, ctx.k, N).r_tilde
-
-
-def assemble_t(ctx: KernelContext, N: int, oversample: int = 1) -> DiscreteOperator:
-    """Weakly singular part T of the hypersingular operator."""
-    return OperatorFamily(ctx.curve, ctx.k, N, oversample).t_op
-
-
-def assemble_h(ctx: KernelContext, N: int, oversample: int = 1) -> DiscreteOperator:
-    """Hypersingular operator H = D Lambda D + T (exact on T_N)."""
-    return OperatorFamily(ctx.curve, ctx.k, N, oversample).h_op
 
 
 _MAGIC = b"HBOP"

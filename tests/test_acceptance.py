@@ -88,7 +88,7 @@ def test_criterion_3_circle_eigenvalues():
     t0 = time.perf_counter()
     k, N = 2.0, 64
     fam = OperatorFamily(circle(), k, N)
-    t = grid(N).nodes
+    t = grid(N)
     tol_by_group = {"plain": 1e-10, "tilde": 1e-11, "H": 1e-8}
     worst = {g: 0.0 for g in tol_by_group}
     for n in range(-8, 9):
@@ -122,7 +122,7 @@ def test_criterion_4_calderon_residuals():
     res = {}
     for N in (32, 128):
         fam = OperatorFamily(curve, k, N)
-        t = grid(N).nodes
+        t = grid(N)
         xb = curve.point(t)
         d1 = curve.d1(t)
         m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
@@ -154,7 +154,7 @@ def test_criterion_5_extinction_representation():
     k, N = 8.0, 128
     curve = kite()
     src = PointSource((0.1, 0.2))
-    t = grid(N).nodes
+    t = grid(N)
     xb = curve.point(t)
     d1 = curve.d1(t)
     m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
@@ -241,12 +241,12 @@ def test_criterion_7_table_pattern(curve_name):
 def test_criterion_8_rate_separation():
     curve, k = kite(), 8.0
     fam_ref = OperatorFamily(curve, k, 512)
-    t_ref = grid(512).nodes
+    t_ref = grid(512)
     ref = TrigPolynomial(fam_ref.v_tilde.matrix @ np.exp(np.cos(t_ref)))
     errs = {}
     for N in (32, 48, 64):
         fam = OperatorFamily(curve, k, N)
-        t = grid(N).nodes
+        t = grid(N)
         phi = np.exp(np.cos(t))
         target = ref.eval(t)
         errs[N] = {

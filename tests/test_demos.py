@@ -1,0 +1,27 @@
+"""Smoke test: the spectral-building-block demos run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = (
+    "01_quadrature_and_interpolation",
+    "02_boundary_operators_circle",
+    "03_green_identities_kite",
+)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = ROOT / "demos" / f"{demo}.py"
+    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -20,7 +20,7 @@ N = 128
 
 def _interior_source_data(k=K, n=N, y0=(0.1, 0.2)):
     src = PointSource(y0)
-    t = grid(n).nodes
+    t = grid(n)
     xb = KITE.point(t)
     d1 = KITE.d1(t)
     m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
@@ -132,8 +132,8 @@ def test_evaluator_validation():
         FieldEvaluator(KITE, [])
     with pytest.raises(ValueError):
         FieldEvaluator(KITE, [("sl", K, zeros), ("dl", K, zeros[:-2])])
-    with pytest.raises(ValueError):
-        FieldEvaluator(KITE, [("curl", K, zeros)])(_ring(3.0))
+    with pytest.raises(ValueError, match="curl"):
+        FieldEvaluator(KITE, [("sl", K, zeros), ("curl", K, zeros)])
     mixed = FieldEvaluator(KITE, [("sl", 1.0, zeros), ("sl", 2.0, zeros)])
     with pytest.raises(ValueError):
         mixed.far_field(np.array([0.0]))

@@ -7,7 +7,6 @@ from helmbie.fourier import (
     diff_apply,
     dld_apply,
     fft_modes,
-    interpolate,
     lambda_apply,
     psi_hat,
     sobolev_norm,
@@ -30,29 +29,29 @@ def _basis(N, n):
 
 def test_interpolate_basis_function():
     N = 4
-    t = grid(N).nodes
-    p = interpolate(np.exp(1j * t))
+    t = grid(N)
+    p = TrigPolynomial(np.exp(1j * t))
     assert abs(p.coeff(1) - 1.0) <= 1e-14
     others = [p.coeff(n) for n in range(-N + 1, N + 1) if n != 1]
     assert np.max(np.abs(others)) <= 1e-14
 
 
 def test_interpolate_constant():
-    p = interpolate(np.full(16, 3.25))
+    p = TrigPolynomial(np.full(16, 3.25))
     assert abs(p.coeff(0) - 3.25) <= 1e-14
     assert np.max(np.abs(p.spectral[1:])) <= 1e-14
 
 
 def test_interpolate_rejects_odd_length():
     with pytest.raises(ValueError):
-        interpolate(np.ones(7))
+        TrigPolynomial(np.ones(7))
 
 
 def test_aliasing_of_above_range_mode():
     N = 8
-    t = grid(N).nodes
+    t = grid(N)
     samples = np.exp(1j * (N + 1) * t)
-    p = interpolate(samples)
+    p = TrigPolynomial(samples)
     # nodal match by construction
     assert np.max(np.abs(p.eval(t) - samples)) <= 1e-12
     # spectral mass lands on the aliased frequency (N+1) - 2N = -(N-1)
@@ -66,7 +65,7 @@ def test_projection_is_identity_on_tn():
     N = 16
     coeffs = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
     p = TrigPolynomial.from_coeffs(coeffs)
-    again = interpolate(p.nodal)
+    again = TrigPolynomial(p.nodal)
     assert np.max(np.abs(again.spectral - coeffs)) <= 1e-12 * np.max(
         np.abs(coeffs)
     )
@@ -76,18 +75,18 @@ def test_spectral_nodal_consistency():
     rng = np.random.default_rng(1)
     N = 12
     vals = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-    p = interpolate(vals)
-    t = grid(N).nodes
+    p = TrigPolynomial(vals)
+    t = grid(N)
     assert np.max(np.abs(p.eval(t) - vals)) <= 1e-13 * np.max(np.abs(vals))
 
 
 def test_interpolation_error_decays_geometrically():
     g = lambda t: 1.0 / (2.0 + np.cos(t))
-    fine = grid(256).nodes
+    fine = grid(256)
     ref = g(fine)
     errs = []
     for N in (8, 16, 32):
-        p = interpolate(g(grid(N).nodes))
+        p = TrigPolynomial(g(grid(N)))
         diff = p.eval(fine) - ref
         errs.append(np.sqrt(np.sum(np.abs(diff) ** 2) / fine.size))
     assert errs[1] / errs[0] <= 0.5
@@ -148,7 +147,7 @@ def test_weighted_conv_m0_is_trapezoid():
 
 def test_weighted_conv_eigenfunctions():
     N = 16
-    t = grid(N).nodes
+    t = grid(N)
     out1 = weighted_conv(weight_table(1, N), np.exp(2j * t))
     assert np.max(np.abs(out1 - 2 * np.pi * (-0.5) * np.exp(2j * t))) <= 1e-12
     out2 = weighted_conv(weight_table(2, N), np.ones(2 * N))
@@ -214,7 +213,7 @@ def test_spectral_ops_commute_with_translation():
 
 def test_sobolev_norm_values():
     N = 16
-    t = grid(N).nodes
+    t = grid(N)
     assert sobolev_norm(_basis(N, 0), 3.7) == pytest.approx(1.0, abs=1e-14)
     assert sobolev_norm(_basis(N, 2), 1.0) == pytest.approx(2.0, abs=1e-14)
     p = TrigPolynomial(np.exp(2j * t) + 1.0)

@@ -4,19 +4,19 @@ import pytest
 from helmbie.geometry import (
     cavity,
     circle,
-    curve_eval,
     ellipse,
     grid,
+    grid_geometry,
     kite,
     make_curve,
-    outward_normal,
 )
 
 ALL_CURVES = [circle(), ellipse(2.0, 1.0), kite(), cavity()]
 
 
 def test_circle_eval_at_zero():
-    x, dx, ddx = curve_eval(circle(), 0.0)
+    c = circle()
+    x, dx, ddx = c.point(0.0), c.d1(0.0), c.d2(0.0)
     assert np.allclose(x, [1.0, 0.0], atol=1e-15)
     assert np.allclose(dx, [0.0, 1.0], atol=1e-15)
     assert np.allclose(ddx, [-1.0, 0.0], atol=1e-15)
@@ -63,15 +63,15 @@ def test_derivatives_by_finite_differences(curve):
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
 def test_normal_unit_and_orthogonal(curve):
     t = np.linspace(0, 2 * np.pi, 500, endpoint=False)
-    n = outward_normal(curve, t)
+    n = curve.normal(t)
     assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-14
     dots = np.abs(np.sum(n * curve.d1(t), axis=-1))
     assert np.max(dots / curve.speed(t)) <= 1e-13
 
 
 def test_normal_outward_on_circle():
-    assert np.allclose(outward_normal(circle(), 0.0), [1.0, 0.0], atol=1e-15)
-    assert np.allclose(outward_normal(circle(), np.pi / 2), [0.0, 1.0],
+    assert np.allclose(circle().normal(0.0), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(circle().normal(np.pi / 2), [0.0, 1.0],
                        atol=1e-15)
 
 
@@ -82,7 +82,7 @@ def test_ellipse_normal_matches_implicit_gradient():
     x = curve.point(t)
     grad = np.stack([2 * x[:, 0] / a**2, 2 * x[:, 1] / b**2], axis=-1)
     grad /= np.linalg.norm(grad, axis=-1, keepdims=True)
-    assert np.max(np.abs(outward_normal(curve, t) - grad)) <= 1e-13
+    assert np.max(np.abs(curve.normal(t) - grad)) <= 1e-13
 
 
 def test_cavity_is_reentrant():
@@ -95,11 +95,19 @@ def test_cavity_is_reentrant():
 
 
 def test_grid_small_cases():
-    assert np.allclose(grid(1).nodes, [0.0, np.pi])
-    assert np.allclose(grid(2).nodes, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+    assert np.allclose(grid(1), [0.0, np.pi])
+    assert np.allclose(grid(2), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     g = grid(64)
     assert len(g) == 128
-    assert np.allclose(np.diff(g.nodes), np.pi / 64)
+    assert np.allclose(np.diff(g), np.pi / 64)
+
+
+def test_grid_geometry_normal_carries_speed():
+    curve = kite()
+    t, x, m = grid_geometry(curve, 16)
+    assert np.array_equal(t, grid(16))
+    assert np.array_equal(x, curve.point(t))
+    assert np.max(np.abs(m - curve.speed(t)[:, None] * curve.normal(t))) <= 1e-14
 
 
 def test_grid_rejects_zero():

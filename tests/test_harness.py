@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helmbie import harness
 from helmbie.cli import main
 from helmbie.harness import (
     ConfigError,
@@ -47,6 +48,16 @@ def test_config_rejects_bad_values():
         StudyConfig.from_mapping({"solver": "cg"})
     with pytest.raises(ConfigError):
         StudyConfig.from_mapping({"n_ladder": "abc"})
+    with pytest.raises(ConfigError, match="k_plus"):
+        StudyConfig.from_mapping({"k_plus": "nan"})
+    with pytest.raises(ConfigError, match="nu"):
+        StudyConfig.from_mapping({"nu": "inf"})
+    with pytest.raises(ConfigError, match="direction"):
+        StudyConfig.from_mapping({"direction": "0,0"})
+    with pytest.raises(ConfigError, match="boundary"):
+        StudyConfig.from_mapping({"incident": "point", "source": "1,0"})
+    with pytest.raises(ConfigError, match=">= 8"):
+        StudyConfig.from_mapping({"n_ladder": "4", "n_reference": "16"})
 
 
 def test_config_file_parsing(tmp_path):
@@ -119,6 +130,24 @@ def test_reports_are_deterministic(tmp_path):
     assert strip(first) == strip(second)
 
 
+def test_failing_shared_reference_solved_once(monkeypatch):
+    calls = []
+
+    def solve_cell(problem, form, N, cfg):
+        calls.append((form, N))
+        raise ValueError("reference diverged")
+
+    monkeypatch.setattr(harness, "_solve_cell", solve_cell)
+    cfg = StudyConfig.from_mapping({
+        "formulations": "l1,l2", "n_ladder": "24,32", "n_reference": "64",
+        "directions": "36", "threads": "2",
+    })
+    report = run_convergence(cfg)
+    assert calls == [("l1", 64)]
+    assert len(report.rows) == 4
+    assert all(r.failure == "reference diverged" for r in report.rows)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         run_verification("spectralify")
@@ -163,6 +192,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("curve = dodecahedron\n")
     assert main(["--config", str(cfg), "study"]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg"), "study"]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_cli_point_source_on_boundary_exit_code(tmp_path, capsys, command):
+    # the kite passes through (1, 0) at t = 0
+    cfg = tmp_path / "boundary.cfg"
+    cfg.write_text(FAST_STUDY + "incident = point\nsource = 1,0\n"
+                   + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "boundary" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_threads_flag(tmp_path):

@@ -113,9 +113,9 @@ def test_double_layer_reassembly(curve_name, k):
 def test_transposition_structure():
     ctx = KernelContext(kite(), 8.0)
     N = 16
-    c_mat = kernel_matrix(ctx, "C", N).values
-    d_mat = kernel_matrix(ctx, "D", N).values
-    nodes = grid(N).nodes
+    c_mat = kernel_matrix(ctx, "C", N)
+    d_mat = kernel_matrix(ctx, "D", N)
+    nodes = grid(N)
     S, T = np.meshgrid(nodes, nodes, indexing="ij")
     assert np.max(np.abs(kernel_c(ctx, T, S) - c_mat.T)) <= 1e-14
     assert np.max(np.abs(kernel_d(ctx, T, S) - d_mat.T)) <= 1e-14
@@ -218,10 +218,10 @@ def test_kernel_matrix_finite_and_diagonal():
     ctx = KernelContext(cavity(), 8.0)
     N = 24
     for which in ("A", "B", "C", "D", "At"):
-        mat = kernel_matrix(ctx, which, N).values
+        mat = kernel_matrix(ctx, which, N)
         assert np.all(np.isfinite(mat))
-    b_mat = kernel_matrix(ctx, "B", N).values
-    nodes = grid(N).nodes
+    b_mat = kernel_matrix(ctx, "B", N)
+    nodes = grid(N)
     assert np.max(np.abs(np.diag(b_mat) - diag_b(ctx, nodes))) == 0.0
 
 
@@ -242,7 +242,7 @@ def test_ef_diagonal_values():
     ctx = KernelContext(kite(), 2.0)
     N = 32
     e_mat, _ = ef_matrices(ctx, N)
-    nodes = grid(N).nodes
+    nodes = grid(N)
     speed = ctx.curve.speed(nodes)
     expected = 0.5 * diag_a_tilde(ctx, nodes) - 2.0**2 * speed**2 / (4 * np.pi)
     assert np.max(np.abs(np.diag(e_mat) - expected)) <= 1e-8
@@ -273,5 +273,9 @@ def test_context_validation():
         KernelContext(circle(), -1.0)
     with pytest.raises(ValueError):
         KernelContext(circle(), 1.0 - 2.0j)
+    with pytest.raises(ValueError):
+        KernelContext(circle(), np.int64(-3))
+    with pytest.raises(ValueError):
+        KernelContext(circle(), float("nan"))
     ctx = KernelContext(circle(), 2.0 + 1.0j)
     assert ctx.is_complex

@@ -3,18 +3,7 @@ import pytest
 
 from helmbie.fourier import diff_matrix
 from helmbie.geometry import circle, grid, kite
-from helmbie.kernels import KernelContext
-from helmbie.operators import (
-    OperatorFamily,
-    assemble_h,
-    assemble_k,
-    assemble_kt,
-    assemble_r_tilde,
-    assemble_t,
-    assemble_v,
-    load_operator,
-    save_operator,
-)
+from helmbie.operators import OperatorFamily, load_operator, save_operator
 
 from oracles import mp_circle_eigs
 
@@ -46,7 +35,7 @@ def test_fixture_table_matches_live_oracle(data_dir):
 
 def test_circle_eigenvalues_all_operators(circle_family, data_dir):
     table = _circle_eig_table(data_dir)
-    t = grid(64).nodes
+    t = grid(64)
     ops = {
         0: [(circle_family.v_plain, 1e-10), (circle_family.v_tilde, 1e-11)],
         1: [(circle_family.k_plain, 1e-10), (circle_family.k_tilde, 1e-11)],
@@ -92,7 +81,7 @@ def test_k_and_kt_are_transposes():
 
 def test_lambda_part_of_v_tilde():
     fam = OperatorFamily(circle(), 2.0, 32)
-    t = grid(32).nodes
+    t = grid(32)
     e3 = np.exp(3j * t)
     lam_part = fam.v_tilde.matrix - fam.r_tilde.matrix
     assert np.max(np.abs(lam_part @ e3 - e3 / 6.0)) <= 1e-12
@@ -106,7 +95,7 @@ def test_plain_tilde_consistency_under_refinement():
     gaps = []
     for N in (24, 48):
         fam = OperatorFamily(curve, k, N)
-        t = grid(N).nodes
+        t = grid(N)
         phi = np.exp(np.cos(t))
         gap = fam.v_tilde.matrix @ phi - fam.v_plain.matrix @ phi
         gaps.append(np.max(np.abs(gap)))
@@ -130,7 +119,7 @@ def test_h_via_alternative_maue_route():
     # layer agrees with the split assembly to discretization accuracy
     curve, k, N = circle(), 2.0, 64
     fam = OperatorFamily(curve, k, N)
-    t = grid(N).nodes
+    t = grid(N)
     d_mat = diff_matrix(N)
     d1 = curve.d1(t)
     xdx = d1 @ d1.T
@@ -155,7 +144,7 @@ def test_maue_coupling_term_in_isolation(circle_family, data_dir):
     # k^2 V[cos(s - .)], diagonal with the |n| = 1 single-layer eigenvalue
     table = _circle_eig_table(data_dir)
     k, N = 2.0, 64
-    t = grid(N).nodes
+    t = grid(N)
     lam_v1 = table[1][0]
     d1 = circle().d1(t)
     xdx = d1 @ d1.T
@@ -166,18 +155,16 @@ def test_maue_coupling_term_in_isolation(circle_family, data_dir):
 
 
 def test_assembler_functions_and_min_n():
-    ctx = KernelContext(circle(), 2.0)
-    assert assemble_v(ctx, 8, "plain").continuous_id == "V"
-    assert assemble_v(ctx, 8, "tilde").family == "tilde"
-    assert assemble_k(ctx, 8).continuous_id == "K"
-    assert assemble_kt(ctx, 8, "tilde").continuous_id == "Kt"
-    assert assemble_r_tilde(ctx, 8).continuous_id == "R"
-    assert assemble_t(ctx, 8).continuous_id == "T"
-    assert assemble_h(ctx, 8).continuous_id == "H"
+    fam = OperatorFamily(circle(), 2.0, 8)
+    assert fam.v_plain.continuous_id == "V"
+    assert fam.v_tilde.family == "tilde"
+    assert fam.k_plain.continuous_id == "K"
+    assert fam.kt_tilde.continuous_id == "Kt"
+    assert fam.r_tilde.continuous_id == "R"
+    assert fam.t_op.continuous_id == "T"
+    assert fam.h_op.continuous_id == "H"
     with pytest.raises(ValueError):
-        assemble_v(ctx, 4)
-    with pytest.raises(ValueError):
-        assemble_v(ctx, 8, "fancy")
+        OperatorFamily(circle(), 2.0, 4)
 
 
 def test_operator_dump_roundtrip(tmp_path):
