@@ -246,10 +246,8 @@ def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     return FormulationSystem("l1", _block(a11, a12, a21, a22), rhs, N, problem, data)
 
 
-def _l2_matrix(problem, N, family, fp, fm):
+def _l2_matrix(problem, N, family, fp, fm, lam, dld):
     nu = problem.nu
-    lam = lambda_matrix(N)
-    dld = dld_matrix(N)
     zero = np.zeros((2 * N, 2 * N))
     if family == "tilde":
         lead = (1.0 + 1.0 / nu) * _block(zero, lam, -nu * dld, zero)
@@ -275,17 +273,15 @@ def assemble_l2(
     if family not in ("tilde", "plain"):
         raise ValueError("family must be 'tilde' or 'plain'")
     fp, fm, _ = _op_families(problem, N)
-    matrix = _l2_matrix(problem, N, family, fp, fm)
+    matrix = _l2_matrix(problem, N, family, fp, fm, lambda_matrix(N), dld_matrix(N))
     data = build_data(problem, N)
     rhs = np.concatenate([data.h.nodal, data.eta.nodal])
     name = "l2" if family == "tilde" else "l2plain"
     return FormulationSystem(name, matrix, rhs, N, problem, data, family=family)
 
 
-def _regularizer(problem, N, fk):
+def _regularizer(problem, N, fk, lam, dld):
     nu = problem.nu
-    lam = lambda_matrix(N)
-    dld = dld_matrix(N)
     eye = np.eye(2 * N)
     v_kappa = lam + fk.r_tilde.matrix
     h_kappa = dld + fk.t_op.matrix
@@ -314,8 +310,8 @@ def assemble_l3(
         nu * fm.t_op.matrix,
         -fm.kt_tilde.matrix,
     )
-    reg = _regularizer(problem, N, fk)
-    l2t = _l2_matrix(problem, N, "tilde", fp, fm)
+    reg = _regularizer(problem, N, fk, lam, dld)
+    l2t = _l2_matrix(problem, N, "tilde", fp, fm, lam, dld)
     matrix = lead + mid + reg @ l2t
     data = build_data(problem, N)
     rhs = reg @ np.concatenate([data.h.nodal, data.eta.nodal])

@@ -33,6 +33,8 @@ __all__ = [
     "make_curve",
 ]
 
+_DISTANCE_BLOCK = 64  # points per block in ParametricCurve.distance
+
 
 @dataclass(frozen=True)
 class ParametricCurve:
@@ -103,8 +105,13 @@ class ParametricCurve:
         t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         bd = self.point(t)                                 # (S, 2)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.linalg.norm(pts[:, None, :] - bd[None, :, :], axis=-1)
-        return d.min(axis=1)
+        out = np.empty(pts.shape[0])
+        # blocks of points bound the (points, S, 2) difference array
+        for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
+            block = pts[start:start + _DISTANCE_BLOCK]
+            d = np.linalg.norm(block[:, None, :] - bd[None, :, :], axis=-1)
+            out[start:start + block.shape[0]] = d.min(axis=1)
+        return out
 
 
 def grid(N: int) -> np.ndarray:

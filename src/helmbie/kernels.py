@@ -42,6 +42,15 @@ The mixed partials are produced by spectral differentiation of the sampled
 biperiodic smooth kernels (diagonals filled with the analytic limits first),
 so E and F are exposed as grid matrices rather than pointwise scalars.
 
+Fused pass.  All factors are closed-form in J0, J1, H0 and H1 of k r over
+the same node pairs, so one ``KernelFactors`` per (curve, k, N) samples x, x'
+and x'' once on the 2N nodes and evaluates each Bessel function once, as a
+compact vector over the strict upper triangle (r and sin^2 are symmetric).
+A, B, A~ are symmetric and C, D are (delta . m) times a symmetric function;
+full matrices, with the diagonal limits written by index, and E, F are
+formed from these vectors on request.  A ``KernelContext`` keeps the factor
+set of its last grid, so one operator family shares a single pass.
+
 Direct formulas are numerically safe down to node separation pi/1024; the
 only guarded cancellation, 1 - J0(k r), switches to its power series for
 |k r| < 1/2.
@@ -49,7 +58,8 @@ only guarded cancellation, 1 - J0(k r), switches to its power series for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +69,7 @@ from .geometry import ParametricCurve, grid
 
 __all__ = [
     "KernelContext",
-    "kernel_a",
-    "kernel_b",
-    "kernel_c",
-    "kernel_d",
-    "kernel_a_tilde",
+    "KernelFactors",
     "diag_a",
     "diag_b",
     "diag_c",
@@ -76,15 +82,19 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
-_DIAG_TOL = 1e-14  # |sin((s-t)/2)| below this counts as the diagonal
+_FACTORS = ("A", "At", "B", "C", "D")
 
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Curve plus wavenumber; k real positive, or complex with Im k >= 0."""
+    """Curve plus wavenumber; k real positive, or complex with Im k >= 0.
+
+    Keeps the ``KernelFactors`` of the most recent grid it was sampled on.
+    """
 
     curve: ParametricCurve
     k: complex
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = complex(self.k) if np.iscomplexobj(self.k) else float(self.k)
@@ -101,48 +111,20 @@ class KernelContext:
     def is_complex(self) -> bool:
         return isinstance(self.k, complex)
 
-
-def _j0(ctx, z):
-    if ctx.is_complex:
-        return specfun.bessel_j_complex(0, z)
-    return specfun.bessel_j(0, z)
-
-
-def _j1(ctx, z):
-    if ctx.is_complex:
-        return specfun.bessel_j_complex(1, z)
-    return specfun.bessel_j(1, z)
+    def factors(self, N: int) -> "KernelFactors":
+        """The fused factor set on the 2N grid, reused while N repeats."""
+        found = self._last.get(N)
+        if found is None:
+            self._last.clear()
+            found = self._last[N] = KernelFactors(self, N)
+        return found
 
 
-def _h0(ctx, z):
-    if ctx.is_complex:
-        return specfun.hankel1_complex(0, z)
-    return specfun.hankel1(0, z)
-
-
-def _h1(ctx, z):
-    if ctx.is_complex:
-        return specfun.hankel1_complex(1, z)
-    return specfun.hankel1(1, z)
-
-
-def _pair_geometry(ctx, s, t):
-    """delta = x(s)-x(t), r = |delta|, m(t), sin^2((s-t)/2), diagonal mask."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    delta = ctx.curve.point(s) - ctx.curve.point(t)
-    r = np.linalg.norm(delta, axis=-1)
-    half = np.sin(0.5 * (s - t))
-    sin2 = half * half
-    diag = np.abs(half) < _DIAG_TOL
-    return delta, r, sin2, diag
-
-
-def _one_minus_j0(ctx, z):
-    """(1 - J0(z)) with a series branch killing the small-z cancellation."""
-    z = np.asarray(z)
-    direct = 1.0 - _j0(ctx, np.where(np.abs(z) < 0.5, 1.0, z))
-    z2 = z * z
+def _one_minus_j0(z, j0):
+    """1 - J0(z) from J0(z), with a series branch killing the small-z cancellation."""
+    out = 1.0 - j0
+    small = np.abs(z) < 0.5
+    z2 = z[small] * z[small]
     # (1 - J0(z)) = (z^2/4) * S(z); S summed to z^12, exact below |z| = 1/2
     series = 1.0 + z2 * (
         -1.0 / 16.0
@@ -154,110 +136,151 @@ def _one_minus_j0(ctx, z):
             )
         )
     )
-    series = 0.25 * z2 * series
-    return np.where(np.abs(z) < 0.5, series, direct)
+    out[small] = 0.25 * z2 * series
+    return out
+
+
+def _diagonal_limits(k, d1, d2):
+    """Diagonal limits of A, B, C, D and A~ from x'(s) and x''(s)."""
+    speed = np.linalg.norm(d1, axis=-1)
+    curv = d2[..., 0] * d1[..., 1] - d2[..., 1] * d1[..., 0]  # x''(s) . m(s)
+    return {
+        "A": np.full(speed.shape, -1.0 / (4.0 * np.pi)),
+        "B": 0.25j - (EULER_GAMMA + np.log(k * speed)) / (2.0 * np.pi),
+        "At": (k * k) * speed * speed / (4.0 * np.pi),
+        "C": -(k * k) * curv / (4.0 * np.pi),
+        "D": curv / (4.0 * np.pi * speed * speed),
+    }
 
 
 def diag_a(ctx, s):
-    s = np.asarray(s, dtype=float)
-    return np.broadcast_to(-1.0 / (4.0 * np.pi), s.shape).copy()
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["A"]
 
 
 def diag_b(ctx, s):
-    speed = ctx.curve.speed(s)
-    return 0.25j - (EULER_GAMMA + np.log(ctx.k * speed)) / (2.0 * np.pi)
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["B"]
 
 
 def diag_a_tilde(ctx, s):
-    speed = ctx.curve.speed(s)
-    return (ctx.k * ctx.k) * speed * speed / (4.0 * np.pi)
-
-
-def _curvature_dot(curve, s):
-    """x''(s) . (x2'(s), -x1'(s))."""
-    d1 = curve.d1(s)
-    d2 = curve.d2(s)
-    return d2[..., 0] * d1[..., 1] - d2[..., 1] * d1[..., 0]
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["At"]
 
 
 def diag_c(ctx, s):
-    return -(ctx.k * ctx.k) * _curvature_dot(ctx.curve, s) / (4.0 * np.pi)
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["C"]
 
 
 def diag_d(ctx, s):
-    speed = ctx.curve.speed(s)
-    return _curvature_dot(ctx.curve, s) / (4.0 * np.pi * speed * speed)
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["D"]
 
 
-def kernel_a(ctx, s, t):
-    """Log-weight factor of the single-layer kernel; smooth, real for real k."""
-    _, r, _, _ = _pair_geometry(ctx, s, t)
-    return -_j0(ctx, ctx.k * r) / (4.0 * np.pi)
+class KernelFactors:
+    """One fused pass over the node pairs of one (curve, k, N).
 
+    Holds x and x' on the 2N nodes, the diagonal limits, and r and sin^2
+    as compact vectors over the pairs i < j; J0, J1, H0 and H1 of k r are
+    evaluated once each, on first use.  The rest is recomputed per request.
+    """
 
-def kernel_b(ctx, s, t):
-    """Smooth remainder of the single-layer kernel."""
-    _, r, sin2, diag = _pair_geometry(ctx, s, t)
-    r_safe = np.where(diag, 1.0, r)
-    sin2_safe = np.where(diag, 1.0, sin2)
-    h0 = _h0(ctx, ctx.k * r_safe)
-    j0 = _j0(ctx, ctx.k * r_safe)
-    off = 0.25j * h0 + j0 * np.log(sin2_safe) / (4.0 * np.pi)
-    return np.where(diag, diag_b(ctx, np.asarray(s, dtype=float)), off)
+    def __init__(self, ctx: KernelContext, N: int):
+        # not ctx itself: ctx holds this object, and a cycle outlives refcounting
+        self.k, self.is_complex = ctx.k, ctx.is_complex
+        self.nodes = grid(N)
+        n = self.nodes.size
+        self.x = ctx.curve.point(self.nodes)
+        self.d1 = ctx.curve.d1(self.nodes)
+        self.diag = _diagonal_limits(ctx.k, self.d1, ctx.curve.d2(self.nodes))
+        self._mask = np.triu(np.ones((n, n), dtype=bool), 1)  # pairs i < j
+        i, j = np.nonzero(self._mask)
+        self.r = np.linalg.norm(self.x[i] - self.x[j], axis=-1)
+        half = np.sin(0.5 * (self.nodes[i] - self.nodes[j]))
+        self.sin2 = half * half
 
+    def _dm(self):
+        """delta . m(t) on the full grid; zero on the diagonal."""
+        x, d1 = self.x, self.d1
+        dx = x[:, None, 0] - x[None, :, 0]
+        dy = x[:, None, 1] - x[None, :, 1]
+        return dx * d1[None, :, 1] - dy * d1[None, :, 0]
 
-def kernel_a_tilde(ctx, s, t):
-    """(1 - J0(k r)) / (4 pi sin^2((s-t)/2)) with its diagonal limit."""
-    _, r, sin2, diag = _pair_geometry(ctx, s, t)
-    sin2_safe = np.where(diag, 1.0, sin2)
-    off = _one_minus_j0(ctx, ctx.k * r) / (4.0 * np.pi * sin2_safe)
-    return np.where(diag, diag_a_tilde(ctx, np.asarray(s, dtype=float)), off)
+    def _j(self, order):
+        fn = specfun.bessel_j_complex if self.is_complex else specfun.bessel_j
+        return fn(order, self.k * self.r)
 
+    def _h(self, order, j):
+        if self.is_complex:
+            return specfun.hankel1_complex(order, self.k * self.r)
+        return j + 1j * specfun.bessel_y(order, self.k * self.r)
 
-def _delta_dot_m(ctx, s, t, delta):
-    d1t = ctx.curve.d1(t)
-    return delta[..., 0] * d1t[..., 1] - delta[..., 1] * d1t[..., 0]
+    @cached_property
+    def j0(self):
+        return self._j(0)
 
+    @cached_property
+    def j1(self):
+        return self._j(1)
 
-def kernel_c(ctx, s, t):
-    """sin^2-log factor of the double-layer kernel."""
-    delta, r, sin2, diag = _pair_geometry(ctx, s, t)
-    dm = _delta_dot_m(ctx, s, t, delta)
-    r_safe = np.where(diag, 1.0, r)
-    sin2_safe = np.where(diag, 1.0, sin2)
-    off = (
-        -(ctx.k / (4.0 * np.pi))
-        * dm
-        * _j1(ctx, ctx.k * r_safe)
-        / (r_safe * sin2_safe)
-    )
-    return np.where(diag, diag_c(ctx, np.asarray(s, dtype=float)), off)
+    @cached_property
+    def h0(self):
+        return self._h(0, self.j0)
 
+    @cached_property
+    def h1(self):
+        return self._h(1, self.j1)
 
-def kernel_d(ctx, s, t):
-    """Smooth remainder of the double-layer kernel."""
-    delta, r, sin2, diag = _pair_geometry(ctx, s, t)
-    dm = _delta_dot_m(ctx, s, t, delta)
-    r_safe = np.where(diag, 1.0, r)
-    sin2_safe = np.where(diag, 1.0, sin2)
-    full = 0.25j * ctx.k * _h1(ctx, ctx.k * r_safe) * dm / r_safe
-    csl = (
-        -(ctx.k / (4.0 * np.pi))
-        * dm
-        * _j1(ctx, ctx.k * r_safe)
-        / r_safe
-        * np.log(sin2_safe)
-    )
-    return np.where(diag, diag_d(ctx, np.asarray(s, dtype=float)), full - csl)
+    def _symmetric(self, upper):
+        """Full matrix with ``upper`` on both triangles, zero diagonal."""
+        n = self.nodes.size
+        out = np.zeros((n, n), dtype=upper.dtype)
+        out[self._mask] = upper
+        out.T[self._mask] = upper
+        return out
 
+    def matrix(self, which: str) -> np.ndarray:
+        """Grid samples of one smooth factor, diagonal filled analytically."""
+        if which not in _FACTORS:
+            raise ValueError(f"unknown kernel {which!r}; choices {list(_FACTORS)}")
+        k, four_pi = self.k, 4.0 * np.pi
+        if which == "A":
+            values = self._symmetric(-self.j0 / four_pi)
+        elif which == "B":
+            upper = 0.25j * self.h0 + self.j0 * np.log(self.sin2) / four_pi
+            values = self._symmetric(upper)
+        elif which == "At":
+            upper = _one_minus_j0(k * self.r, self.j0) / (four_pi * self.sin2)
+            values = self._symmetric(upper)
+        elif which == "C":
+            upper = -(k / four_pi) * self.j1 / (self.r * self.sin2)
+            values = self._dm() * self._symmetric(upper)
+        else:
+            upper = 0.25j * k * self.h1 + (k / four_pi) * self.j1 * np.log(self.sin2)
+            values = self._dm() * self._symmetric(upper / self.r)
+        values.reshape(-1)[:: self.nodes.size + 1] = self.diag[which]
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"non-finite entries in kernel {which}")
+        return values
 
-_POINTWISE = {
-    "A": kernel_a,
-    "B": kernel_b,
-    "C": kernel_c,
-    "D": kernel_d,
-    "At": kernel_a_tilde,
-}
+    def ef(self):
+        """Grid matrices (E, F) of the hypersingular remainder kernel."""
+        a_mat = self.matrix("A")
+        b_mat = self.matrix("B")
+        at_mat = self.matrix("At")
+
+        at_s = _spectral_derivative(at_mat, axis=0)
+        at_t = at_s.T  # A~ is symmetric
+        at_st = _spectral_derivative(at_s, axis=1)
+        b_st = _spectral_derivative(_spectral_derivative(b_mat, axis=0), axis=1)
+
+        diff = self.nodes[:, None] - self.nodes[None, :]
+        sin_d = np.sin(diff)
+        cos_d = np.cos(diff)
+        sin2 = self._symmetric(self.sin2)
+        xdx = self.d1 @ self.d1.T  # x'(s_i) . x'(t_j)
+
+        k2 = self.k * self.k
+        skew = 0.5 * (at_s - at_t) * sin_d
+        e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
+        f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
+        return e_mat, f_mat
 
 
 def sin2_matrix(N: int) -> np.ndarray:
@@ -269,14 +292,7 @@ def sin2_matrix(N: int) -> np.ndarray:
 
 def kernel_matrix(ctx: KernelContext, which: str, N: int) -> np.ndarray:
     """Grid samples of one smooth kernel factor, diagonal filled analytically."""
-    if which not in _POINTWISE:
-        raise ValueError(f"unknown kernel {which!r}; choices {sorted(_POINTWISE)}")
-    nodes = grid(N)
-    S, T = np.meshgrid(nodes, nodes, indexing="ij")
-    values = np.asarray(_POINTWISE[which](ctx, S, T))
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"non-finite entries in kernel {which}")
-    return values
+    return ctx.factors(N).matrix(which)
 
 
 def _spectral_derivative(values, axis):
@@ -298,31 +314,5 @@ def ef_matrices(ctx: KernelContext, N: int, oversample: int = 1):
     """
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    M = oversample * N
-    nodes = grid(M)
-    S, T = np.meshgrid(nodes, nodes, indexing="ij")
-
-    a_mat = np.asarray(kernel_a(ctx, S, T), dtype=complex)
-    b_mat = kernel_b(ctx, S, T)
-    at_mat = np.asarray(kernel_a_tilde(ctx, S, T), dtype=complex)
-
-    at_s = _spectral_derivative(at_mat, axis=0)
-    at_t = _spectral_derivative(at_mat, axis=1)
-    at_st = _spectral_derivative(at_s, axis=1)
-    b_st = _spectral_derivative(_spectral_derivative(b_mat, axis=0), axis=1)
-
-    diff = S - T
-    sin_d = np.sin(diff)
-    cos_d = np.cos(diff)
-    half = np.sin(0.5 * diff)
-    sin2 = half * half
-    d1 = ctx.curve.d1(nodes)
-    xdx = d1 @ d1.T  # x'(s_i) . x'(t_j)
-
-    k2 = ctx.k * ctx.k
-    skew = 0.5 * (at_s - at_t) * sin_d
-    e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
-    f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
-
-    step = oversample
-    return e_mat[::step, ::step], f_mat[::step, ::step]
+    e_mat, f_mat = ctx.factors(oversample * N).ef()
+    return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]

@@ -9,9 +9,13 @@ product W_m * K with K the sampled smooth kernel factor.  Families:
     tilde:  V~ = Lambda + W2*At + W0*B, K~ = W2*C + W0*D
     T  = W1*E + W0*F,   H = D Lambda D + T
 
-Transpose variants sample the kernels with swapped arguments.  The tilde
-single layer is stored via its smooth remainder R~ = W2*At + W0*B so the
-formulations can use Lambda and R~ separately.
+psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
+is applied as that scalar; W1 and W2 have real even symbols and are stored as
+real matrices.  All factors of one family come from one fused kernel pass
+(see ``helmbie.kernels``), which the family's context keeps; transpose
+variants use the transposed factor matrices.  The tilde single layer is
+stored via its smooth remainder R~ = W2*At + W0*B so the formulations can use
+Lambda and R~ separately.
 
 Matrices assemble in O(N^2 log N) and are immutable once built; N <= 512 is
 the design target, so dense storage and direct factorization are fine.
@@ -66,21 +70,18 @@ class OperatorFamily:
         self.ctx = KernelContext(curve, k)
         self.N = N
         self.oversample = oversample
+        self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
 
     def _kernel(self, which):
         return kernel_matrix(self.ctx, which, self.N)
 
     @cached_property
-    def _w0(self):
-        return conv_matrix(weight_table(0, self.N))
-
-    @cached_property
     def _w1(self):
-        return conv_matrix(weight_table(1, self.N))
+        return conv_matrix(weight_table(1, self.N)).real.copy()
 
     @cached_property
     def _w2(self):
-        return conv_matrix(weight_table(2, self.N))
+        return conv_matrix(weight_table(2, self.N)).real.copy()
 
     @cached_property
     def _sin2(self):

@@ -4,9 +4,9 @@ Orders 0 and 1 only.  The main path takes real arguments (J on z >= 0, H on
 z > 0); the regularized combined-field formulation additionally needs complex
 wavenumbers with nonnegative imaginary part, served by the complex-argument
 entry points.  Evaluation is delegated to scipy.special (Cephes for real
-arguments, AMOS for complex); this module pins the domain checks and the
-accuracy contract, which the test suite verifies against a 25-digit mpmath
-table:
+arguments, so a real Hankel value is J + iY; AMOS for complex); this module
+pins the domain checks and the accuracy contract, which the test suite
+verifies against a 25-digit mpmath table:
 
     J0, J1 : relative error <= 1e-14 on [0, 200] (absolute 1e-15 near zeros)
     H0, H1 : relative error <= 1e-13 on (1e-8, 200]
@@ -52,25 +52,27 @@ def _check_order(order: int):
         raise DomainError("only orders 0 and 1 are supported")
 
 
+_J = (_sp.j0, _sp.j1)
+_Y = (_sp.y0, _sp.y1)
+
+
 def bessel_j(order: int, z):
     """J_0(z) or J_1(z) for real z >= 0."""
     _check_order(order)
-    z = _check_real(z, positive=False)
-    return _sp.j0(z) if order == 0 else _sp.j1(z)
+    return _J[order](_check_real(z, positive=False))
 
 
 def bessel_y(order: int, z):
     """Y_0(z) or Y_1(z) for real z > 0."""
     _check_order(order)
-    z = _check_real(z, positive=True)
-    return _sp.y0(z) if order == 0 else _sp.y1(z)
+    return _Y[order](_check_real(z, positive=True))
 
 
 def hankel1(order: int, z):
     """H^(1)_order(z) = J(z) + i Y(z) for real z > 0."""
     _check_order(order)
     z = _check_real(z, positive=True)
-    out = _sp.hankel1(order, z)
+    out = _J[order](z) + 1j * _Y[order](z)
     if not np.all(np.isfinite(out)):
         raise DomainError("Hankel evaluation produced non-finite values")
     return out

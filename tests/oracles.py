@@ -1,17 +1,33 @@
 """Independent high-precision oracles used by the test suite.
 
-Everything here is built on mpmath (and brute-force summation), deliberately
-sharing no code with the package internals: Bessel values, weight-function
-Fourier coefficients by singular quadrature, circle operator eigenvalues by
-separation of variables, kernel diagonal limits by Richardson extrapolation
-of the off-diagonal formulas in 50-digit arithmetic, and O(N^2) discrete
-transforms.
+Everything but the last section is built on mpmath (and brute-force
+summation), deliberately sharing no code with the package internals: Bessel
+values, weight-function Fourier coefficients by singular quadrature, circle
+operator eigenvalues by separation of variables, kernel diagonal limits by
+Richardson extrapolation of the off-diagonal formulas in 50-digit
+arithmetic, and O(N^2) discrete transforms.
+
+The last section holds the pointwise float64 kernel factors, evaluated pair
+by pair on meshgrids: the reference the fused kernel pass is checked
+against.  They call scipy.special directly (AMOS for every Hankel value) and
+take only the analytic diagonal limits and the spectral derivative from the
+package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import mpmath as mp
+from scipy import special as sp
+
+from helmbie.geometry import grid
+from helmbie.kernels import (
+    _spectral_derivative,
+    diag_a_tilde,
+    diag_b,
+    diag_c,
+    diag_d,
+)
 
 # ----------------------------------------------------------------------
 # curves in mpmath (mirrors of the package's built-in shapes)
@@ -219,3 +235,159 @@ def brute_weighted_conv(m, samples, psi_hat_fn):
     for n, c in coeffs.items():
         out += 2.0 * np.pi * psi_hat_fn(m, n) * c * np.exp(1j * n * tj)
     return out
+
+
+# ----------------------------------------------------------------------
+# pointwise float64 kernel factors (reference for the fused pass)
+# ----------------------------------------------------------------------
+
+_DIAG_TOL = 1e-14  # |sin((s-t)/2)| below this counts as the diagonal
+
+
+def _j(ctx, order, z):
+    if ctx.is_complex:
+        return sp.jv(order, np.asarray(z, dtype=complex))
+    return (sp.j0, sp.j1)[order](np.asarray(z, dtype=float))
+
+
+def _h(ctx, order, z):
+    return sp.hankel1(order, z)
+
+
+def _pair_geometry(ctx, s, t):
+    """delta = x(s)-x(t), r = |delta|, sin^2((s-t)/2), diagonal mask."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    delta = ctx.curve.point(s) - ctx.curve.point(t)
+    r = np.linalg.norm(delta, axis=-1)
+    half = np.sin(0.5 * (s - t))
+    sin2 = half * half
+    diag = np.abs(half) < _DIAG_TOL
+    return delta, r, sin2, diag
+
+
+def _one_minus_j0(ctx, z):
+    """(1 - J0(z)) with a series branch killing the small-z cancellation."""
+    z = np.asarray(z)
+    direct = 1.0 - _j(ctx, 0, np.where(np.abs(z) < 0.5, 1.0, z))
+    z2 = z * z
+    series = 1.0 + z2 * (
+        -1.0 / 16.0
+        + z2 * (
+            1.0 / 576.0
+            + z2 * (
+                -1.0 / 36864.0
+                + z2 * (1.0 / 3686400.0 + z2 * (-1.0 / 530841600.0))
+            )
+        )
+    )
+    series = 0.25 * z2 * series
+    return np.where(np.abs(z) < 0.5, series, direct)
+
+
+def kernel_a(ctx, s, t):
+    """Log-weight factor of the single-layer kernel; smooth, real for real k."""
+    _, r, _, _ = _pair_geometry(ctx, s, t)
+    return -_j(ctx, 0, ctx.k * r) / (4.0 * np.pi)
+
+
+def kernel_b(ctx, s, t):
+    """Smooth remainder of the single-layer kernel."""
+    _, r, sin2, diag = _pair_geometry(ctx, s, t)
+    r_safe = np.where(diag, 1.0, r)
+    sin2_safe = np.where(diag, 1.0, sin2)
+    h0 = _h(ctx, 0, ctx.k * r_safe)
+    j0 = _j(ctx, 0, ctx.k * r_safe)
+    off = 0.25j * h0 + j0 * np.log(sin2_safe) / (4.0 * np.pi)
+    return np.where(diag, diag_b(ctx, np.asarray(s, dtype=float)), off)
+
+
+def kernel_a_tilde(ctx, s, t):
+    """(1 - J0(k r)) / (4 pi sin^2((s-t)/2)) with its diagonal limit."""
+    _, r, sin2, diag = _pair_geometry(ctx, s, t)
+    sin2_safe = np.where(diag, 1.0, sin2)
+    off = _one_minus_j0(ctx, ctx.k * r) / (4.0 * np.pi * sin2_safe)
+    return np.where(diag, diag_a_tilde(ctx, np.asarray(s, dtype=float)), off)
+
+
+def _delta_dot_m(ctx, s, t, delta):
+    d1t = ctx.curve.d1(t)
+    return delta[..., 0] * d1t[..., 1] - delta[..., 1] * d1t[..., 0]
+
+
+def kernel_c(ctx, s, t):
+    """sin^2-log factor of the double-layer kernel."""
+    delta, r, sin2, diag = _pair_geometry(ctx, s, t)
+    dm = _delta_dot_m(ctx, s, t, delta)
+    r_safe = np.where(diag, 1.0, r)
+    sin2_safe = np.where(diag, 1.0, sin2)
+    off = (
+        -(ctx.k / (4.0 * np.pi))
+        * dm
+        * _j(ctx, 1, ctx.k * r_safe)
+        / (r_safe * sin2_safe)
+    )
+    return np.where(diag, diag_c(ctx, np.asarray(s, dtype=float)), off)
+
+
+def kernel_d(ctx, s, t):
+    """Smooth remainder of the double-layer kernel."""
+    delta, r, sin2, diag = _pair_geometry(ctx, s, t)
+    dm = _delta_dot_m(ctx, s, t, delta)
+    r_safe = np.where(diag, 1.0, r)
+    sin2_safe = np.where(diag, 1.0, sin2)
+    full = 0.25j * ctx.k * _h(ctx, 1, ctx.k * r_safe) * dm / r_safe
+    csl = (
+        -(ctx.k / (4.0 * np.pi))
+        * dm
+        * _j(ctx, 1, ctx.k * r_safe)
+        / r_safe
+        * np.log(sin2_safe)
+    )
+    return np.where(diag, diag_d(ctx, np.asarray(s, dtype=float)), full - csl)
+
+
+_POINTWISE = {
+    "A": kernel_a,
+    "B": kernel_b,
+    "C": kernel_c,
+    "D": kernel_d,
+    "At": kernel_a_tilde,
+}
+
+
+def pointwise_matrix(ctx, which, N):
+    """One factor sampled pair by pair on the (2N)x(2N) meshgrid."""
+    nodes = grid(N)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
+    return np.asarray(_POINTWISE[which](ctx, S, T))
+
+
+def pointwise_ef(ctx, N, oversample=1):
+    """(E, F) from meshgrid samples of A, B and A~ (see helmbie.kernels)."""
+    M = oversample * N
+    nodes = grid(M)
+    S, T = np.meshgrid(nodes, nodes, indexing="ij")
+
+    a_mat = np.asarray(kernel_a(ctx, S, T), dtype=complex)
+    b_mat = kernel_b(ctx, S, T)
+    at_mat = np.asarray(kernel_a_tilde(ctx, S, T), dtype=complex)
+
+    at_s = _spectral_derivative(at_mat, axis=0)
+    at_t = _spectral_derivative(at_mat, axis=1)
+    at_st = _spectral_derivative(at_s, axis=1)
+    b_st = _spectral_derivative(_spectral_derivative(b_mat, axis=0), axis=1)
+
+    diff = S - T
+    sin_d = np.sin(diff)
+    cos_d = np.cos(diff)
+    half = np.sin(0.5 * diff)
+    sin2 = half * half
+    d1 = ctx.curve.d1(nodes)
+    xdx = d1 @ d1.T
+
+    k2 = ctx.k * ctx.k
+    skew = 0.5 * (at_s - at_t) * sin_d
+    e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
+    f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
+    return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]

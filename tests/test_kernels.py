@@ -11,21 +11,23 @@ from helmbie.kernels import (
     diag_c,
     diag_d,
     ef_matrices,
-    kernel_a,
-    kernel_a_tilde,
-    kernel_b,
-    kernel_c,
-    kernel_d,
     kernel_matrix,
     sin2_matrix,
 )
 from helmbie.specfun import bessel_j, hankel1
 
 from oracles import (
+    kernel_a,
+    kernel_a_tilde,
+    kernel_b,
+    kernel_c,
+    kernel_d,
     mp_kernel_a_tilde,
     mp_kernel_b,
     mp_kernel_c,
     mp_kernel_d,
+    pointwise_ef,
+    pointwise_matrix,
     richardson_diagonal,
 )
 
@@ -223,6 +225,23 @@ def test_kernel_matrix_finite_and_diagonal():
     b_mat = kernel_matrix(ctx, "B", N)
     nodes = grid(N)
     assert np.max(np.abs(np.diag(b_mat) - diag_b(ctx, nodes))) == 0.0
+
+
+@pytest.mark.parametrize("curve_name", ["kite", "cavity"])
+@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+@pytest.mark.parametrize("N", [16, 64])
+def test_fused_factors_match_pointwise(curve_name, k, N):
+    # the fused pass reorders float64 arithmetic and takes real Hankel values
+    # as Cephes J + iY, so it agrees with the pair-by-pair formulas to a few
+    # ulps of each matrix's largest entry
+    ctx = KernelContext(CURVES[curve_name], k)
+    tol = 64 * np.finfo(float).eps
+    for which in ("A", "B", "C", "D", "At"):
+        ref = pointwise_matrix(ctx, which, N)
+        got = kernel_matrix(ctx, which, N)
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), which
+    for got, ref in zip(ef_matrices(ctx, N), pointwise_ef(ctx, N)):
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
 def test_ef_circle_translation_invariance():

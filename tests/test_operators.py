@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from helmbie import specfun
 from helmbie.fourier import diff_matrix
-from helmbie.geometry import circle, grid, kite
+from helmbie.geometry import ParametricCurve, circle, grid, kite
 from helmbie.operators import OperatorFamily, load_operator, save_operator
 
 from oracles import mp_circle_eigs
@@ -165,6 +168,38 @@ def test_assembler_functions_and_min_n():
     assert fam.h_op.continuous_id == "H"
     with pytest.raises(ValueError):
         OperatorFamily(circle(), 2.0, 4)
+
+
+@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+def test_one_fused_kernel_pass_per_family(monkeypatch, k):
+    # all nine operators evaluate each Bessel function once, on the strict
+    # upper triangle, and sample the curve only on the 2N nodes
+    bessel_calls = []
+    for name in ("bessel_j", "bessel_y", "hankel1", "bessel_j_complex",
+                 "hankel1_complex"):
+        def counted(order, z, _fn=getattr(specfun, name), _name=name):
+            bessel_calls.append((_name, order, np.size(z)))
+            return _fn(order, z)
+        monkeypatch.setattr(specfun, name, counted)
+    curve_points = Counter()
+    trig_sum = ParametricCurve._trig_sum
+
+    def counted_sum(self, t, order):
+        curve_points[order] += np.size(t)
+        return trig_sum(self, t, order)
+
+    monkeypatch.setattr(ParametricCurve, "_trig_sum", counted_sum)
+    N = 16
+    fam = OperatorFamily(kite(), k, N)
+    for name in ("v_plain", "r_tilde", "v_tilde", "k_plain", "kt_plain",
+                 "k_tilde", "kt_tilde", "t_op", "h_op"):
+        getattr(fam, name)
+    n = 2 * N
+    functions = [(name, order) for name, order, _ in bessel_calls]
+    assert len(functions) == len(set(functions)) == 4
+    assert {size for _, _, size in bessel_calls} == {n * (n - 1) // 2}
+    assert set(curve_points) <= {0, 1, 2}
+    assert max(curve_points.values()) <= n
 
 
 def test_operator_dump_roundtrip(tmp_path):
