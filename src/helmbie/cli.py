@@ -70,6 +70,7 @@ def _cmd_solve(args) -> int:
         "solver": result.diagnostics.method,
         "iterations": result.diagnostics.iterations,
         "residual": result.diagnostics.residual,
+        "rcond": result.diagnostics.rcond,
         "seconds": elapsed,
         "farfield_csv": str(ff_path),
         "max_farfield_amplitude": float(np.max(np.abs(ff.values))),

@@ -21,19 +21,33 @@ indirect equation's density likewise generates the physical fields after a
 sign flip.  Both facts are pinned by the matched-media null-scattering test
 and an energy-flux balance test, and make all four formulations mutually
 consistent.
+
+Many incidences.  A formulation's matrix depends on the curve, k+, k-, nu, N
+and kappa (l3) or rho (l4), never on the incident field, which enters only
+through (h, eta).  ``assemble`` therefore keeps the last system it built in
+one process-wide slot, keyed on the formulation, the curve's name and
+coefficients, k+, k-, nu, N and the resolved kappa/rho.  On a hit it builds
+only the data and the right-hand side (``FormulationSystem.rhs_for``) and
+returns a system that shares the read-only matrix, ``aux``, the regularizer
+R_kappa and the LU factors, so a sweep over incidences assembles and factors
+once.  A miss empties the slot before it builds, so two systems are never
+held together and peak memory stays that of one system.  A lock guards only
+the slot's reads and writes; two threads may race to build the same system,
+which costs time but never returns a wrong matrix.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import linalg, specfun
 from .fourier import TrigPolynomial, dld_matrix, lambda_matrix
-from .geometry import ParametricCurve, grid_geometry
+from .geometry import FINE_SAMPLES, ParametricCurve, grid_geometry
 from .operators import OperatorFamily
 
 __all__ = [
@@ -124,7 +138,7 @@ class TransmissionProblem:
             dist = curve.distance([self.incident.location])[0]
             # below the boundary-sampling resolution the source is
             # indistinguishable from a point on the curve
-            if dist <= 2.0 * np.pi * curve.max_speed() / 4096:
+            if dist <= 2.0 * np.pi * curve.max_speed() / FINE_SAMPLES:
                 raise ValueError("point source sits on the boundary")
 
 
@@ -152,7 +166,11 @@ def _block(b11, b12, b21, b22):
 
 @dataclass
 class FormulationSystem:
-    """Assembled dense system for one formulation at one resolution."""
+    """Assembled dense system for one formulation at one resolution.
+
+    Only ``problem``, ``data`` and ``rhs`` depend on the incident field; the
+    rest is shared by every system ``assemble`` returns from its slot.
+    """
 
     formulation: str
     matrix: np.ndarray
@@ -166,6 +184,29 @@ class FormulationSystem:
     rho: Optional[float] = None
     # needed by the indirect reconstruction
     aux: dict = field(default_factory=dict)
+    regularizer: Optional[np.ndarray] = None  # R_kappa of l3, applied to the data
+    # [(matrix, LUFactors)] once factored; the list is shared with the slot
+    _lu: list = field(default_factory=list, repr=False)
+
+    def rhs_for(self, data: TransmissionData) -> np.ndarray:
+        """Right-hand side of this formulation for the data (h, eta)."""
+        h, eta = data.h.nodal, data.eta.nodal
+        if self.formulation == "l1":
+            return np.concatenate([h, self.problem.nu * eta])
+        if self.formulation == "l3":
+            return self.regularizer @ np.concatenate([h, eta])
+        if self.formulation == "l4":
+            return eta - 1j * self.rho * h
+        return np.concatenate([h, eta])
+
+    def lu_factors(self) -> linalg.LUFactors:
+        """LU factors of ``matrix``, computed on first use and shared with
+        every system that shares the matrix."""
+        if self._lu and self._lu[0][0] is self.matrix:
+            return self._lu[0][1]
+        factors = linalg.lu_factor(self.matrix)
+        self._lu[:] = [(self.matrix, factors)]
+        return factors
 
 
 @dataclass
@@ -175,6 +216,7 @@ class SolverDiagnostics:
     residual: float
     seconds: float
     history: Optional[np.ndarray] = None
+    rcond: Optional[float] = None  # LAPACK 1-norm estimate; None for GMRES
 
 
 @dataclass
@@ -226,6 +268,24 @@ def _op_families(problem, N, kappa=None):
     return fp, fm, fk
 
 
+def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
+    """Check a built matrix block by block, freeze it and add the data."""
+    n2 = 2 * N
+    blocks = matrix.shape[0] // n2
+    for i in range(blocks):
+        for j in range(blocks):
+            block = matrix[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2]
+            if not np.all(np.isfinite(block)):
+                raise ValueError(
+                    f"{formulation}: non-finite entries in block a{i + 1}{j + 1}"
+                )
+    matrix.flags.writeable = False
+    data = build_data(problem, N)
+    system = FormulationSystem(formulation, matrix, None, N, problem, data, **parts)
+    system.rhs = system.rhs_for(data)
+    return system
+
+
 def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     """Second-kind direct system from the plain operator family.
 
@@ -241,9 +301,7 @@ def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     a12 = fp.v_plain.matrix - fm.v_plain.matrix
     a21 = nu * (fm.t_op.matrix - fp.t_op.matrix)
     a22 = half * eye + nu * fp.kt_plain.matrix - fm.kt_plain.matrix
-    data = build_data(problem, N)
-    rhs = np.concatenate([data.h.nodal, nu * data.eta.nodal])
-    return FormulationSystem("l1", _block(a11, a12, a21, a22), rhs, N, problem, data)
+    return _system("l1", _block(a11, a12, a21, a22), problem, N)
 
 
 def _l2_matrix(problem, N, family, fp, fm, lam, dld):
@@ -269,15 +327,13 @@ def assemble_l2(
 ) -> FormulationSystem:
     """First-kind direct system; 'tilde' is the accurate discretization
     ('l2'), 'plain' the unanalyzed single-layer variant ('l2plain') run only
-    for comparison."""
+    for comparison.  Right-hand side (h, eta)."""
     if family not in ("tilde", "plain"):
         raise ValueError("family must be 'tilde' or 'plain'")
     fp, fm, _ = _op_families(problem, N)
     matrix = _l2_matrix(problem, N, family, fp, fm, lambda_matrix(N), dld_matrix(N))
-    data = build_data(problem, N)
-    rhs = np.concatenate([data.h.nodal, data.eta.nodal])
     name = "l2" if family == "tilde" else "l2plain"
-    return FormulationSystem(name, matrix, rhs, N, problem, data, family=family)
+    return _system(name, matrix, problem, N, family=family)
 
 
 def _regularizer(problem, N, fk, lam, dld):
@@ -288,16 +344,31 @@ def _regularizer(problem, N, fk, lam, dld):
     return _block(eye, 2.0 * v_kappa, -2.0 * nu * h_kappa, nu * eye) / (nu + 1.0)
 
 
-def assemble_l3(
-    problem: TransmissionProblem, N: int, kappa: Optional[complex] = None
-) -> FormulationSystem:
-    """Regularized combined-field system R_kappa-preconditioned on top of the
-    tilde-family blocks; kappa must have positive imaginary part."""
+def _kappa(problem, kappa=None) -> complex:
     if kappa is None:
         kappa = problem.k_plus + 0.5j
     kappa = complex(kappa)
     if kappa.imag <= 0:
         raise ValueError("kappa needs a positive imaginary part")
+    return kappa
+
+
+def _rho(problem, rho=None) -> float:
+    if rho is None:
+        rho = problem.k_plus
+    rho = float(rho)
+    if rho == 0.0:
+        raise ValueError("rho must be a nonzero real number")
+    return rho
+
+
+def assemble_l3(
+    problem: TransmissionProblem, N: int, kappa: Optional[complex] = None
+) -> FormulationSystem:
+    """Regularized combined-field system R_kappa-preconditioned on top of the
+    tilde-family blocks; kappa must have positive imaginary part.  Right-hand
+    side R_kappa (h, eta)."""
+    kappa = _kappa(problem, kappa)
     fp, fm, fk = _op_families(problem, N, kappa)
     nu = problem.nu
     lam = lambda_matrix(N)
@@ -311,24 +382,19 @@ def assemble_l3(
         -fm.kt_tilde.matrix,
     )
     reg = _regularizer(problem, N, fk, lam, dld)
+    reg.flags.writeable = False
     l2t = _l2_matrix(problem, N, "tilde", fp, fm, lam, dld)
     matrix = lead + mid + reg @ l2t
-    data = build_data(problem, N)
-    rhs = reg @ np.concatenate([data.h.nodal, data.eta.nodal])
-    return FormulationSystem(
-        "l3", matrix, rhs, N, problem, data, family="tilde", kappa=kappa
-    )
+    return _system("l3", matrix, problem, N, family="tilde", kappa=kappa,
+                   regularizer=reg)
 
 
 def assemble_l4(
     problem: TransmissionProblem, N: int, rho: Optional[float] = None
 ) -> FormulationSystem:
-    """Single-density indirect system from plain-family compositions."""
-    if rho is None:
-        rho = problem.k_plus
-    rho = float(rho)
-    if rho == 0.0:
-        raise ValueError("rho must be a nonzero real number")
+    """Single-density indirect system from plain-family compositions.
+    Right-hand side eta - i rho h."""
+    rho = _rho(problem, rho)
     fp, fm, _ = _op_families(problem, N)
     nu = problem.nu
     eye = np.eye(2 * N)
@@ -344,39 +410,56 @@ def assemble_l4(
     )
     big_v = -nu * v_p @ (eye + 2.0 * kt_m) - (eye - 2.0 * k_p) @ v_m
     matrix = -0.5 * (nu + 1.0) * eye + big_k - 1j * rho * big_v
-    data = build_data(problem, N)
-    rhs = data.eta.nodal - 1j * rho * data.h.nodal
-    return FormulationSystem(
-        "l4",
-        matrix,
-        rhs,
-        N,
-        problem,
-        data,
-        kind="indirect",
-        rho=rho,
-        aux={"kt_minus": kt_m, "v_minus": v_m},
-    )
+    return _system("l4", matrix, problem, N, kind="indirect", rho=rho,
+                   aux={"kt_minus": kt_m, "v_minus": v_m})
 
 
 _ASSEMBLERS = ("l1", "l2", "l2plain", "l3", "l4")
 
+_slot_lock = threading.Lock()
+_slot: dict = {}  # {key: system}, at most one entry: the last system built
+
+
+def _empty_slot():
+    """Drop the kept system, so the next ``assemble`` builds from scratch."""
+    with _slot_lock:
+        _slot.clear()
+
 
 def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
-    """Assemble one of 'l1', 'l2', 'l2plain', 'l3', 'l4'."""
+    """Assemble one of 'l1', 'l2', 'l2plain', 'l3', 'l4' ('kappa' for l3,
+    'rho' for l4), reusing the last system built when only the incident
+    field differs (see the module docstring)."""
+    if formulation not in _ASSEMBLERS:
+        raise ValueError(
+            f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
+        )
+    kappa = _kappa(problem, **kw) if formulation == "l3" else None
+    rho = _rho(problem, **kw) if formulation == "l4" else None
+    curve = problem.curve
+    key = (formulation, curve.name, curve.cos_coef.tobytes(), curve.sin_coef.tobytes(),
+           problem.k_plus, problem.k_minus, problem.nu, N, kappa, rho)
+    with _slot_lock:
+        shared = _slot.get(key)
+        if shared is None:
+            _slot.clear()  # let the old system go before the new one is built
+    if shared is not None:
+        data = build_data(problem, N)
+        return replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
     if formulation == "l1":
-        return assemble_l1(problem, N)
-    if formulation == "l2":
-        return assemble_l2(problem, N, family="tilde")
-    if formulation == "l2plain":
-        return assemble_l2(problem, N, family="plain")
-    if formulation == "l3":
-        return assemble_l3(problem, N, **kw)
-    if formulation == "l4":
-        return assemble_l4(problem, N, **kw)
-    raise ValueError(
-        f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
-    )
+        system = assemble_l1(problem, N)
+    elif formulation == "l2":
+        system = assemble_l2(problem, N, family="tilde")
+    elif formulation == "l2plain":
+        system = assemble_l2(problem, N, family="plain")
+    elif formulation == "l3":
+        system = assemble_l3(problem, N, kappa=kappa)
+    else:
+        system = assemble_l4(problem, N, rho=rho)
+    with _slot_lock:
+        _slot.clear()
+        _slot[key] = system
+    return system
 
 
 def solve(
@@ -385,13 +468,16 @@ def solve(
     tol: float = 1e-12,
     maxit: Optional[int] = None,
 ) -> SolveResult:
-    """Solve the assembled system; 'lu' direct or restart-free 'gmres'."""
+    """Solve the assembled system; 'lu' direct (factored once per shared
+    matrix) or restart-free 'gmres'."""
     t0 = time.perf_counter()
     if method == "lu":
-        x = linalg.lu_solve(system.matrix, system.rhs)
+        factors = system.lu_factors()
+        x = linalg.lu_solve(factors, system.rhs)
         res = np.linalg.norm(system.matrix @ x - system.rhs, np.inf)
         res /= max(np.linalg.norm(system.rhs, np.inf), 1e-300)
-        diag = SolverDiagnostics("lu", 0, float(res), time.perf_counter() - t0)
+        diag = SolverDiagnostics("lu", 0, float(res), time.perf_counter() - t0,
+                                 rcond=factors.rcond)
     elif method == "gmres":
         out = linalg.gmres(system.matrix, system.rhs, tol=tol, maxit=maxit)
         diag = SolverDiagnostics(

@@ -19,10 +19,12 @@ cavity       : dimpled limacon r(t) = 1.35 (1 - 0.7 cos t), i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "FINE_SAMPLES",
     "ParametricCurve",
     "grid",
     "grid_geometry",
@@ -33,6 +35,7 @@ __all__ = [
     "make_curve",
 ]
 
+FINE_SAMPLES = 4096  # nodes of the fine sample behind max_speed and distance
 _DISTANCE_BLOCK = 64  # points per block in ParametricCurve.distance
 
 
@@ -96,14 +99,19 @@ class ParametricCurve:
         n = np.stack([d[..., 1], -d[..., 0]], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
-    def max_speed(self, samples: int = 4096) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        return float(np.max(self.speed(t)))
+    @cached_property
+    def _fine_sample(self):
+        """Points and speeds on FINE_SAMPLES equispaced nodes, sampled once
+        per curve for max_speed and distance."""
+        t = np.linspace(0.0, 2.0 * np.pi, FINE_SAMPLES, endpoint=False)
+        return self.point(t), self.speed(t)
 
-    def distance(self, points, samples: int = 4096):
+    def max_speed(self) -> float:
+        return float(np.max(self._fine_sample[1]))
+
+    def distance(self, points):
         """Approximate distance from each point to the curve (fine sampling)."""
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        bd = self.point(t)                                 # (S, 2)
+        bd = self._fine_sample[0]                          # (S, 2)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(pts.shape[0])
         # blocks of points bound the (points, S, 2) difference array

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 __all__ = [
     "SingularMatrixError",
     "GmresError",
     "GmresResult",
+    "LUFactors",
+    "lu_factor",
     "lu_solve",
     "gmres",
 ]
@@ -33,13 +36,27 @@ class GmresError(RuntimeError):
         self.history = np.asarray(history)
 
 
-def lu_solve(matrix, rhs):
-    """Solve a dense complex system by partial-pivot LU with a pivot guard."""
+@dataclass(frozen=True)
+class LUFactors:
+    """Partial-pivot LU factors of a square matrix, with the LAPACK estimate
+    of its reciprocal 1-norm condition number."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    rcond: float
+
+    @property
+    def shape(self):
+        """Shape of the factored matrix, so np.shape() reads like the matrix's."""
+        return self.lu.shape
+
+
+def lu_factor(matrix) -> LUFactors:
+    """Factor a dense complex matrix by partial-pivot LU with a pivot guard."""
     a = np.asarray(matrix, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in the linear system")
     with warnings.catch_warnings():
         # the pivot guard below is the error path for singular input
@@ -52,7 +69,21 @@ def lu_solve(matrix, rhs):
         raise SingularMatrixError(
             worst, f"matrix singular to working precision at pivot {worst}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(a, 1), norm="1")
+    return LUFactors(lu, piv, float(rcond))
+
+
+def lu_solve(matrix, rhs):
+    """Solve a dense complex system by partial-pivot LU with a pivot guard.
+
+    ``matrix`` is the matrix itself or its ``lu_factor``; passing the factors
+    leaves only the two triangular solves.
+    """
+    b = np.asarray(rhs, dtype=complex)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("non-finite entries in the linear system")
+    factors = matrix if isinstance(matrix, LUFactors) else lu_factor(matrix)
+    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
 
 
 @dataclass

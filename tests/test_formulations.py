@@ -1,6 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from helmbie import formulations, linalg, operators
 from helmbie.fields import (
     FieldEvaluator,
     far_field_linf_diff,
@@ -12,6 +16,7 @@ from helmbie.formulations import (
     TransmissionProblem,
     _op_families,
     assemble,
+    assemble_l1,
     assemble_l2,
     assemble_l3,
     assemble_l4,
@@ -19,7 +24,7 @@ from helmbie.formulations import (
     solve,
 )
 from helmbie.fourier import dld_matrix, lambda_matrix
-from helmbie.geometry import circle, grid, kite
+from helmbie.geometry import circle, ellipse, grid, kite, make_curve
 from helmbie.linalg import gmres, lu_solve
 
 KITE = kite()
@@ -362,3 +367,156 @@ def test_solver_diagnostics_recorded():
     direct = solve(system)
     assert direct.diagnostics.method == "lu"
     assert direct.diagnostics.residual <= 1e-10
+
+
+def test_lu_diagnostics_carry_rcond():
+    prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
+    system = assemble("l1", prob, 32)
+    rcond = solve(system).diagnostics.rcond
+    assert 0.0 < rcond <= 1.0
+    exact = 1.0 / np.linalg.cond(system.matrix, 1)
+    assert exact * (1.0 - 1e-12) <= rcond <= 3.0 * exact
+    assert solve(system, method="gmres", tol=1e-8).diagnostics.rcond is None
+
+
+# ------------------------------------------------- many incidences, one system
+
+
+def _sweep_problems(n, curve=KITE, k_plus=3.0, k_minus=5.0):
+    angles = 0.3 + 2.0 * np.pi * np.arange(n) / n
+    return [
+        TransmissionProblem(curve, k_plus, k_minus, 1.0,
+                            PlaneWave((np.cos(t), np.sin(t))))
+        for t in angles
+    ]
+
+
+def test_incidence_sweep_assembles_and_factors_once(monkeypatch):
+    calls = {"families": 0, "factors": 0}
+    family, factor = formulations.OperatorFamily, linalg.lu_factor
+
+    def counted_family(*args, **kw):
+        calls["families"] += 1
+        return family(*args, **kw)
+
+    def counted_factor(*args, **kw):
+        calls["factors"] += 1
+        return factor(*args, **kw)
+
+    monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
+    monkeypatch.setattr(linalg, "lu_factor", counted_factor)
+    results = [solve(assemble("l1", prob, 32)) for prob in _sweep_problems(8)]
+    assert calls == {"families": 2, "factors": 1}
+    monkeypatch.undo()
+    # each far field is bit for bit that of a cold assembly and factorization
+    for prob, res in zip(_sweep_problems(8), results):
+        cold = solve(assemble_l1(prob, 32))
+        assert _exterior_far_field(prob, res).values.tobytes() == \
+            _exterior_far_field(prob, cold).values.tobytes()
+
+
+_BASE = ("l1", dict(curve=ellipse(2.0, 1.0), k_plus=3.0, k_minus=5.0, nu=1.0), 8, {})
+_CHANGED = {
+    "formulation": ("l2", {}, None, {}),
+    "curve coefficients": (None, {"curve": ellipse(2.0, 1.5)}, None, {}),
+    "k_plus": (None, {"k_plus": 3.5}, None, {}),
+    "k_minus": (None, {"k_minus": 5.5}, None, {}),
+    "nu": (None, {"nu": 2.0}, None, {}),
+    "N": (None, {}, 10, {}),
+    "kappa": ("l3", {}, None, {"kappa": 3.0 + 1.0j}),
+    "rho": ("l4", {}, None, {"rho": 2.0}),
+}
+
+
+def _assemble_case(form, fields, N, kw, direction=(1.0, 0.0)):
+    prob = TransmissionProblem(incident=PlaneWave(direction), **fields)
+    return assemble(form, prob, N, **kw)
+
+
+@pytest.mark.parametrize("changed", sorted(_CHANGED))
+def test_any_key_change_rebuilds(changed):
+    form, fields, N, kw = _CHANGED[changed]
+    base_form, base_fields, base_n, base_kw = _BASE
+    if form in ("l3", "l4"):
+        # the resolved kappa/rho is the changed field, not the formulation
+        base_form = form
+    base = _assemble_case(base_form, base_fields, base_n, base_kw)
+    again = _assemble_case(base_form, base_fields, base_n, base_kw, (0.0, 1.0))
+    assert again.matrix is base.matrix
+    other = _assemble_case(form or base_form, {**base_fields, **fields},
+                           N or base_n, kw, (0.0, 1.0))
+    assert other.matrix is not base.matrix
+    (kept,) = formulations._slot.values()
+    assert kept.matrix is other.matrix
+
+
+def test_shared_matrix_is_read_only():
+    probs = _sweep_problems(2)
+    cold, hit = (assemble("l3", prob, 8) for prob in probs)
+    assert hit.matrix is cold.matrix and hit.regularizer is cold.regularizer
+    for array in (cold.matrix, hit.matrix, hit.regularizer):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def test_nonfinite_block_is_named(monkeypatch):
+    prob = TransmissionProblem(circle(1.7), 4.5, 6.5, 1.0, PlaneWave((1.0, 0.0)))
+    ef = operators.ef_matrices
+
+    def poisoned(ctx, N, oversample=1):
+        e_mat, f_mat = ef(ctx, N, oversample)
+        if ctx.k == 6.5:
+            f_mat = f_mat.copy()
+            f_mat[3, 5] = np.nan
+        return e_mat, f_mat
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "ef_matrices", poisoned)
+        with pytest.raises(ValueError, match="l1: non-finite entries in block a21"):
+            assemble("l1", prob, 12)
+    assert formulations._slot == {}  # a failed build leaves nothing to reuse
+    assert np.all(np.isfinite(assemble("l1", prob, 12).matrix))
+
+
+def test_slot_under_threads_never_returns_a_wrong_matrix():
+    # two keys fought over by more threads than cores: every system must carry
+    # its own key's matrix and LU, whichever thread built or factored them
+    cold = {N: assemble_l1(_sweep_problems(1)[0], N).matrix for N in (8, 10)}
+    probs = _sweep_problems(6)
+
+    def work(i):
+        N = (8, 10)[i % 2]
+        system = assemble("l1", probs[i % 6], N)
+        return N, system.matrix.tobytes(), solve(system).diagnostics.residual
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, i) for i in range(48)]
+            done = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for N, matrix, residual in done:
+        assert matrix == cold[N].tobytes()
+        assert residual <= 1e-12
+
+
+# ------------------------------------------------------------- reciprocity
+
+TOL_RECIPROCITY = 1e-10
+
+
+@pytest.mark.parametrize("form", ["l1", "l2", "l3", "l4"])
+@pytest.mark.parametrize("curve_name,N", [("circle", 48), ("kite", 96)])
+def test_far_field_reciprocity(curve_name, N, form):
+    """u_inf(x^; d) = u_inf(-d; -x^): with F[i, j] = u_inf(-d_i; d_j) over six
+    incidences, F is symmetric (k+ = 8, k- = 16, both curves resolved)."""
+    curve = make_curve(curve_name)
+    probs = _sweep_problems(6, curve, 8.0, 16.0)
+    observe = 0.3 + 2.0 * np.pi * np.arange(6) / 6 + np.pi  # -d_i
+    F = np.stack([
+        _exterior_far_field(prob, solve(assemble(form, prob, N)), observe).values
+        for prob in probs
+    ], axis=1)
+    assert np.max(np.abs(F - F.T)) <= TOL_RECIPROCITY * np.max(np.abs(F))

@@ -184,6 +184,7 @@ def test_cli_study_and_solve(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["formulation"] == "l1"
+    assert 0.0 < payload["rcond"] <= 1.0
     assert (tmp_path / "out" / "farfield_l1_N32.csv").exists()
 
 

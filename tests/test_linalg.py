@@ -5,6 +5,7 @@ from helmbie.linalg import (
     GmresError,
     SingularMatrixError,
     gmres,
+    lu_factor,
     lu_solve,
 )
 
@@ -39,6 +40,30 @@ def test_lu_singular_reports_pivot():
 def test_lu_rejects_nonfinite():
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.inf, 0], [0, 1.0]]), np.ones(2))
+
+
+def test_lu_factor_rcond_matches_condition_number():
+    # zgecon estimates ||A^-1||_1 from below, so rcond is never too small
+    rng = np.random.default_rng(2)
+    for n in (3, 6, 40):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        exact = 1.0 / np.linalg.cond(a, 1)
+        assert exact * (1.0 - 1e-12) <= lu_factor(a).rcond <= 3.0 * exact
+    # diagonal: the estimate is exact, min |d| / max |d|
+    assert lu_factor(np.diag([4.0, 0.5j, -2.0])).rcond == pytest.approx(0.125, rel=1e-14)
+
+
+def test_lu_solve_accepts_factors():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 8)) + 10.0 * np.eye(8)
+    b = rng.standard_normal(8) + 1j
+    factors = lu_factor(a)
+    assert np.shape(factors) == (8, 8)
+    assert lu_solve(factors, b).tobytes() == lu_solve(a, b).tobytes()
+    with pytest.raises(ValueError):
+        lu_solve(factors, np.full(8, np.nan))
+    with pytest.raises(ValueError, match="square"):
+        lu_factor(np.ones((2, 3)))
 
 
 def test_gmres_identity_one_iteration():
