@@ -31,9 +31,13 @@ only the data and the right-hand side (``FormulationSystem.rhs_for``) and
 returns a system that shares the read-only matrix, ``aux``, the regularizer
 R_kappa and the LU factors, so a sweep over incidences assembles and factors
 once.  A miss empties the slot before it builds, so two systems are never
-held together and peak memory stays that of one system.  A lock guards only
-the slot's reads and writes; two threads may race to build the same system,
-which costs time but never returns a wrong matrix.
+held together and peak memory stays that of one system.  The slot holds its
+system until the next miss or ``empty_slot()``, after every caller has
+dropped it: on the kite at N = 256 that is 32 MiB for l1 and l2 (matrix and
+LU), 48 MiB for l3 (with R_kappa) and 16 MiB for l4 (with ``aux``), four
+times as much at N = 512.  A lock guards only the slot's reads and writes;
+two threads may race to build the same system, which costs time but never
+returns a wrong matrix.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
     "assemble_l3",
     "assemble_l4",
     "assemble",
+    "empty_slot",
     "solve",
 ]
 
@@ -279,7 +284,9 @@ def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
                 raise ValueError(
                     f"{formulation}: non-finite entries in block a{i + 1}{j + 1}"
                 )
-    matrix.flags.writeable = False
+    # shared by every system the slot hands out
+    for array in (matrix, *parts.get("aux", {}).values()):
+        array.flags.writeable = False
     data = build_data(problem, N)
     system = FormulationSystem(formulation, matrix, None, N, problem, data, **parts)
     system.rhs = system.rhs_for(data)
@@ -417,19 +424,22 @@ def assemble_l4(
 _ASSEMBLERS = ("l1", "l2", "l2plain", "l3", "l4")
 
 _slot_lock = threading.Lock()
-_slot: dict = {}  # {key: system}, at most one entry: the last system built
+_slot: Optional[tuple] = None  # (key, system) of the last system built
 
 
-def _empty_slot():
-    """Drop the kept system, so the next ``assemble`` builds from scratch."""
+def empty_slot():
+    """Drop the kept system: its memory is freed once no caller holds it, and
+    the next ``assemble`` builds from scratch."""
+    global _slot
     with _slot_lock:
-        _slot.clear()
+        _slot = None
 
 
 def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     """Assemble one of 'l1', 'l2', 'l2plain', 'l3', 'l4' ('kappa' for l3,
     'rho' for l4), reusing the last system built when only the incident
     field differs (see the module docstring)."""
+    global _slot
     if formulation not in _ASSEMBLERS:
         raise ValueError(
             f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
@@ -440,9 +450,9 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     key = (formulation, curve.name, curve.cos_coef.tobytes(), curve.sin_coef.tobytes(),
            problem.k_plus, problem.k_minus, problem.nu, N, kappa, rho)
     with _slot_lock:
-        shared = _slot.get(key)
+        shared = _slot[1] if _slot is not None and _slot[0] == key else None
         if shared is None:
-            _slot.clear()  # let the old system go before the new one is built
+            _slot = None  # let the old system go before the new one is built
     if shared is not None:
         data = build_data(problem, N)
         return replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
@@ -457,8 +467,7 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     else:
         system = assemble_l4(problem, N, rho=rho)
     with _slot_lock:
-        _slot.clear()
-        _slot[key] = system
+        _slot = (key, system)
     return system
 
 

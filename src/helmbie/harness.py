@@ -26,6 +26,7 @@ from .formulations import (
     PointSource,
     TransmissionProblem,
     assemble,
+    empty_slot,
     solve,
 )
 from .fourier import TrigPolynomial, psi_hat
@@ -179,6 +180,11 @@ class StudyConfig:
             raise ConfigError(f"unknown formulations {bad}")
         if not self.n_ladder:
             raise ConfigError("empty N ladder")
+        # a repeated cell would be solved again, reusing the kept system
+        for name in ("formulations", "n_ladder"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{name} repeats an entry: {entries}")
         if min(self.n_ladder) < MIN_N:
             raise ConfigError(f"ladder N must be >= {MIN_N}")
         if self.reference_formulation != "self2x":
@@ -326,6 +332,9 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     keys = sorted({reference_key(f, N) for f, N in cells})
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         refs = dict(zip(keys, pool.map(reference, keys)))
+        # a cell whose key matches the last reference would reuse its system
+        # and leave assembly out of its seconds; every cell pays for its own
+        empty_slot()
         rows = list(pool.map(run_cell, cells))
     report.rows = sorted(rows, key=lambda r: (r.formulation, r.N))
     if config.reference_formulation == "self2x":

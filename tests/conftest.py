@@ -17,4 +17,4 @@ def data_dir():
 @pytest.fixture(autouse=True)
 def empty_system_slot():
     """Every test starts without a reusable system, whatever ran before it."""
-    formulations._empty_slot()
+    formulations.empty_slot()

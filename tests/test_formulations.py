@@ -446,15 +446,19 @@ def test_any_key_change_rebuilds(changed):
     other = _assemble_case(form or base_form, {**base_fields, **fields},
                            N or base_n, kw, (0.0, 1.0))
     assert other.matrix is not base.matrix
-    (kept,) = formulations._slot.values()
+    _, kept = formulations._slot
     assert kept.matrix is other.matrix
 
 
-def test_shared_matrix_is_read_only():
+def test_shared_arrays_are_read_only():
     probs = _sweep_problems(2)
     cold, hit = (assemble("l3", prob, 8) for prob in probs)
     assert hit.matrix is cold.matrix and hit.regularizer is cold.regularizer
-    for array in (cold.matrix, hit.matrix, hit.regularizer):
+    cold4, hit4 = (assemble("l4", prob, 8) for prob in probs)
+    assert hit4.aux["kt_minus"] is cold4.aux["kt_minus"]
+    shared = (cold.matrix, hit.matrix, hit.regularizer, hit4.matrix,
+              *hit4.aux.values(), *solve(hit4).aux.values())
+    for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
 
@@ -474,7 +478,7 @@ def test_nonfinite_block_is_named(monkeypatch):
         patch.setattr(operators, "ef_matrices", poisoned)
         with pytest.raises(ValueError, match="l1: non-finite entries in block a21"):
             assemble("l1", prob, 12)
-    assert formulations._slot == {}  # a failed build leaves nothing to reuse
+    assert formulations._slot is None  # a failed build leaves nothing to reuse
     assert np.all(np.isfinite(assemble("l1", prob, 12).matrix))
 
 

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from helmbie import harness
+from helmbie import formulations, harness
 from helmbie.cli import main
 from helmbie.harness import (
     ConfigError,
@@ -10,6 +11,7 @@ from helmbie.harness import (
     run_convergence,
     run_verification,
 )
+from helmbie.operators import OperatorFamily
 
 FAST_STUDY = """
 # small self-convergence study used by the test suite
@@ -58,6 +60,13 @@ def test_config_rejects_bad_values():
         StudyConfig.from_mapping({"incident": "point", "source": "1,0"})
     with pytest.raises(ConfigError, match=">= 8"):
         StudyConfig.from_mapping({"n_ladder": "4", "n_reference": "16"})
+
+
+def test_config_rejects_repeated_cells():
+    with pytest.raises(ConfigError, match="formulations repeats"):
+        StudyConfig.from_mapping({"formulations": "l1,l2,l1"})
+    with pytest.raises(ConfigError, match="n_ladder repeats"):
+        StudyConfig.from_mapping({"n_ladder": "96,96"})
 
 
 def test_config_file_parsing(tmp_path):
@@ -117,6 +126,37 @@ def test_study_runs_concurrently(tmp_path):
     assert [(r.formulation, r.N) for r in report.rows] == [
         ("l1", 16), ("l1", 24), ("l2", 16), ("l2", 24)
     ]
+
+
+def test_every_cell_assembles_its_own_system(monkeypatch):
+    # the reference (l1, 16) finishes last and cell (l1, 8) starts late, so
+    # cell (l1, 16) would find the reference's system kept for reuse; its
+    # seconds must still include assembly, like every other cell's
+    solve_cell, families = harness._solve_cell, []
+    seen = set()
+
+    def slow_solve_cell(problem, form, N, cfg):
+        first = (form, N) not in seen
+        seen.add((form, N))
+        if (N == 16 and first) or N == 8:
+            time.sleep(0.3)
+        return solve_cell(problem, form, N, cfg)
+
+    def counted_family(*args, **kw):
+        families.append(args[2])
+        return OperatorFamily(*args, **kw)
+
+    monkeypatch.setattr(harness, "_solve_cell", slow_solve_cell)
+    monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
+    cfg = StudyConfig.from_mapping({
+        "k_plus": "2.0", "k_minus": "3.0", "formulations": "l1",
+        "n_ladder": "8,16", "reference_formulation": "self2x",
+        "directions": "8", "threads": "2",
+    })
+    report = run_convergence(cfg)
+    assert not any(r.failure for r in report.rows)
+    # two families (k+, k-) per solve: references at 16 and 32, cells 8 and 16
+    assert sorted(families) == [8, 8, 16, 16, 16, 16, 32, 32]
 
 
 def test_reports_are_deterministic(tmp_path):
