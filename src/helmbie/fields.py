@@ -50,24 +50,36 @@ def _on_grid(curve: ParametricCurve, density):
     return density, N, xb, m
 
 
+def _offsets(points, xb):
+    """Components and length of p - x(t_j), each of shape (points, 2N)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dx = pts[:, :1] - xb[:, 0]
+    dy = pts[:, 1:] - xb[:, 1]
+    r = dx * dx
+    r += dy * dy
+    return dx, dy, np.sqrt(r, out=r)
+
+
 def single_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int Phi_k(p - x(t)) phi(t) dt off the curve."""
     density, N, xb, _ = _on_grid(curve, density)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - xb[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    kern = 0.25j * specfun.hankel1(0, k * r)
+    _, _, r = _offsets(points, xb)
+    kern = specfun.hankel1(0, k * r)
+    kern *= 0.25j
     return (np.pi / N) * (kern @ density)
 
 
 def double_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int dPhi_k/dn(t) |x'(t)| g(t) dt off the curve."""
     density, N, xb, m = _on_grid(curve, density)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - xb[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    dot = diff[..., 0] * m[None, :, 0] + diff[..., 1] * m[None, :, 1]
-    kern = 0.25j * k * specfun.hankel1(1, k * r) * dot / r
+    dx, dy, r = _offsets(points, xb)
+    dx *= m[:, 0]
+    dy *= m[:, 1]
+    dx += dy                                    # (p - x(t)) . m(t)
+    kern = specfun.hankel1(1, k * r)
+    kern *= 0.25j * k
+    kern *= dx
+    kern /= r
     return (np.pi / N) * (kern @ density)
 
 
@@ -75,6 +87,8 @@ def _directions(angles):
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size < 1:
         raise ValueError("need at least one direction")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("far-field angles must be finite")
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
@@ -129,9 +143,10 @@ def far_field_linf_diff(p: FarFieldPattern, q: FarFieldPattern) -> float:
 class FieldEvaluator:
     """Sum of layer potentials with fixed densities on one curve.
 
-    ``terms`` is a list of ("sl" | "dl", k, nodal density).  Evaluation
-    enforces the 5 h max|x'| distance guard; far fields require all terms to
-    share one wavenumber.
+    ``terms`` is a list of ("sl" | "dl", k, nodal density), with finite k and
+    densities.  Evaluation rejects non-finite points and enforces the
+    5 h max|x'| distance guard; far fields require all terms to share one
+    wavenumber.
     """
 
     def __init__(self, curve: ParametricCurve, terms, guard: bool = True):
@@ -145,6 +160,11 @@ class FieldEvaluator:
             raise ValueError(f"unknown potential kinds {sorted(unknown)}")
         self.curve = curve
         self.terms = [(kind, k, np.asarray(d, dtype=complex)) for kind, k, d in terms]
+        for i, (kind, k, density) in enumerate(self.terms):
+            if not np.isfinite(k):
+                raise ValueError(f"term {i} ({kind}): wavenumber k must be finite, got {k}")
+            if not np.all(np.isfinite(density)):
+                raise ValueError(f"term {i} ({kind}): density has non-finite values")
         self.N = sizes.pop() // 2
         self.guard = guard
         self._max_speed = curve.max_speed()
@@ -155,6 +175,8 @@ class FieldEvaluator:
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("evaluation points must be finite")
         if self.guard:
             dist = self.curve.distance(pts)
             if np.any(dist <= self.min_distance):

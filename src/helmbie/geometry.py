@@ -18,7 +18,7 @@ cavity       : dimpled limacon r(t) = 1.35 (1 - 0.7 cos t), i.e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,11 +45,13 @@ class ParametricCurve:
 
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
     ``sin_coef`` has shape (2, M) for m = 1..M.  Immutable and safe to share.
+    Keeps the read-only ``grid_geometry`` of the most recent N.
     """
 
     name: str
     cos_coef: np.ndarray
     sin_coef: np.ndarray
+    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.cos_coef, dtype=float))
@@ -101,25 +103,34 @@ class ParametricCurve:
 
     @cached_property
     def _fine_sample(self):
-        """Points and speeds on FINE_SAMPLES equispaced nodes, sampled once
-        per curve for max_speed and distance."""
+        """Coordinate rows x1, x2 (shape (2, S)) and speeds on FINE_SAMPLES
+        equispaced nodes, sampled once per curve for max_speed and distance."""
         t = np.linspace(0.0, 2.0 * np.pi, FINE_SAMPLES, endpoint=False)
-        return self.point(t), self.speed(t)
+        return np.ascontiguousarray(self.point(t).T), self.speed(t)
 
     def max_speed(self) -> float:
         return float(np.max(self._fine_sample[1]))
 
     def distance(self, points):
-        """Approximate distance from each point to the curve (fine sampling)."""
-        bd = self._fine_sample[0]                          # (S, 2)
+        """Distance from each point to the nearest of the FINE_SAMPLES nodes.
+
+        Blocks of points bound the (points, S) work arrays.  The minimum is
+        taken over squared distances and rooted once per point: sqrt is
+        monotone and correctly rounded, so the result is bit for bit the
+        minimum of the rooted distances.
+        """
+        bx, by = self._fine_sample[0]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(pts.shape[0])
-        # blocks of points bound the (points, S, 2) difference array
         for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
             block = pts[start:start + _DISTANCE_BLOCK]
-            d = np.linalg.norm(block[:, None, :] - bd[None, :, :], axis=-1)
-            out[start:start + block.shape[0]] = d.min(axis=1)
-        return out
+            dx = block[:, :1] - bx
+            dy = block[:, 1:] - by
+            dx *= dx
+            dy *= dy
+            dx += dy
+            out[start:start + block.shape[0]] = dx.min(axis=1)
+        return np.sqrt(out)
 
 
 def grid(N: int) -> np.ndarray:
@@ -131,11 +142,18 @@ def grid(N: int) -> np.ndarray:
 
 def grid_geometry(curve: ParametricCurve, N: int):
     """Nodes t, x(t) and the unnormalized outward normal m(t) = (x2', -x1')
-    on the 2N grid; |m| = |x'|."""
-    nodes = grid(N)
-    x = curve.point(nodes)
-    d1 = curve.d1(nodes)
-    return nodes, x, np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+    on the 2N grid; |m| = |x'|.  Read-only, and sampled once while N repeats."""
+    found = curve._grid.get(N)
+    if found is None:
+        nodes = grid(N)
+        x = curve.point(nodes)
+        d1 = curve.d1(nodes)
+        found = (nodes, x, np.stack([d1[:, 1], -d1[:, 0]], axis=-1))
+        for a in found:
+            a.flags.writeable = False
+        curve._grid.clear()
+        curve._grid[N] = found
+    return found
 
 
 def circle(radius: float = 1.0) -> ParametricCurve:

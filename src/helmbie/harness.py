@@ -217,6 +217,7 @@ class StudyRow:
     iterations: int
     seconds: float
     failure: str = ""
+    rcond: float | None = None  # LU condition estimate; None for GMRES or a failure
 
 
 @dataclass
@@ -246,6 +247,7 @@ class StudyReport:
                     "error_linf": None if r.failure else r.error_linf,
                     "iters": r.iterations,
                     "seconds": r.seconds,
+                    "rcond": r.rcond,
                     "failure": r.failure,
                 }
                 for r in self.rows
@@ -315,7 +317,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
             err = far_field_linf_diff(ff, ref)
             row = StudyRow(
                 form, N, err, result.diagnostics.iterations,
-                time.perf_counter() - t0,
+                time.perf_counter() - t0, rcond=result.diagnostics.rcond,
             )
             if config.dump_farfield:
                 _write_far_field(config.out_dir, form, N, ff)

@@ -72,10 +72,12 @@ def hankel1(order: int, z):
     """H^(1)_order(z) = J(z) + i Y(z) for real z > 0."""
     _check_order(order)
     z = _check_real(z, positive=True)
-    out = _J[order](z) + 1j * _Y[order](z)
+    out = np.empty(z.shape, dtype=complex)
+    _J[order](z, out=out.real)
+    _Y[order](z, out=out.imag)
     if not np.all(np.isfinite(out)):
         raise DomainError("Hankel evaluation produced non-finite values")
-    return out
+    return out if out.ndim else out[()]
 
 
 def _check_complex(z, allow_zero: bool):

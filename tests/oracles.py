@@ -7,11 +7,15 @@ operator eigenvalues by separation of variables, kernel diagonal limits by
 Richardson extrapolation of the off-diagonal formulas in 50-digit
 arithmetic, and O(N^2) discrete transforms.
 
-The last section holds the pointwise float64 kernel factors, evaluated pair
-by pair on meshgrids: the reference the fused kernel pass is checked
-against.  They call scipy.special directly (AMOS for every Hankel value) and
-take only the analytic diagonal limits and the spectral derivative from the
-package.
+The pointwise section holds the float64 kernel factors, evaluated pair by
+pair on meshgrids: the reference the fused kernel pass is checked against.
+They call scipy.special directly (AMOS for every Hankel value) and take only
+the analytic diagonal limits and the spectral derivative from the package.
+
+The near-field section holds the blocked-norm curve distance and the
+difference-array layer potentials, with the real Hankel value formed as
+J + iY from Cephes: the bit-for-bit reference for the package's distance
+guard, layer potentials and ``specfun.hankel1``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 import mpmath as mp
 from scipy import special as sp
 
-from helmbie.geometry import grid
+from helmbie.geometry import FINE_SAMPLES, grid
 from helmbie.kernels import (
     _spectral_derivative,
     diag_a_tilde,
@@ -391,3 +395,57 @@ def pointwise_ef(ctx, N, oversample=1):
     e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
     f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
     return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]
+
+
+# ----------------------------------------------------------------------
+# near-field evaluation on (points, nodes, 2) difference arrays
+# ----------------------------------------------------------------------
+
+_NORM_BLOCK = 64  # points per block of the (points, FINE_SAMPLES, 2) array
+
+
+def cephes_hankel1(order, z):
+    """H^(1)_order(z) = J + 1j*Y for real z > 0, as two Cephes calls."""
+    j, y = ((sp.j0, sp.y0), (sp.j1, sp.y1))[order]
+    return j(z) + 1j * y(z)
+
+
+def norm_distance(curve, points):
+    """Minimum over FINE_SAMPLES nodes of |p - x(t)|, by norm over the
+    length-2 axis of a blocked difference array."""
+    t = np.linspace(0.0, 2.0 * np.pi, FINE_SAMPLES, endpoint=False)
+    bd = curve.point(t)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _NORM_BLOCK):
+        block = pts[start:start + _NORM_BLOCK]
+        d = np.linalg.norm(block[:, None, :] - bd[None, :, :], axis=-1)
+        out[start:start + block.shape[0]] = d.min(axis=1)
+    return out
+
+
+def _diff_geometry(curve, density, points):
+    density = np.asarray(density, dtype=complex)
+    N = density.size // 2
+    nodes = grid(N)
+    xb = curve.point(nodes)
+    d1 = curve.d1(nodes)
+    m = np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    diff = pts[:, None, :] - xb[None, :, :]
+    return density, N, m, diff, np.linalg.norm(diff, axis=-1)
+
+
+def diff_single_layer(curve, k, density, points):
+    """Trapezoid single-layer potential from the (points, 2N, 2) array."""
+    density, N, _, _, r = _diff_geometry(curve, density, points)
+    kern = 0.25j * cephes_hankel1(0, k * r)
+    return (np.pi / N) * (kern @ density)
+
+
+def diff_double_layer(curve, k, density, points):
+    """Trapezoid double-layer potential from the (points, 2N, 2) array."""
+    density, N, m, diff, r = _diff_geometry(curve, density, points)
+    dot = diff[..., 0] * m[None, :, 0] + diff[..., 1] * m[None, :, 1]
+    kern = 0.25j * k * cephes_hankel1(1, k * r) * dot / r
+    return (np.pi / N) * (kern @ density)

@@ -11,7 +11,9 @@ from helmbie.fields import (
     single_layer_potential,
 )
 from helmbie.formulations import PointSource
-from helmbie.geometry import grid, kite
+from helmbie.geometry import cavity, grid, kite
+
+from oracles import diff_double_layer, diff_single_layer
 
 KITE = kite()
 K = 8.0
@@ -148,3 +150,44 @@ def test_potentials_match_evaluator_sum():
     direct = single_layer_potential(KITE, K, dens1, pts) \
         + double_layer_potential(KITE, K, dens2, pts)
     assert np.max(np.abs(ev(pts) - direct)) <= 1e-14
+
+
+def test_evaluator_rejects_nonfinite_terms():
+    zeros = np.zeros(2 * N, dtype=complex)
+    bad = zeros.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match=r"term 1 \(dl\): density"):
+        FieldEvaluator(KITE, [("sl", K, zeros), ("dl", K, bad)])
+    with pytest.raises(ValueError, match=r"term 0 \(sl\): wavenumber k"):
+        FieldEvaluator(KITE, [("sl", np.inf, zeros)])
+
+
+@pytest.mark.parametrize("guard", [True, False])
+def test_evaluator_rejects_nonfinite_points(green_evaluator, guard):
+    _, ev = green_evaluator
+    ev = FieldEvaluator(ev.curve, ev.terms, guard=guard)
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        ev(np.array([[3.0, 0.0], [np.nan, 1.0]]))
+
+
+def test_far_field_rejects_nonfinite_angles(green_evaluator):
+    _, ev = green_evaluator
+    with pytest.raises(ValueError, match="angles must be finite"):
+        ev.far_field([0.0, np.nan])
+    with pytest.raises(ValueError, match="angles must be finite"):
+        point_source_far_field(K, (0.0, 0.0), [np.inf])
+
+
+@pytest.mark.parametrize("curve", [KITE, cavity()], ids=lambda c: c.name)
+def test_potentials_match_the_difference_array_oracle_bit_for_bit(curve):
+    rng = np.random.default_rng(23)
+    dens = rng.standard_normal((2, 2 * N)) + 1j * rng.standard_normal((2, 2 * N))
+    t = grid(N) + 0.5 * np.pi / N                     # between the nodes
+    guard = 5.0 * (np.pi / N) * curve.max_speed()
+    past = curve.point(t) + (guard * (1.0 + 1e-9)) * curve.normal(t)
+    pts = np.concatenate([_ring(4.0, 37), _ring(0.3, 11), past[::5], curve.point(t[::7])])
+    for k in (K, 32.0):
+        sl = single_layer_potential(curve, k, dens[0], pts)
+        dl = double_layer_potential(curve, k, dens[1], pts)
+        assert sl.tobytes() == diff_single_layer(curve, k, dens[0], pts).tobytes()
+        assert dl.tobytes() == diff_double_layer(curve, k, dens[1], pts).tobytes()

@@ -24,7 +24,7 @@ from helmbie.formulations import (
     solve,
 )
 from helmbie.fourier import dld_matrix, lambda_matrix
-from helmbie.geometry import circle, ellipse, grid, kite, make_curve
+from helmbie.geometry import ParametricCurve, circle, ellipse, grid, kite, make_curve
 from helmbie.linalg import gmres, lu_solve
 
 KITE = kite()
@@ -413,6 +413,23 @@ def test_incidence_sweep_assembles_and_factors_once(monkeypatch):
         cold = solve(assemble_l1(prob, 32))
         assert _exterior_far_field(prob, res).values.tobytes() == \
             _exterior_far_field(prob, cold).values.tobytes()
+
+
+def test_reused_incidence_samples_no_curve_points(monkeypatch):
+    # a hit builds data and far field on the grid geometry the curve keeps
+    # for its last N, so after the first incidence no curve point is sampled
+    first, again = _sweep_problems(2)
+    _exterior_far_field(first, solve(assemble("l1", first, 32)))
+    sampled = []
+    trig_sum = ParametricCurve._trig_sum
+
+    def counted_sum(self, t, order):
+        sampled.append((order, np.size(t)))
+        return trig_sum(self, t, order)
+
+    monkeypatch.setattr(ParametricCurve, "_trig_sum", counted_sum)
+    _exterior_far_field(again, solve(assemble("l1", again, 32)))
+    assert sampled == []
 
 
 _BASE = ("l1", dict(curve=ellipse(2.0, 1.0), k_plus=3.0, k_minus=5.0, nu=1.0), 8, {})

@@ -1,7 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from helmbie.geometry import (
+    _DISTANCE_BLOCK,
+    FINE_SAMPLES,
     cavity,
     circle,
     ellipse,
@@ -10,6 +15,8 @@ from helmbie.geometry import (
     kite,
     make_curve,
 )
+
+from oracles import norm_distance
 
 ALL_CURVES = [circle(), ellipse(2.0, 1.0), kite(), cavity()]
 
@@ -108,6 +115,81 @@ def test_grid_geometry_normal_carries_speed():
     assert np.array_equal(t, grid(16))
     assert np.array_equal(x, curve.point(t))
     assert np.max(np.abs(m - curve.speed(t)[:, None] * curve.normal(t))) <= 1e-14
+
+
+def test_grid_geometry_is_sampled_once_and_read_only(monkeypatch):
+    curve = kite()
+    first = grid_geometry(curve, 16)
+    calls = []
+    point = type(curve).point
+    monkeypatch.setattr(type(curve), "point",
+                        lambda self, t: calls.append(np.size(t)) or point(self, t))
+    assert all(a is b for a, b in zip(grid_geometry(curve, 16), first))
+    assert calls == []
+    for array in first:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    grid_geometry(curve, 8)
+    assert calls == [16]
+
+
+def test_grid_geometry_under_threads_matches_its_n():
+    # threads sharing one curve replace each other's cached N; each must
+    # still get the geometry of the N it asked for
+    curve = kite()
+    expected = {n: curve.point(grid(n)) for n in (8, 9, 10, 11)}
+
+    def check(i):
+        n = 8 + i % 4
+        _, x, _ = grid_geometry(curve, n)
+        return np.array_equal(x, expected[n])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(check, range(2000), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)
+
+
+def _guard_test_points(curve, rng, count):
+    """Far points, points just outside 5 h max|x'| for N = 64, points on the
+    curve between and at the fine-sample nodes, in a shuffled order."""
+    t = rng.uniform(0.0, 2.0 * np.pi, count)
+    guard = 5.0 * (np.pi / 64) * curve.max_speed()
+    past = curve.point(t) + (guard * (1.0 + 1e-9)) * curve.normal(t)
+    radius = rng.uniform(3.0, 8.0, count)
+    far = np.stack([radius * np.cos(t), radius * np.sin(t)], axis=-1)
+    nodes = 2.0 * np.pi * rng.integers(0, FINE_SAMPLES, count) / FINE_SAMPLES
+    on = np.concatenate([curve.point(t), curve.point(nodes)])
+    pts = np.concatenate([far, past, on])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("curve", [kite(), cavity()], ids=lambda c: c.name)
+def test_distance_is_the_blocked_norm_bit_for_bit(curve):
+    rng = np.random.default_rng(17)
+    pts = _guard_test_points(curve, rng, 50)
+    assert len(pts) % _DISTANCE_BLOCK != 0
+    got = curve.distance(pts)
+    assert got.tobytes() == norm_distance(curve, pts).tobytes()
+    assert np.count_nonzero(got == 0.0) >= 40  # fine-sample nodes
+    assert curve.distance(pts[0]).tobytes() == got[:1].tobytes()
+
+
+def test_circle_distance_within_the_chord_bound():
+    R = 1.7
+    curve = circle(R)
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.0, 3.0 * R, 301)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 301)
+    pts = np.stack([rho * np.cos(ang), rho * np.sin(ang)], axis=-1)
+    gap = curve.distance(pts) - np.abs(rho - R)
+    # the nearest fine node is at most half a chord, pi R / S, along the circle
+    assert np.all(gap >= -1e-14)
+    assert np.all(gap <= np.pi * R / FINE_SAMPLES + 1e-14)
 
 
 def test_grid_rejects_zero():

@@ -128,6 +128,36 @@ def test_study_runs_concurrently(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("solver", ["lu", "gmres"])
+def test_study_rows_carry_rcond(monkeypatch, solver):
+    solve_cell = harness._solve_cell
+
+    def failing_cell(problem, form, N, cfg):
+        if N == 24:
+            raise ValueError("cell failed on purpose")
+        return solve_cell(problem, form, N, cfg)
+
+    monkeypatch.setattr(harness, "_solve_cell", failing_cell)
+    cfg = StudyConfig.from_mapping({
+        "k_minus": "8.0",
+        "formulations": "l1",
+        "n_ladder": "16,24",
+        "n_reference": "48",
+        "directions": "18",
+        "solver": solver,
+    })
+    report = run_convergence(cfg)
+    ok, failed = report.rows
+    assert failed.failure and failed.rcond is None
+    if solver == "lu":
+        assert 0.0 < ok.rcond <= 1.0
+    else:
+        assert ok.rcond is None
+    rows = json.loads(report.to_json())["rows"]
+    assert [row["rcond"] for row in rows] == [ok.rcond, None]
+    assert report.to_csv().splitlines()[0] == "formulation,N,error_linf,iters,seconds"
+
+
 def test_every_cell_assembles_its_own_system(monkeypatch):
     # the reference (l1, 16) finishes last and cell (l1, 8) starts late, so
     # cell (l1, 16) would find the reference's system kept for reuse; its

@@ -10,7 +10,7 @@ from helmbie.specfun import (
     hankel1_complex,
 )
 
-from oracles import mp_bessel_row
+from oracles import cephes_hankel1, mp_bessel_row
 
 
 def _load_table(data_dir):
@@ -106,6 +106,10 @@ def test_domain_errors():
         hankel1(0, 0.0)
     with pytest.raises(DomainError):
         hankel1(1, -3.0)
+    with pytest.raises(DomainError, match="finite"):
+        hankel1(0, np.inf)
+    with pytest.raises(DomainError, match="non-finite values"):
+        hankel1(1, 1e-310)  # Y1 overflows
     with pytest.raises(DomainError):
         hankel1_complex(0, 1.0 - 0.5j)
     with pytest.raises(DomainError):
@@ -132,3 +136,16 @@ def test_complex_argument_against_mpmath():
 
 def test_complex_zero_is_fine_for_j():
     assert bessel_j_complex(0, 0.0 + 0.0j) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_hankel1_is_cephes_j_plus_iy_bit_for_bit(order):
+    z = np.concatenate([np.geomspace(1e-8, 1.0, 500), np.linspace(1.0, 400.0, 4000)])
+    z = z.reshape(9, 500)
+    got = hankel1(order, z)
+    assert got.dtype == np.complex128 and got.shape == (9, 500)
+    assert got.tobytes() == cephes_hankel1(order, z).tobytes()
+    scalar = hankel1(order, 2.5)
+    assert isinstance(scalar, np.complex128)
+    assert np.ndim(scalar) == 0
+    assert scalar == cephes_hankel1(order, 2.5)
