@@ -72,6 +72,7 @@ def _cmd_solve(args) -> int:
         "residual": result.diagnostics.residual,
         "rcond": result.diagnostics.rcond,
         "seconds": elapsed,
+        "stages": result.diagnostics.stages,
         "farfield_csv": str(ff_path),
         "max_farfield_amplitude": float(np.max(np.abs(ff.values))),
     }

@@ -35,9 +35,31 @@ held together and peak memory stays that of one system.  The slot holds its
 system until the next miss or ``empty_slot()``, after every caller has
 dropped it: on the kite at N = 256 that is 32 MiB for l1 and l2 (matrix and
 LU), 48 MiB for l3 (with R_kappa) and 16 MiB for l4 (with ``aux``), four
-times as much at N = 512.  A lock guards only the slot's reads and writes;
-two threads may race to build the same system, which costs time but never
-returns a wrong matrix.
+times as much at N = 512.
+
+Many formulations.  The five formulations are block combinations of the same
+Nystrom operators for k+, k- and kappa, so next to the system the slot keeps
+the ``OperatorFamily`` objects of the last problem assembled, for one N: one
+family per distinct wavenumber, k+ and k- and the last kappa, at most three.
+They are shared only with later builds for the same ``TransmissionProblem``
+object at the same N (a system miss for another formulation of it, or a
+direct ``assemble_l*`` call); a new problem object or a new N replaces them,
+even when its system is a hit and builds nothing, and a failed ``assemble``
+drops them.  A problem object is a unit of reuse:
+an equal problem built anew assembles its own families.  With every operator
+built once, the three families of the kite at N = 256 hold about 95 MiB
+(measured with tracemalloc), four times as much at N = 512, until the next
+problem or ``empty_slot()``.  A lock guards only the slot's reads and writes;
+two threads may race to build the same system or operator, which costs time
+but never returns a wrong matrix.
+
+Block algebra.  Every formulation writes its blocks into one preallocated
+matrix.  l3 forms R_kappa L2 by block rows, as 2 V_kappa times the lower
+block row of L2 and -2 nu H_kappa times the upper one, and l4 groups its
+compositions into two products; both reassociate the floating-point sums of
+the full-matrix forms kept in the test oracles.  l1, l2 and l2plain keep the
+order of every sum, so their matrices are those of the full-matrix forms bit
+for bit.
 """
 
 from __future__ import annotations
@@ -104,6 +126,10 @@ class PointSource:
     side: str = "interior"
 
     def __post_init__(self):
+        location = np.asarray(self.location, dtype=float)
+        if location.shape != (2,) or not np.all(np.isfinite(location)):
+            raise ValueError(f"point-source location must be two finite "
+                             f"coordinates, got {self.location}")
         if self.side not in ("interior", "exterior"):
             raise ValueError("side must be 'interior' or 'exterior'")
 
@@ -165,10 +191,6 @@ def build_data(problem: TransmissionProblem, N: int) -> TransmissionData:
     return TransmissionData(TrigPolynomial(h), TrigPolynomial(eta), N)
 
 
-def _block(b11, b12, b21, b22):
-    return np.block([[b11, b12], [b21, b22]])
-
-
 @dataclass
 class FormulationSystem:
     """Assembled dense system for one formulation at one resolution.
@@ -207,11 +229,16 @@ class FormulationSystem:
     def lu_factors(self) -> linalg.LUFactors:
         """LU factors of ``matrix``, computed on first use and shared with
         every system that shares the matrix."""
-        if self._lu and self._lu[0][0] is self.matrix:
-            return self._lu[0][1]
-        factors = linalg.lu_factor(self.matrix)
-        self._lu[:] = [(self.matrix, factors)]
+        factors = self._kept_lu()
+        if factors is None:
+            factors = linalg.lu_factor(self.matrix)
+            self._lu[:] = [(self.matrix, factors)]
         return factors
+
+    def _kept_lu(self) -> Optional[linalg.LUFactors]:
+        """The LU factors of ``matrix`` if some system computed them, else None."""
+        kept = self._lu[0] if self._lu else None
+        return kept[1] if kept is not None and kept[0] is self.matrix else None
 
 
 @dataclass
@@ -222,6 +249,9 @@ class SolverDiagnostics:
     seconds: float
     history: Optional[np.ndarray] = None
     rcond: Optional[float] = None  # LAPACK 1-norm estimate; None for GMRES
+    # seconds per stage: LU "factor" (0 when the factors were reused), "solve"
+    # (the triangular solves) and "residual"; GMRES has the one stage "gmres"
+    stages: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -267,10 +297,29 @@ class SolveResult:
 
 
 def _op_families(problem, N, kappa=None):
-    fp = OperatorFamily(problem.curve, problem.k_plus, N)
-    fm = OperatorFamily(problem.curve, problem.k_minus, N)
-    fk = OperatorFamily(problem.curve, kappa, N) if kappa is not None else None
-    return fp, fm, fk
+    """The (k+, k-, kappa) operator families of the problem at N; kappa's is
+    None without a kappa.  Shared through the slot with every build for the
+    same problem object at the same N (see the module docstring)."""
+    global _families
+    wanted = (problem.k_plus, problem.k_minus, kappa)
+    with _slot_lock:
+        if _families is None or _families[0] is not problem or _families[1] != N:
+            _families = (problem, N, {})
+        kept = _families[2]
+        if kappa is not None:
+            for k in set(kept) - set(wanted):  # keep only the last kappa
+                del kept[k]
+        for k in wanted:
+            if k is not None and k not in kept:
+                kept[k] = OperatorFamily(problem.curve, k, N)
+        return tuple(None if k is None else kept[k] for k in wanted)
+
+
+def _blocks(matrix):
+    """((a11, a12), (a21, a22)): the four square block views of a matrix."""
+    n = matrix.shape[0] // 2
+    top, bottom = matrix[:n], matrix[n:]
+    return (top[:, :n], top[:, n:]), (bottom[:, :n], bottom[:, n:])
 
 
 def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
@@ -304,29 +353,38 @@ def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     nu = problem.nu
     eye = np.eye(2 * N)
     half = 0.5 * (1.0 + nu)
-    a11 = half * eye + nu * fm.k_plain.matrix - fp.k_plain.matrix
-    a12 = fp.v_plain.matrix - fm.v_plain.matrix
-    a21 = nu * (fm.t_op.matrix - fp.t_op.matrix)
-    a22 = half * eye + nu * fp.kt_plain.matrix - fm.kt_plain.matrix
-    return _system("l1", _block(a11, a12, a21, a22), problem, N)
+    matrix = np.empty((4 * N, 4 * N), dtype=complex)
+    (a11, a12), (a21, a22) = _blocks(matrix)
+    # summed left to right as written above, which fixes each entry's
+    # rounding: with matched media, adding the identity last gives exactly I
+    np.add(half * eye, nu * fm.k_plain.matrix, out=a11)
+    a11 -= fp.k_plain.matrix
+    np.subtract(fp.v_plain.matrix, fm.v_plain.matrix, out=a12)
+    np.multiply(nu, fm.t_op.matrix - fp.t_op.matrix, out=a21)
+    np.add(half * eye, nu * fp.kt_plain.matrix, out=a22)
+    a22 -= fm.kt_plain.matrix
+    return _system("l1", matrix, problem, N)
 
 
 def _l2_matrix(problem, N, family, fp, fm, lam, dld):
     nu = problem.nu
-    zero = np.zeros((2 * N, 2 * N))
+    matrix = np.empty((4 * N, 4 * N), dtype=complex)
+    (a11, a12), (a21, a22) = _blocks(matrix)
     if family == "tilde":
-        lead = (1.0 + 1.0 / nu) * _block(zero, lam, -nu * dld, zero)
-        a11 = -(fm.k_tilde.matrix + fp.k_tilde.matrix)
-        a12 = fp.r_tilde.matrix / nu + fm.r_tilde.matrix
-        a21 = -(fm.t_op.matrix + nu * fp.t_op.matrix)
-        a22 = fp.kt_tilde.matrix + fm.kt_tilde.matrix
-        return lead + _block(a11, a12, a21, a22)
+        # leading part plus kernel blocks; the 0.0 of the leading part's zero
+        # blocks is added too, so that each entry keeps the sign of its zeros
+        lead = 1.0 + 1.0 / nu
+        np.add(0.0, -(fm.k_tilde.matrix + fp.k_tilde.matrix), out=a11)
+        np.add(lead * lam, fp.r_tilde.matrix / nu + fm.r_tilde.matrix, out=a12)
+        np.add(lead * (-nu * dld), -(fm.t_op.matrix + nu * fp.t_op.matrix), out=a21)
+        np.add(0.0, fp.kt_tilde.matrix + fm.kt_tilde.matrix, out=a22)
+        return matrix
     # unanalyzed plain-V variant, kept for the accuracy comparison
-    a11 = -(fm.k_plain.matrix + fp.k_plain.matrix)
-    a12 = fp.v_plain.matrix / nu + fm.v_plain.matrix
-    a21 = -(1.0 + nu) * dld - (fm.t_op.matrix + nu * fp.t_op.matrix)
-    a22 = fp.kt_plain.matrix + fm.kt_plain.matrix
-    return _block(a11, a12, a21, a22)
+    np.negative(fm.k_plain.matrix + fp.k_plain.matrix, out=a11)
+    np.add(fp.v_plain.matrix / nu, fm.v_plain.matrix, out=a12)
+    np.subtract(-(1.0 + nu) * dld, fm.t_op.matrix + nu * fp.t_op.matrix, out=a21)
+    np.add(fp.kt_plain.matrix, fm.kt_plain.matrix, out=a22)
+    return matrix
 
 
 def assemble_l2(
@@ -344,11 +402,15 @@ def assemble_l2(
 
 
 def _regularizer(problem, N, fk, lam, dld):
+    """R_kappa = [I, 2 V_kappa; -2 nu H_kappa, nu I] / (nu + 1)."""
     nu = problem.nu
-    eye = np.eye(2 * N)
-    v_kappa = lam + fk.r_tilde.matrix
-    h_kappa = dld + fk.t_op.matrix
-    return _block(eye, 2.0 * v_kappa, -2.0 * nu * h_kappa, nu * eye) / (nu + 1.0)
+    reg = np.zeros((4 * N, 4 * N), dtype=complex)
+    (r11, r12), (r21, r22) = _blocks(reg)
+    np.fill_diagonal(r11, 1.0 / (nu + 1.0))
+    np.divide(2.0 * (lam + fk.r_tilde.matrix), nu + 1.0, out=r12)
+    np.divide(-2.0 * nu * (dld + fk.t_op.matrix), nu + 1.0, out=r21)
+    np.fill_diagonal(r22, nu / (nu + 1.0))
+    return reg
 
 
 def _kappa(problem, kappa=None) -> complex:
@@ -378,20 +440,28 @@ def assemble_l3(
     kappa = _kappa(problem, kappa)
     fp, fm, fk = _op_families(problem, N, kappa)
     nu = problem.nu
+    n2 = 2 * N
     lam = lambda_matrix(N)
     dld = dld_matrix(N)
-    eye = np.eye(2 * N)
-    lead = _block(0.5 * eye, -lam / nu, nu * dld, 0.5 * eye)
-    mid = _block(
-        fm.k_tilde.matrix,
-        -fm.r_tilde.matrix / nu,
-        nu * fm.t_op.matrix,
-        -fm.kt_tilde.matrix,
-    )
     reg = _regularizer(problem, N, fk, lam, dld)
     reg.flags.writeable = False
     l2t = _l2_matrix(problem, N, "tilde", fp, fm, lam, dld)
-    matrix = lead + mid + reg @ l2t
+    # R_kappa L2 by block rows: the diagonal blocks of R_kappa are multiples
+    # of I, so each of its two full blocks meets one block row of L2
+    (_, r12), (r21, _) = _blocks(reg)
+    matrix = np.empty_like(l2t)
+    np.matmul(r12, l2t[n2:], out=matrix[:n2])
+    np.matmul(r21, l2t[:n2], out=matrix[n2:])
+    l2t[:n2] *= 1.0 / (nu + 1.0)
+    l2t[n2:] *= nu / (nu + 1.0)
+    matrix += l2t
+    # plus the leading blocks and those of k-
+    eye = np.eye(n2)
+    (a11, a12), (a21, a22) = _blocks(matrix)
+    a11 += 0.5 * eye + fm.k_tilde.matrix
+    a12 -= (lam + fm.r_tilde.matrix) / nu
+    a21 += nu * (dld + fm.t_op.matrix)
+    a22 += 0.5 * eye - fm.kt_tilde.matrix
     return _system("l3", matrix, problem, N, family="tilde", kappa=kappa,
                    regularizer=reg)
 
@@ -406,17 +476,18 @@ def assemble_l4(
     nu = problem.nu
     eye = np.eye(2 * N)
     kt_m = fm.kt_plain.matrix
-    kt_p = fp.kt_plain.matrix
     v_m = fm.v_plain.matrix
-    v_p = fp.v_plain.matrix
     k_p = fp.k_plain.matrix
-    big_k = (
-        -kt_m @ (nu * eye - 2.0 * kt_m)
-        - nu * kt_p @ (eye + 2.0 * kt_m)
-        + 2.0 * (fp.t_op.matrix - fm.t_op.matrix) @ v_m
-    )
-    big_v = -nu * v_p @ (eye + 2.0 * kt_m) - (eye - 2.0 * k_p) @ v_m
-    matrix = -0.5 * (nu + 1.0) * eye + big_k - 1j * rho * big_v
+    # -(nu+1)/2 I + big_K - i rho big_V with
+    #   big_K = -Kt-(nu I - 2 Kt-) - nu Kt+(I + 2 Kt-) + 2 (T+ - T-) V-
+    #   big_V = -nu V+(I + 2 Kt-) - (I - 2 K+) V-
+    # is, with P = nu (Kt+ - i rho V+), grouped into two products:
+    #   -(nu+1)/2 I - nu Kt- - P + 2 (Kt- - P) Kt- + [2 (T+ - T-) + i rho (I - 2 K+)] V-
+    p_plus = nu * (fp.kt_plain.matrix - 1j * rho * fp.v_plain.matrix)
+    matrix = (2.0 * (kt_m - p_plus)) @ kt_m
+    matrix += (2.0 * (fp.t_op.matrix - fm.t_op.matrix)
+               + 1j * rho * (eye - 2.0 * k_p)) @ v_m
+    matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
     return _system("l4", matrix, problem, N, kind="indirect", rho=rho,
                    aux={"kt_minus": kt_m, "v_minus": v_m})
 
@@ -425,21 +496,24 @@ _ASSEMBLERS = ("l1", "l2", "l2plain", "l3", "l4")
 
 _slot_lock = threading.Lock()
 _slot: Optional[tuple] = None  # (key, system) of the last system built
+# (problem, N, {k: OperatorFamily}) of the last problem assembled
+_families: Optional[tuple] = None
 
 
 def empty_slot():
-    """Drop the kept system: its memory is freed once no caller holds it, and
-    the next ``assemble`` builds from scratch."""
-    global _slot
+    """Drop the kept system and operator families: their memory is freed once
+    no caller holds them, and the next ``assemble`` builds from scratch."""
+    global _slot, _families
     with _slot_lock:
-        _slot = None
+        _slot = _families = None
 
 
 def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     """Assemble one of 'l1', 'l2', 'l2plain', 'l3', 'l4' ('kappa' for l3,
     'rho' for l4), reusing the last system built when only the incident
-    field differs (see the module docstring)."""
-    global _slot
+    field differs, and the operator families of the last problem object
+    (see the module docstring)."""
+    global _slot, _families
     if formulation not in _ASSEMBLERS:
         raise ValueError(
             f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
@@ -453,19 +527,26 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
         shared = _slot[1] if _slot is not None and _slot[0] == key else None
         if shared is None:
             _slot = None  # let the old system go before the new one is built
+        elif _families is not None and _families[0] is not problem:
+            _families = None  # no build can share them any more
     if shared is not None:
         data = build_data(problem, N)
         return replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
-    if formulation == "l1":
-        system = assemble_l1(problem, N)
-    elif formulation == "l2":
-        system = assemble_l2(problem, N, family="tilde")
-    elif formulation == "l2plain":
-        system = assemble_l2(problem, N, family="plain")
-    elif formulation == "l3":
-        system = assemble_l3(problem, N, kappa=kappa)
-    else:
-        system = assemble_l4(problem, N, rho=rho)
+    try:
+        if formulation == "l1":
+            system = assemble_l1(problem, N)
+        elif formulation == "l2":
+            system = assemble_l2(problem, N, family="tilde")
+        elif formulation == "l2plain":
+            system = assemble_l2(problem, N, family="plain")
+        elif formulation == "l3":
+            system = assemble_l3(problem, N, kappa=kappa)
+        else:
+            system = assemble_l4(problem, N, rho=rho)
+    except BaseException:
+        with _slot_lock:
+            _families = None  # they may hold what made the build fail
+        raise
     with _slot_lock:
         _slot = (key, system)
     return system
@@ -481,20 +562,28 @@ def solve(
     matrix) or restart-free 'gmres'."""
     t0 = time.perf_counter()
     if method == "lu":
+        reused = system._kept_lu() is not None
         factors = system.lu_factors()
+        t1 = time.perf_counter()
         x = linalg.lu_solve(factors, system.rhs)
+        t2 = time.perf_counter()
         res = np.linalg.norm(system.matrix @ x - system.rhs, np.inf)
         res /= max(np.linalg.norm(system.rhs, np.inf), 1e-300)
-        diag = SolverDiagnostics("lu", 0, float(res), time.perf_counter() - t0,
-                                 rcond=factors.rcond)
+        t3 = time.perf_counter()
+        stages = {"factor": 0.0 if reused else t1 - t0, "solve": t2 - t1,
+                  "residual": t3 - t2}
+        diag = SolverDiagnostics("lu", 0, float(res), t3 - t0,
+                                 rcond=factors.rcond, stages=stages)
     elif method == "gmres":
         out = linalg.gmres(system.matrix, system.rhs, tol=tol, maxit=maxit)
+        seconds = time.perf_counter() - t0
         diag = SolverDiagnostics(
             "gmres",
             out.iterations,
             out.residual,
-            time.perf_counter() - t0,
+            seconds,
             history=out.residuals,
+            stages={"gmres": seconds},
         )
         x = out.x
     else:

@@ -31,6 +31,7 @@ literature; the quadrature-oracle test pins the normalization used here.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "TrigPolynomial",
@@ -149,8 +150,10 @@ def circulant_from_symbol(symbol) -> np.ndarray:
     symbol = np.asarray(symbol, dtype=complex)
     w = np.fft.ifft(symbol)
     n = symbol.size
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return w[idx]
+    # M[i, j] = w[(i - j) % n] = ext[n - 1 + i - j]: row i of M is window i of
+    # ext, read backwards
+    ext = np.concatenate([w[1:], w])
+    return np.ascontiguousarray(sliding_window_view(ext, n)[:n, ::-1])
 
 
 def conv_matrix(table: np.ndarray) -> np.ndarray:

@@ -288,8 +288,11 @@ _CELL_ERRORS = (GmresError, np.linalg.LinAlgError, ValueError)
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
-    """Solve the ladder, measure far-field errors against the reference."""
-    problem = config.build_problem()
+    """Solve the ladder, measure far-field errors against the reference.
+
+    Each reference and each cell builds its own problem, so none of them
+    reuses the operator families ``assemble`` keeps for another's problem.
+    """
     angles = np.linspace(0.0, 2.0 * np.pi, config.directions, endpoint=False)
     report = StudyReport(config)
 
@@ -300,6 +303,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
 
     def reference(key):
         """Far field of one reference, or the exception that stopped it."""
+        problem = config.build_problem()
         try:
             return _far_field_of(problem, _solve_cell(problem, *key, config), angles)
         except _CELL_ERRORS as exc:
@@ -310,6 +314,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
         ref = refs[reference_key(form, N)]
         if isinstance(ref, Exception):
             return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(ref))
+        problem = config.build_problem()
         t0 = time.perf_counter()
         try:
             result = _solve_cell(problem, form, N, config)

@@ -191,7 +191,8 @@ class KernelFactors:
         self.diag = _diagonal_limits(ctx.k, self.d1, ctx.curve.d2(self.nodes))
         self._mask = np.triu(np.ones((n, n), dtype=bool), 1)  # pairs i < j
         i, j = np.nonzero(self._mask)
-        self.r = np.linalg.norm(self.x[i] - self.x[j], axis=-1)
+        dx, dy = (coord[i] - coord[j] for coord in self.x.T)
+        self.r = np.sqrt(dx * dx + dy * dy)  # the 2-norm, bit for bit
         half = np.sin(0.5 * (self.nodes[i] - self.nodes[j]))
         self.sin2 = half * half
 
@@ -265,21 +266,33 @@ class KernelFactors:
         b_mat = self.matrix("B")
         at_mat = self.matrix("At")
 
-        at_s = _spectral_derivative(at_mat, axis=0)
-        at_t = at_s.T  # A~ is symmetric
+        # A~ and B are exactly symmetric, so each derivative in s is the
+        # transpose of the one in t, which runs along the contiguous axis
+        at_t = _spectral_derivative(at_mat, axis=1)
+        at_s = np.ascontiguousarray(at_t.T)
         at_st = _spectral_derivative(at_s, axis=1)
-        b_st = _spectral_derivative(_spectral_derivative(b_mat, axis=0), axis=1)
+        b_s = np.ascontiguousarray(_spectral_derivative(b_mat, axis=1).T)
+        b_st = _spectral_derivative(b_s, axis=1)
 
         diff = self.nodes[:, None] - self.nodes[None, :]
         sin_d = np.sin(diff)
         cos_d = np.cos(diff)
         sin2 = self._symmetric(self.sin2)
-        xdx = self.d1 @ self.d1.T  # x'(s_i) . x'(t_j)
+        k2_xdx = (self.k * self.k) * (self.d1 @ self.d1.T)  # k^2 x'(s_i) . x'(t_j)
 
-        k2 = self.k * self.k
-        skew = 0.5 * (at_s - at_t) * sin_d
-        e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
-        f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
+        # E and F summed in place, term by term in the order of the module docstring
+        skew = np.subtract(at_s, at_t, out=at_s)
+        skew *= 0.5
+        skew *= sin_d
+        e_mat = np.negative(at_st, out=at_st)
+        e_mat *= sin2
+        e_mat += skew
+        e_mat += 0.5 * at_mat * cos_d
+        e_mat += k2_xdx * a_mat
+        f_mat = np.negative(b_st, out=b_st)
+        f_mat += skew
+        f_mat += at_mat * (0.5 + cos_d)
+        f_mat += k2_xdx * b_mat
         return e_mat, f_mat
 
 
@@ -302,7 +315,8 @@ def _spectral_derivative(values, axis):
     shape = [1, 1]
     shape[axis] = values.shape[axis]
     hat = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(hat * mult.reshape(shape), axis=axis)
+    hat *= mult.reshape(shape)
+    return np.fft.ifft(hat, axis=axis, out=hat)
 
 
 def ef_matrices(ctx: KernelContext, N: int, oversample: int = 1):

@@ -13,7 +13,8 @@ psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
 is applied as that scalar; W1 and W2 have real even symbols and are stored as
 real matrices.  All factors of one family come from one fused kernel pass
 (see ``helmbie.kernels``), which the family's context keeps; transpose
-variants use the transposed factor matrices.  The tilde single layer is
+variants use the transposed factor matrices and are built together with
+their K, from one sampling of C and D.  The tilde single layer is
 stored via its smooth remainder R~ = W2*At + W0*B so the formulations can use
 Lambda and R~ separately.
 
@@ -113,26 +114,34 @@ class OperatorFamily:
         return self._wrap(self.lambda_mat + self.r_tilde.matrix, "tilde", "V")
 
     @cached_property
+    def _k_kt_plain(self):
+        c_mat, d_mat = self._kernel("C"), self._kernel("D")
+        k_mat = self._w1 * (c_mat * self._sin2) + self._w0 * d_mat
+        kt_mat = self._w1 * (c_mat.T * self._sin2) + self._w0 * d_mat.T
+        return self._wrap(k_mat, "plain", "K"), self._wrap(kt_mat, "plain", "Kt")
+
+    @property
     def k_plain(self):
-        m = self._w1 * (self._kernel("C") * self._sin2) + self._w0 * self._kernel("D")
-        return self._wrap(m, "plain", "K")
+        return self._k_kt_plain[0]
 
-    @cached_property
+    @property
     def kt_plain(self):
-        c_t = self._kernel("C").T
-        d_t = self._kernel("D").T
-        m = self._w1 * (c_t * self._sin2) + self._w0 * d_t
-        return self._wrap(m, "plain", "Kt")
+        return self._k_kt_plain[1]
 
     @cached_property
+    def _k_kt_tilde(self):
+        c_mat, d_mat = self._kernel("C"), self._kernel("D")
+        k_mat = self._w2 * c_mat + self._w0 * d_mat
+        kt_mat = self._w2 * c_mat.T + self._w0 * d_mat.T
+        return self._wrap(k_mat, "tilde", "K"), self._wrap(kt_mat, "tilde", "Kt")
+
+    @property
     def k_tilde(self):
-        m = self._w2 * self._kernel("C") + self._w0 * self._kernel("D")
-        return self._wrap(m, "tilde", "K")
+        return self._k_kt_tilde[0]
 
-    @cached_property
+    @property
     def kt_tilde(self):
-        m = self._w2 * self._kernel("C").T + self._w0 * self._kernel("D").T
-        return self._wrap(m, "tilde", "Kt")
+        return self._k_kt_tilde[1]
 
     @cached_property
     def t_op(self):

@@ -12,6 +12,11 @@ pair on meshgrids: the reference the fused kernel pass is checked against.
 They call scipy.special directly (AMOS for every Hankel value) and take only
 the analytic diagonal limits and the spectral derivative from the package.
 
+The composition section holds l3 and l4 as the full-matrix sums and
+products they were first written as (one 4N x 4N product for R_kappa L2, five
+2N x 2N products for l4): the reference for the package's block algebra,
+which reassociates those sums.
+
 The near-field section holds the blocked-norm curve distance and the
 difference-array layer potentials, with the real Hankel value formed as
 J + iY from Cephes: the bit-for-bit reference for the package's distance
@@ -24,6 +29,7 @@ import numpy as np
 import mpmath as mp
 from scipy import special as sp
 
+from helmbie.fourier import dld_matrix, lambda_matrix
 from helmbie.geometry import FINE_SAMPLES, grid
 from helmbie.kernels import (
     _spectral_derivative,
@@ -395,6 +401,43 @@ def pointwise_ef(ctx, N, oversample=1):
     e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
     f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
     return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]
+
+
+# ----------------------------------------------------------------------
+# full-matrix compositions of l3 and l4
+# ----------------------------------------------------------------------
+
+
+def l3_full_matrix(problem, N, fp, fm, fk, l2):
+    """lead + mid + R_kappa L2 with R_kappa and the sums formed as 4N x 4N
+    matrices; fk is the kappa family and l2 the tilde l2 matrix."""
+    nu = problem.nu
+    lam, dld = lambda_matrix(N), dld_matrix(N)
+    eye = np.eye(2 * N)
+    lead = np.block([[0.5 * eye, -lam / nu], [nu * dld, 0.5 * eye]])
+    mid = np.block([
+        [fm.k_tilde.matrix, -fm.r_tilde.matrix / nu],
+        [nu * fm.t_op.matrix, -fm.kt_tilde.matrix],
+    ])
+    v_kappa = lam + fk.r_tilde.matrix
+    h_kappa = dld + fk.t_op.matrix
+    reg = np.block([[eye, 2.0 * v_kappa], [-2.0 * nu * h_kappa, nu * eye]]) / (nu + 1.0)
+    return lead + mid + reg @ l2
+
+
+def l4_full_matrix(problem, N, rho, fp, fm):
+    """-(nu+1)/2 I + big_K - i rho big_V with the five products as written."""
+    nu = problem.nu
+    eye = np.eye(2 * N)
+    kt_m, kt_p = fm.kt_plain.matrix, fp.kt_plain.matrix
+    v_m, v_p, k_p = fm.v_plain.matrix, fp.v_plain.matrix, fp.k_plain.matrix
+    big_k = (
+        -kt_m @ (nu * eye - 2.0 * kt_m)
+        - nu * kt_p @ (eye + 2.0 * kt_m)
+        + 2.0 * (fp.t_op.matrix - fm.t_op.matrix) @ v_m
+    )
+    big_v = -nu * v_p @ (eye + 2.0 * kt_m) - (eye - 2.0 * k_p) @ v_m
+    return -0.5 * (nu + 1.0) * eye + big_k - 1j * rho * big_v
 
 
 # ----------------------------------------------------------------------

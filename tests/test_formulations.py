@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from helmbie.formulations import (
 from helmbie.fourier import dld_matrix, lambda_matrix
 from helmbie.geometry import ParametricCurve, circle, ellipse, grid, kite, make_curve
 from helmbie.linalg import gmres, lu_solve
+from oracles import l3_full_matrix, l4_full_matrix
 
 KITE = kite()
 ANGLES = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
@@ -53,6 +55,14 @@ def test_build_data_point_source():
     t = grid(32)
     xb = KITE.point(t)
     assert np.max(np.abs(data.h.nodal + src.value(8.0, xb))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "location", [(np.nan, 0.0), (0.1, np.inf), (0.1,), (0.1, 0.2, 0.3)]
+)
+def test_point_source_rejects_a_bad_location(location):
+    with pytest.raises(ValueError, match="two finite coordinates"):
+        PointSource(location)
 
 
 def test_build_data_eta_carries_speed_factor():
@@ -521,6 +531,175 @@ def test_slot_under_threads_never_returns_a_wrong_matrix():
     for N, matrix, residual in done:
         assert matrix == cold[N].tobytes()
         assert residual <= 1e-12
+
+
+# ------------------------------------------- operator families per problem
+
+FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
+
+
+def _count_families(monkeypatch):
+    built = []
+    family = formulations.OperatorFamily
+
+    def counted_family(curve, k, N):
+        built.append((k, N))
+        return family(curve, k, N)
+
+    monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
+    return built
+
+
+def test_five_formulations_share_three_families(monkeypatch):
+    built = _count_families(monkeypatch)
+    prob = _sweep_problems(1)[0]
+    for form in FORMULATIONS:
+        assemble(form, prob, 16)
+    kappa = prob.k_plus + 0.5j
+    assert built == [(3.0, 16), (5.0, 16), (kappa, 16)]
+    # a new kappa replaces the last one: at most three families are kept
+    assemble("l3", prob, 16, kappa=2.0 + 1.0j)
+    assert set(formulations._families[2]) == {3.0, 5.0, 2.0 + 1.0j}
+    # equal wavenumbers share one family; a new N builds afresh
+    matched = TransmissionProblem(KITE, 3.0, 3.0, 1.0, PlaneWave((1.0, 0.0)))
+    assemble("l1", matched, 16)
+    assemble("l2", matched, 16)
+    assemble("l2", matched, 20)
+    assert built[4:] == [(3.0, 16), (3.0, 20)]
+
+
+def test_equal_problem_builds_its_own_families(monkeypatch):
+    built = _count_families(monkeypatch)
+    first, again = (TransmissionProblem(KITE, 3.0, 5.0, 1.0, PlaneWave((1.0, 0.0)))
+                    for _ in range(2))
+    assert first == again and first is not again
+    assemble("l1", first, 16)
+    assemble("l2", again, 16)
+    assert len(built) == 4
+    assert formulations._families[0] is again
+
+
+def test_hit_for_another_problem_drops_the_families(monkeypatch):
+    # an incidence sweep keeps no families past its first problem
+    built = _count_families(monkeypatch)
+    first, again = _sweep_problems(2)
+    assemble("l1", first, 16)
+    assert formulations._families[0] is first
+    hit = assemble("l1", again, 16)
+    assert hit.matrix is formulations._slot[1].matrix
+    assert formulations._families is None
+    assemble("l2", first, 16)
+    assert len(built) == 4
+
+
+def test_empty_slot_drops_the_families(monkeypatch):
+    built = _count_families(monkeypatch)
+    prob = _sweep_problems(1)[0]
+    assemble("l1", prob, 16)
+    formulations.empty_slot()
+    assert formulations._families is None
+    assemble("l2", prob, 16)
+    assert len(built) == 4
+
+
+def test_failed_build_keeps_no_families(monkeypatch):
+    # the poisoned F of k- is cached in its family before the block check
+    # fails; the next build of the same problem must not see it
+    prob = TransmissionProblem(circle(1.7), 4.5, 6.5, 1.0, PlaneWave((1.0, 0.0)))
+    ef = operators.ef_matrices
+
+    def poisoned(ctx, N, oversample=1):
+        e_mat, f_mat = ef(ctx, N, oversample)
+        if ctx.k == 6.5:
+            f_mat = f_mat.copy()
+            f_mat[3, 5] = np.nan
+        return e_mat, f_mat
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "ef_matrices", poisoned)
+        with pytest.raises(ValueError, match="l4: non-finite entries in block a11"):
+            assemble("l4", prob, 12)
+    assert formulations._slot is None and formulations._families is None
+    for form in FORMULATIONS:
+        assert np.all(np.isfinite(assemble(form, prob, 12).matrix))
+
+
+def test_shared_families_under_threads_match_cold_builds():
+    # two problems with the same wavenumbers on different curves, five
+    # formulations each, fought over by more threads than cores: every matrix
+    # must be that of a build on its own
+    other = TransmissionProblem(ellipse(2.0, 1.0), 3.0, 5.0, 2.0, PlaneWave((0.0, 1.0)))
+    probs = [_sweep_problems(1)[0], other]
+    cold = {}
+    for i, prob in enumerate(probs):
+        for form in FORMULATIONS:
+            formulations.empty_slot()
+            cold[i, form] = assemble(form, prob, 12).matrix.tobytes()
+    formulations.empty_slot()
+    jobs = [(i, form) for i in range(2) for form in FORMULATIONS] * 3
+
+    def work(job):
+        i, form = job
+        return job, assemble(form, probs[i], 12).matrix.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, job) for job in jobs]
+            done = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(done) == len(jobs)
+    for job, matrix in done:
+        assert matrix == cold[job]
+
+
+_COMPOSITION_CASES = {
+    "kite": (KITE, 8.0, 32.0, 1.0, 64),
+    "cavity nu=2": (make_curve("cavity"), 3.0, 5.0, 2.0, 48),
+    "circle nu=1/2": (circle(), 4.0, 6.0, 0.5, 32),
+}
+
+
+@pytest.mark.parametrize("form", ["l3", "l4"])
+@pytest.mark.parametrize("case", sorted(_COMPOSITION_CASES))
+def test_block_algebra_matches_the_full_matrix_oracle(case, form):
+    # the block products reassociate the sums of the full-matrix forms; the
+    # bound n eps max|A| was fixed before measuring
+    curve, k_plus, k_minus, nu, N = _COMPOSITION_CASES[case]
+    prob = TransmissionProblem(curve, k_plus, k_minus, nu, PlaneWave((0.6, 0.8)))
+    system = assemble(form, prob, N)
+    if form == "l3":
+        fp, fm, fk = _op_families(prob, N, system.kappa)
+        oracle = l3_full_matrix(prob, N, fp, fm, fk, assemble("l2", prob, N).matrix)
+    else:
+        fp, fm, _ = _op_families(prob, N)
+        oracle = l4_full_matrix(prob, N, system.rho, fp, fm)
+    n = oracle.shape[0]
+    assert np.max(np.abs(system.matrix - oracle)) <= \
+        n * np.finfo(float).eps * np.max(np.abs(oracle))
+    # far fields within the bound of ``helmbie verify crossform``
+    ff = _exterior_far_field(prob, solve(system))
+    oracle_system = replace(system, matrix=oracle, _lu=[])
+    ff_oracle = _exterior_far_field(prob, solve(oracle_system))
+    assert far_field_linf_diff(ff, ff_oracle) <= 1e-8
+
+
+# ------------------------------------------------------------- stage timings
+
+
+def test_lu_stages_time_the_factor_only_when_it_is_computed():
+    first, again = _sweep_problems(2)
+    fresh = solve(assemble("l1", first, 32)).diagnostics
+    reused = solve(assemble("l1", again, 32)).diagnostics
+    assert set(fresh.stages) == {"factor", "solve", "residual"}
+    assert fresh.stages["factor"] > 0.0 and reused.stages["factor"] == 0.0
+    for diag in (fresh, reused):
+        assert all(t >= 0.0 for t in diag.stages.values())
+        assert sum(diag.stages.values()) <= diag.seconds
+    gmres_diag = solve(assemble("l1", first, 32), method="gmres", tol=1e-8).diagnostics
+    assert gmres_diag.stages == {"gmres": gmres_diag.seconds}
 
 
 # ------------------------------------------------------------- reciprocity

@@ -291,3 +291,39 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert main(["--config", str(cfg), "study"]) == 2
     capsys.readouterr()
     assert main(["--config", str(cfg), "solve"]) == 2
+
+
+def test_config_rejects_a_nonfinite_source():
+    with pytest.raises(ConfigError, match="finite"):
+        StudyConfig.from_mapping({"incident": "point", "source": "nan,0"})
+
+
+def test_cells_at_one_n_build_their_own_families(monkeypatch):
+    # cells (l1, 8) and (l2, 8) share curve, wavenumbers and N; each still
+    # builds its two families (k+, k-) and pays for them in its seconds
+    families = []
+
+    def counted_family(*args, **kw):
+        families.append(args[2])
+        return OperatorFamily(*args, **kw)
+
+    monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
+    cfg = StudyConfig.from_mapping({
+        "k_plus": "2.0", "k_minus": "3.0", "formulations": "l1,l2",
+        "n_ladder": "8", "n_reference": "16", "directions": "8", "threads": "2",
+    })
+    report = run_convergence(cfg)
+    assert not any(r.failure for r in report.rows)
+    assert sorted(families) == [8, 8, 8, 8, 16, 16]
+
+
+def test_cli_solve_writes_stages(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_STUDY + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), "solve"]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "out" / "solve_l1_N32.json").read_text())
+    stages = payload["stages"]
+    assert set(stages) == {"factor", "solve", "residual"}
+    assert stages["factor"] > 0.0  # a fresh system is factored
+    assert sum(stages.values()) <= payload["seconds"]
