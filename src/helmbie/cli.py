@@ -21,13 +21,13 @@ from .harness import (
     ConfigError,
     StudyConfig,
     VERIFICATION_SUITES,
+    _CELL_ERRORS,
     _far_field_of,
     _solve_cell,
     _write_far_field,
     run_convergence,
     run_verification,
 )
-from .linalg import GmresError, SingularMatrixError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,7 +57,7 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     try:
         result = _solve_cell(problem, form, n, cfg)
-    except (GmresError, SingularMatrixError) as exc:
+    except _CELL_ERRORS as exc:  # what fails a study cell fails a solve
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     elapsed = time.perf_counter() - t0

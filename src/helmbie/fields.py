@@ -12,6 +12,13 @@ Far-field normalization: u(r x^) ~ e^{ikr}/sqrt(r) u_inf(x^) with
 
 The phase constant is pinned by the radiation-limit test
 sqrt(R) e^{-ikR} u(R x^) -> u_inf(x^).
+
+The far field is one pass: with x^.m(t) = x^1 m1(t) + x^2 m2(t), every SL
+and DL term of one wavenumber is the one product of e^{-ik x^.x(t)} with the
+three nodal columns (sum of SL densities, m1 times the sum of DL densities,
+m2 times it), so the exponential is formed once per call, as the cosine and
+sine of the real phase.  ``FieldEvaluator.far_field``,
+``single_layer_far_field`` and ``double_layer_far_field`` all call it.
 """
 
 from __future__ import annotations
@@ -92,19 +99,44 @@ def _directions(angles):
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def single_layer_far_field(curve, k, density, angles):
-    density, N, xb, _ = _on_grid(curve, density)
+def _phase(xhat, xb, scale):
+    """scale * x^.x(t_j) as (directions, nodes), from two outer products."""
+    out = np.multiply.outer(scale * xhat[:, 0], xb[:, 0])
+    out += np.multiply.outer(scale * xhat[:, 1], xb[:, 1])
+    return out
+
+
+def _far_field(curve, k, sl_density, dl_density, angles):
+    """Far field of an SL density plus a DL density on one grid, in one pass.
+
+    e^{-ik x^.x(t)} is formed once, as cos and sin of the real phase, and
+    meets phi, m1 g and m2 g in one product; the DL term is then
+    -ik (x^1 sum e m1 g + x^2 sum e m2 g).
+    """
+    sl, N, xb, m = _on_grid(curve, sl_density)
+    dl = np.asarray(dl_density, dtype=complex)
     xhat = _directions(angles)
-    phase = np.exp(-1j * k * (xhat @ xb.T))
-    return far_field_constant(k) * (np.pi / N) * (phase @ density)
+    p = xhat.shape[0]
+    cols = np.stack([sl, m[:, 0] * dl, m[:, 1] * dl], axis=1)
+    trig = np.empty((2, p, sl.size))  # cos, sin of k x^.x(t)
+    arg = _phase(xhat, xb, np.real(k))
+    np.cos(arg, out=trig[0])
+    np.sin(arg, out=trig[1])
+    if np.imag(k) != 0.0:
+        trig *= np.exp(_phase(xhat, xb, np.imag(k)))
+    # both real products at once: rows cos then sin, columns (re, im) of cols
+    sums = (trig.reshape(2 * p, -1) @ cols.view(float)).view(complex)
+    e_sl, e_m1, e_m2 = (sums[:p] - 1j * sums[p:]).T
+    vals = e_sl - 1j * k * (xhat[:, 0] * e_m1 + xhat[:, 1] * e_m2)
+    return far_field_constant(k) * (np.pi / N) * vals
+
+
+def single_layer_far_field(curve, k, density, angles):
+    return _far_field(curve, k, density, np.zeros(np.shape(density)), angles)
 
 
 def double_layer_far_field(curve, k, density, angles):
-    density, N, xb, m = _on_grid(curve, density)
-    xhat = _directions(angles)
-    phase = np.exp(-1j * k * (xhat @ xb.T))
-    dot = xhat @ m.T
-    return far_field_constant(k) * (np.pi / N) * ((-1j * k * dot * phase) @ density)
+    return _far_field(curve, k, np.zeros(np.shape(density)), density, angles)
 
 
 def point_source_far_field(k, location, angles):
@@ -199,10 +231,6 @@ class FieldEvaluator:
             raise ValueError("far field undefined for mixed wavenumbers")
         k = ks.pop()
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        vals = np.zeros(angles.size, dtype=complex)
-        for kind, _, density in self.terms:
-            if kind == "sl":
-                vals += single_layer_far_field(self.curve, k, density, angles)
-            else:
-                vals += double_layer_far_field(self.curve, k, density, angles)
-        return FarFieldPattern(angles, vals)
+        sl, dl = (sum((d for kind, _, d in self.terms if kind == which),
+                      np.zeros(2 * self.N, dtype=complex)) for which in ("sl", "dl"))
+        return FarFieldPattern(angles, _far_field(self.curve, k, sl, dl, angles))

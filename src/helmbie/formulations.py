@@ -28,14 +28,15 @@ through (h, eta).  ``assemble`` therefore keeps the last system it built in
 one process-wide slot, keyed on the formulation, the curve's name and
 coefficients, k+, k-, nu, N and the resolved kappa/rho.  On a hit it builds
 only the data and the right-hand side (``FormulationSystem.rhs_for``) and
-returns a system that shares the read-only matrix, ``aux``, the regularizer
-R_kappa and the LU factors, so a sweep over incidences assembles and factors
-once.  A miss empties the slot before it builds, so two systems are never
-held together and peak memory stays that of one system.  The slot holds its
-system until the next miss or ``empty_slot()``, after every caller has
-dropped it: on the kite at N = 256 that is 32 MiB for l1 and l2 (matrix and
-LU), 48 MiB for l3 (with R_kappa) and 16 MiB for l4 (with ``aux``), four
-times as much at N = 512.
+returns a system that shares the read-only matrix, ``aux``, the two full
+blocks of the regularizer R_kappa and the LU factors, so a sweep over
+incidences assembles and factors once.  A miss empties the slot before it
+builds, so two systems are never held together and peak memory stays that
+of one system.  The slot holds its system until the next miss or
+``empty_slot()``, after every caller has dropped it: on the kite at N = 256
+that is 32 MiB for l1 and l2 (matrix and LU), 40 MiB for l3 (with the two
+blocks of R_kappa) and 16 MiB for l4 (with ``aux``), four times as much at
+N = 512.
 
 Many formulations.  The five formulations are block combinations of the same
 Nystrom operators for k+, k- and kappa, so next to the system the slot keeps
@@ -47,7 +48,7 @@ direct ``assemble_l*`` call); a new problem object or a new N replaces them,
 even when its system is a hit and builds nothing, and a failed ``assemble``
 drops them.  A problem object is a unit of reuse:
 an equal problem built anew assembles its own families.  With every operator
-built once, the three families of the kite at N = 256 hold about 95 MiB
+built once, the three families of the kite at N = 256 hold about 91 MiB
 (measured with tracemalloc), four times as much at N = 512, until the next
 problem or ``empty_slot()``.  A lock guards only the slot's reads and writes;
 two threads may race to build the same system or operator, which costs time
@@ -211,7 +212,12 @@ class FormulationSystem:
     rho: Optional[float] = None
     # needed by the indirect reconstruction
     aux: dict = field(default_factory=dict)
-    regularizer: Optional[np.ndarray] = None  # R_kappa of l3, applied to the data
+    # l3: the off-diagonal blocks (r12, r21) of R_kappa as one (2, 2N, 2N)
+    # array; its diagonal blocks are I/(nu + 1) and nu I/(nu + 1)
+    regularizer: Optional[np.ndarray] = None
+    # wall time of the ``assemble`` call that returned this system (on a slot
+    # hit, of its data and right-hand side); None from an ``assemble_l*`` call
+    seconds: Optional[float] = None
     # [(matrix, LUFactors)] once factored; the list is shared with the slot
     _lu: list = field(default_factory=list, repr=False)
 
@@ -221,7 +227,10 @@ class FormulationSystem:
         if self.formulation == "l1":
             return np.concatenate([h, self.problem.nu * eta])
         if self.formulation == "l3":
-            return self.regularizer @ np.concatenate([h, eta])
+            nu = self.problem.nu
+            r12, r21 = self.regularizer
+            return np.concatenate([h / (nu + 1.0) + r12 @ eta,
+                                   r21 @ h + (nu / (nu + 1.0)) * eta])
         if self.formulation == "l4":
             return eta - 1j * self.rho * h
         return np.concatenate([h, eta])
@@ -250,7 +259,9 @@ class SolverDiagnostics:
     history: Optional[np.ndarray] = None
     rcond: Optional[float] = None  # LAPACK 1-norm estimate; None for GMRES
     # seconds per stage: LU "factor" (0 when the factors were reused), "solve"
-    # (the triangular solves) and "residual"; GMRES has the one stage "gmres"
+    # (the triangular solves) and "residual"; GMRES has the one stage "gmres".
+    # Systems from ``assemble`` add "assemble" (``FormulationSystem.seconds``),
+    # which ``seconds`` leaves out
     stages: dict = field(default_factory=dict)
 
 
@@ -402,14 +413,12 @@ def assemble_l2(
 
 
 def _regularizer(problem, N, fk, lam, dld):
-    """R_kappa = [I, 2 V_kappa; -2 nu H_kappa, nu I] / (nu + 1)."""
+    """The off-diagonal blocks (r12, r21) of
+    R_kappa = [I, 2 V_kappa; -2 nu H_kappa, nu I] / (nu + 1)."""
     nu = problem.nu
-    reg = np.zeros((4 * N, 4 * N), dtype=complex)
-    (r11, r12), (r21, r22) = _blocks(reg)
-    np.fill_diagonal(r11, 1.0 / (nu + 1.0))
-    np.divide(2.0 * (lam + fk.r_tilde.matrix), nu + 1.0, out=r12)
-    np.divide(-2.0 * nu * (dld + fk.t_op.matrix), nu + 1.0, out=r21)
-    np.fill_diagonal(r22, nu / (nu + 1.0))
+    reg = np.empty((2, 2 * N, 2 * N), dtype=complex)
+    np.divide(2.0 * (lam + fk.r_tilde.matrix), nu + 1.0, out=reg[0])
+    np.divide(-2.0 * nu * (dld + fk.t_op.matrix), nu + 1.0, out=reg[1])
     return reg
 
 
@@ -448,7 +457,7 @@ def assemble_l3(
     l2t = _l2_matrix(problem, N, "tilde", fp, fm, lam, dld)
     # R_kappa L2 by block rows: the diagonal blocks of R_kappa are multiples
     # of I, so each of its two full blocks meets one block row of L2
-    (_, r12), (r21, _) = _blocks(reg)
+    r12, r21 = reg
     matrix = np.empty_like(l2t)
     np.matmul(r12, l2t[n2:], out=matrix[:n2])
     np.matmul(r21, l2t[:n2], out=matrix[n2:])
@@ -514,6 +523,7 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
     field differs, and the operator families of the last problem object
     (see the module docstring)."""
     global _slot, _families
+    t0 = time.perf_counter()
     if formulation not in _ASSEMBLERS:
         raise ValueError(
             f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
@@ -531,7 +541,9 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
             _families = None  # no build can share them any more
     if shared is not None:
         data = build_data(problem, N)
-        return replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
+        system = replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
+        system.seconds = time.perf_counter() - t0
+        return system
     try:
         if formulation == "l1":
             system = assemble_l1(problem, N)
@@ -547,6 +559,7 @@ def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
         with _slot_lock:
             _families = None  # they may hold what made the build fail
         raise
+    system.seconds = time.perf_counter() - t0
     with _slot_lock:
         _slot = (key, system)
     return system
@@ -588,6 +601,8 @@ def solve(
         x = out.x
     else:
         raise ValueError("method must be 'lu' or 'gmres'")
+    if system.seconds is not None:
+        diag.stages = {"assemble": system.seconds, **diag.stages}
 
     n2 = system.N * 2
     densities = {"mu": x} if system.kind == "indirect" else {"a": x[:n2], "phi": x[n2:]}

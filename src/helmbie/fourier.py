@@ -40,6 +40,7 @@ __all__ = [
     "weight_table",
     "weighted_conv",
     "conv_matrix",
+    "circulant",
     "circulant_from_symbol",
     "lambda_symbol",
     "lambda_apply",
@@ -147,12 +148,15 @@ def circulant_from_symbol(symbol) -> np.ndarray:
     M[i, j] = (1/2N) sum_n sigma(n) exp(i n (t_i - t_j)); applying M to nodal
     values equals ifft(symbol * fft(values)).
     """
-    symbol = np.asarray(symbol, dtype=complex)
-    w = np.fft.ifft(symbol)
-    n = symbol.size
-    # M[i, j] = w[(i - j) % n] = ext[n - 1 + i - j]: row i of M is window i of
-    # ext, read backwards
-    ext = np.concatenate([w[1:], w])
+    return circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)))
+
+
+def circulant(column) -> np.ndarray:
+    """Dense circulant matrix M[i, j] = column[(i - j) % n]."""
+    column = np.asarray(column)
+    n = column.size
+    # M[i, j] = ext[n - 1 + i - j]: row i of M is window i of ext, read backwards
+    ext = np.concatenate([column[1:], column])
     return np.ascontiguousarray(sliding_window_view(ext, n)[:n, ::-1])
 
 

@@ -218,6 +218,7 @@ class StudyRow:
     seconds: float
     failure: str = ""
     rcond: float | None = None  # LU condition estimate; None for GMRES or a failure
+    stages: dict = field(default_factory=dict)  # SolverDiagnostics.stages; {} on a failure
 
 
 @dataclass
@@ -248,6 +249,7 @@ class StudyReport:
                     "iters": r.iterations,
                     "seconds": r.seconds,
                     "rcond": r.rcond,
+                    "stages": r.stages,
                     "failure": r.failure,
                 }
                 for r in self.rows
@@ -323,6 +325,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
             row = StudyRow(
                 form, N, err, result.diagnostics.iterations,
                 time.perf_counter() - t0, rcond=result.diagnostics.rcond,
+                stages=result.diagnostics.stages,
             )
             if config.dump_farfield:
                 _write_far_field(config.out_dir, form, N, ff)

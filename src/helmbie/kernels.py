@@ -48,8 +48,11 @@ and x'' once on the 2N nodes and evaluates each Bessel function once, as a
 compact vector over the strict upper triangle (r and sin^2 are symmetric).
 A, B, A~ are symmetric and C, D are (delta . m) times a symmetric function;
 full matrices, with the diagonal limits written by index, and E, F are
-formed from these vectors on request.  A ``KernelContext`` keeps the factor
-set of its last grid, so one operator family shares a single pass.
+formed from these vectors on request, C and D together from one delta . m.
+A ``KernelContext`` keeps the factor set of its last grid, so one operator
+family shares a single pass.  The grid functions sin(s-t), cos(s-t) and
+sin^2((s-t)/2) of E, F and the plain K depend only on i - j: they are
+circulants built from 2N values, and k^2 x'(s).x'(t) is two outer products.
 
 Direct formulas are numerically safe down to node separation pi/1024; the
 only guarded cancellation, 1 - J0(k r), switches to its power series for
@@ -64,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun
-from .fourier import fft_modes
+from .fourier import circulant, fft_modes
 from .geometry import ParametricCurve, grid
 
 __all__ = [
@@ -199,9 +202,12 @@ class KernelFactors:
     def _dm(self):
         """delta . m(t) on the full grid; zero on the diagonal."""
         x, d1 = self.x, self.d1
-        dx = x[:, None, 0] - x[None, :, 0]
-        dy = x[:, None, 1] - x[None, :, 1]
-        return dx * d1[None, :, 1] - dy * d1[None, :, 0]
+        dm = np.subtract.outer(x[:, 0], x[:, 0])
+        dm *= d1[:, 1]
+        dy = np.subtract.outer(x[:, 1], x[:, 1])
+        dy *= d1[:, 0]
+        dm -= dy
+        return dm
 
     def _j(self, order):
         fn = specfun.bessel_j_complex if self.is_complex else specfun.bessel_j
@@ -236,29 +242,38 @@ class KernelFactors:
         out.T[self._mask] = upper
         return out
 
-    def matrix(self, which: str) -> np.ndarray:
-        """Grid samples of one smooth factor, diagonal filled analytically."""
-        if which not in _FACTORS:
-            raise ValueError(f"unknown kernel {which!r}; choices {list(_FACTORS)}")
-        k, four_pi = self.k, 4.0 * np.pi
-        if which == "A":
-            values = self._symmetric(-self.j0 / four_pi)
-        elif which == "B":
-            upper = 0.25j * self.h0 + self.j0 * np.log(self.sin2) / four_pi
-            values = self._symmetric(upper)
-        elif which == "At":
-            upper = _one_minus_j0(k * self.r, self.j0) / (four_pi * self.sin2)
-            values = self._symmetric(upper)
-        elif which == "C":
-            upper = -(k / four_pi) * self.j1 / (self.r * self.sin2)
-            values = self._dm() * self._symmetric(upper)
-        else:
-            upper = 0.25j * k * self.h1 + (k / four_pi) * self.j1 * np.log(self.sin2)
-            values = self._dm() * self._symmetric(upper / self.r)
+    def _finish(self, which, values):
+        """Write the diagonal limits of one factor and check it is finite."""
         values.reshape(-1)[:: self.nodes.size + 1] = self.diag[which]
         if not np.all(np.isfinite(values)):
             raise FloatingPointError(f"non-finite entries in kernel {which}")
         return values
+
+    def matrix(self, which: str) -> np.ndarray:
+        """Grid samples of one smooth factor, diagonal filled analytically."""
+        if which not in _FACTORS:
+            raise ValueError(f"unknown kernel {which!r}; choices {list(_FACTORS)}")
+        if which in ("C", "D"):
+            return self.cd()[which == "D"]
+        k, four_pi = self.k, 4.0 * np.pi
+        if which == "A":
+            upper = -self.j0 / four_pi
+        elif which == "B":
+            upper = 0.25j * self.h0 + self.j0 * np.log(self.sin2) / four_pi
+        else:
+            upper = _one_minus_j0(k * self.r, self.j0) / (four_pi * self.sin2)
+        return self._finish(which, self._symmetric(upper))
+
+    def cd(self):
+        """Grid matrices (C, D) of the double layer, from one delta . m."""
+        k, four_pi = self.k, 4.0 * np.pi
+        dm = self._dm()
+        c_mat = self._symmetric(-(k / four_pi) * self.j1 / (self.r * self.sin2))
+        c_mat *= dm
+        upper = 0.25j * k * self.h1 + (k / four_pi) * self.j1 * np.log(self.sin2)
+        d_mat = self._symmetric(upper / self.r)
+        d_mat *= dm
+        return self._finish("C", c_mat), self._finish("D", d_mat)
 
     def ef(self):
         """Grid matrices (E, F) of the hypersingular remainder kernel."""
@@ -274,11 +289,11 @@ class KernelFactors:
         b_s = np.ascontiguousarray(_spectral_derivative(b_mat, axis=1).T)
         b_st = _spectral_derivative(b_s, axis=1)
 
-        diff = self.nodes[:, None] - self.nodes[None, :]
-        sin_d = np.sin(diff)
-        cos_d = np.cos(diff)
-        sin2 = self._symmetric(self.sin2)
-        k2_xdx = (self.k * self.k) * (self.d1 @ self.d1.T)  # k^2 x'(s_i) . x'(t_j)
+        N = self.nodes.size // 2
+        sin_d, cos_d, sin2 = (circulant(col) for col in _trig_columns(N))
+        k2, d1 = self.k * self.k, self.d1
+        k2_xdx = np.multiply.outer(k2 * d1[:, 0], d1[:, 0])  # k^2 x'(s_i) . x'(t_j)
+        k2_xdx += np.multiply.outer(k2 * d1[:, 1], d1[:, 1])
 
         # E and F summed in place, term by term in the order of the module docstring
         skew = np.subtract(at_s, at_t, out=at_s)
@@ -296,16 +311,28 @@ class KernelFactors:
         return e_mat, f_mat
 
 
+def _trig_columns(N: int):
+    """sin(t), cos(t) and sin^2(t/2) at the 2N nodes: the first columns of
+    the circulants sin(s-t), cos(s-t), sin^2((s-t)/2) on the grid.  Only
+    arguments in [0, pi] are evaluated; the rest follow by symmetry."""
+    head = grid(N)[: N + 1]
+    half = np.sin(0.5 * head)
+    sin, cos, sin2 = np.sin(head), np.cos(head), half * half
+    mirror = slice(N - 1, 0, -1)  # t_{2N-m} = 2 pi - t_m for m = N-1 .. 1
+    return (np.concatenate([sin, -sin[mirror]]), np.concatenate([cos, cos[mirror]]),
+            np.concatenate([sin2, sin2[mirror]]))
+
+
 def sin2_matrix(N: int) -> np.ndarray:
     """sin^2((s_i - t_j)/2) on the collocation grid."""
-    nodes = grid(N)
-    half = np.sin(0.5 * (nodes[:, None] - nodes[None, :]))
-    return half * half
+    return circulant(_trig_columns(N)[2])
 
 
-def kernel_matrix(ctx: KernelContext, which: str, N: int) -> np.ndarray:
-    """Grid samples of one smooth kernel factor, diagonal filled analytically."""
-    return ctx.factors(N).matrix(which)
+def kernel_matrix(ctx: KernelContext, which, N: int):
+    """Grid samples of one smooth kernel factor, diagonal filled analytically;
+    ``which`` = ("C", "D") gives both double-layer factors from one pass."""
+    factors = ctx.factors(N)
+    return factors.cd() if which == ("C", "D") else factors.matrix(which)
 
 
 def _spectral_derivative(values, axis):
@@ -314,7 +341,8 @@ def _spectral_derivative(values, axis):
     mult[values.shape[axis] // 2] = 0.0  # zero the unpaired mode in derivatives
     shape = [1, 1]
     shape[axis] = values.shape[axis]
-    hat = np.fft.fft(values, axis=axis)
+    # numpy's fft takes a real input much more slowly than the same values as complex
+    hat = np.fft.fft(np.asarray(values, dtype=complex), axis=axis)
     hat *= mult.reshape(shape)
     return np.fft.ifft(hat, axis=axis, out=hat)
 

@@ -12,11 +12,16 @@ product W_m * K with K the sampled smooth kernel factor.  Families:
 psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
 is applied as that scalar; W1 and W2 have real even symbols and are stored as
 real matrices.  All factors of one family come from one fused kernel pass
-(see ``helmbie.kernels``), which the family's context keeps; transpose
-variants use the transposed factor matrices and are built together with
-their K, from one sampling of C and D.  The tilde single layer is
-stored via its smooth remainder R~ = W2*At + W0*B so the formulations can use
-Lambda and R~ separately.
+(see ``helmbie.kernels``), which the family's context keeps.  The tilde
+single layer is stored via its smooth remainder R~ = W2*At + W0*B so the
+formulations can use Lambda and R~ separately.
+
+K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
+symmetric grid the weights are even circulants, so the Nystrom matrix of K'
+is the transpose of K's: each K is built from one sampling of C and D and
+its K' is a contiguous copy of the transpose.  W1 and W2 are symmetric only
+up to rounding, so this K' differs from W*(C^T sin^2) + W0*D^T (the form kept
+in the test oracles) by at most eps max|K|.
 
 Matrices assemble in O(N^2 log N) and are immutable once built; N <= 512 is
 the design target, so dense storage and direct factorization are fine.
@@ -85,10 +90,6 @@ class OperatorFamily:
         return conv_matrix(weight_table(2, self.N)).real.copy()
 
     @cached_property
-    def _sin2(self):
-        return sin2_matrix(self.N)
-
-    @cached_property
     def lambda_mat(self):
         return lambda_matrix(self.N)
 
@@ -113,12 +114,16 @@ class OperatorFamily:
     def v_tilde(self):
         return self._wrap(self.lambda_mat + self.r_tilde.matrix, "tilde", "V")
 
+    def _k_kt(self, family, k_mat):
+        """K and its transpose Kt, which is the Nystrom matrix of K'."""
+        kt_mat = np.ascontiguousarray(k_mat.T)
+        return self._wrap(k_mat, family, "K"), self._wrap(kt_mat, family, "Kt")
+
     @cached_property
     def _k_kt_plain(self):
-        c_mat, d_mat = self._kernel("C"), self._kernel("D")
-        k_mat = self._w1 * (c_mat * self._sin2) + self._w0 * d_mat
-        kt_mat = self._w1 * (c_mat.T * self._sin2) + self._w0 * d_mat.T
-        return self._wrap(k_mat, "plain", "K"), self._wrap(kt_mat, "plain", "Kt")
+        c_mat, d_mat = self._kernel(("C", "D"))
+        k_mat = self._w1 * (c_mat * sin2_matrix(self.N)) + self._w0 * d_mat
+        return self._k_kt("plain", k_mat)
 
     @property
     def k_plain(self):
@@ -130,10 +135,8 @@ class OperatorFamily:
 
     @cached_property
     def _k_kt_tilde(self):
-        c_mat, d_mat = self._kernel("C"), self._kernel("D")
-        k_mat = self._w2 * c_mat + self._w0 * d_mat
-        kt_mat = self._w2 * c_mat.T + self._w0 * d_mat.T
-        return self._wrap(k_mat, "tilde", "K"), self._wrap(kt_mat, "tilde", "Kt")
+        c_mat, d_mat = self._kernel(("C", "D"))
+        return self._k_kt("tilde", self._w2 * c_mat + self._w0 * d_mat)
 
     @property
     def k_tilde(self):

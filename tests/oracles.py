@@ -12,6 +12,12 @@ pair on meshgrids: the reference the fused kernel pass is checked against.
 They call scipy.special directly (AMOS for every Hankel value) and take only
 the analytic diagonal limits and the spectral derivative from the package.
 
+The operator section holds the formulas the family operators and the far
+field were first assembled with: K' from the transposed factor matrices,
+the E/F grid factors sampled pair by pair, and the far field as one complex
+exponential per layer term.  They take the kernel factors from the package
+and are the reference for the one-pass forms, which round differently.
+
 The composition section holds l3 and l4 as the full-matrix sums and
 products they were first written as (one 4N x 4N product for R_kappa L2, five
 2N x 2N products for l4): the reference for the package's block algebra,
@@ -29,14 +35,16 @@ import numpy as np
 import mpmath as mp
 from scipy import special as sp
 
-from helmbie.fourier import dld_matrix, lambda_matrix
-from helmbie.geometry import FINE_SAMPLES, grid
+from helmbie.fields import far_field_constant
+from helmbie.fourier import conv_matrix, dld_matrix, lambda_matrix, weight_table
+from helmbie.geometry import FINE_SAMPLES, grid, grid_geometry
 from helmbie.kernels import (
     _spectral_derivative,
     diag_a_tilde,
     diag_b,
     diag_c,
     diag_d,
+    kernel_matrix,
 )
 
 # ----------------------------------------------------------------------
@@ -401,6 +409,69 @@ def pointwise_ef(ctx, N, oversample=1):
     e_mat = -at_st * sin2 + skew + 0.5 * at_mat * cos_d + k2 * xdx * a_mat
     f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2 * xdx * b_mat
     return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]
+
+
+# ----------------------------------------------------------------------
+# family operators and far fields as first assembled
+# ----------------------------------------------------------------------
+
+
+def _pairwise_sin2(N):
+    nodes = grid(N)
+    half = np.sin(0.5 * (nodes[:, None] - nodes[None, :]))
+    return half * half
+
+
+def k_kt_from_factors(ctx, N, family):
+    """(K, K') of the plain or tilde family, K' formed from the transposed
+    factor matrices: W o (C^T sin^2) + W0 D^T, or W2 o C^T + W0 D^T."""
+    c_mat, d_mat = kernel_matrix(ctx, "C", N), kernel_matrix(ctx, "D", N)
+    w0 = np.pi / N
+    if family == "plain":
+        weight = conv_matrix(weight_table(1, N)).real
+        sin2 = _pairwise_sin2(N)
+        return (weight * (c_mat * sin2) + w0 * d_mat,
+                weight * (c_mat.T * sin2) + w0 * d_mat.T)
+    weight = conv_matrix(weight_table(2, N)).real
+    return weight * c_mat + w0 * d_mat, weight * c_mat.T + w0 * d_mat.T
+
+
+def t_from_pairwise_grid(ctx, N):
+    """T = W1 o E + W0 F with sin(s-t), cos(s-t) and sin^2((s-t)/2) taken
+    pair by pair and k^2 x'(s).x'(t) as one matrix product."""
+    a_mat = kernel_matrix(ctx, "A", N)
+    b_mat = kernel_matrix(ctx, "B", N)
+    at_mat = kernel_matrix(ctx, "At", N)
+    at_s = _spectral_derivative(at_mat, axis=0)
+    at_t = _spectral_derivative(at_mat, axis=1)
+    at_st = _spectral_derivative(at_s, axis=1)
+    b_st = _spectral_derivative(_spectral_derivative(b_mat, axis=0), axis=1)
+    nodes = grid(N)
+    diff = nodes[:, None] - nodes[None, :]
+    sin_d, cos_d = np.sin(diff), np.cos(diff)
+    d1 = ctx.curve.d1(nodes)
+    k2_xdx = ctx.k * ctx.k * (d1 @ d1.T)
+    skew = 0.5 * (at_s - at_t) * sin_d
+    e_mat = -at_st * _pairwise_sin2(N) + skew + 0.5 * at_mat * cos_d + k2_xdx * a_mat
+    f_mat = -b_st + skew + at_mat * (0.5 + cos_d) + k2_xdx * b_mat
+    return conv_matrix(weight_table(1, N)).real * e_mat + (np.pi / N) * f_mat
+
+
+def two_exponential_far_field(curve, terms, angles):
+    """Far field of ("sl" | "dl", k, density) terms, one e^{-ik x^.x(t)} per
+    term, summed term by term."""
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    out = np.zeros(angles.size, dtype=complex)
+    for kind, k, density in terms:
+        density = np.asarray(density, dtype=complex)
+        N = density.size // 2
+        _, xb, m = grid_geometry(curve, N)
+        phase = np.exp(-1j * k * (xhat @ xb.T))
+        if kind == "dl":
+            phase = -1j * k * (xhat @ m.T) * phase
+        out += far_field_constant(k) * (np.pi / N) * (phase @ density)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Smoke test: the spectral-building-block demos run to completion."""
+"""Smoke test: the spectral-building-block demos and the transmission demo
+run to completion."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ DEMOS = (
     "01_quadrature_and_interpolation",
     "02_boundary_operators_circle",
     "03_green_identities_kite",
+    "04_transmission_problem",
 )
 
 

@@ -4,16 +4,18 @@ import pytest
 from helmbie.fields import (
     FarFieldPattern,
     FieldEvaluator,
+    double_layer_far_field,
     double_layer_potential,
     far_field_constant,
     far_field_linf_diff,
     point_source_far_field,
+    single_layer_far_field,
     single_layer_potential,
 )
 from helmbie.formulations import PointSource
 from helmbie.geometry import cavity, grid, kite
 
-from oracles import diff_double_layer, diff_single_layer
+from oracles import diff_double_layer, diff_single_layer, two_exponential_far_field
 
 KITE = kite()
 K = 8.0
@@ -191,3 +193,32 @@ def test_potentials_match_the_difference_array_oracle_bit_for_bit(curve):
         dl = double_layer_potential(curve, k, dens[1], pts)
         assert sl.tobytes() == diff_single_layer(curve, k, dens[0], pts).tobytes()
         assert dl.tobytes() == diff_double_layer(curve, k, dens[1], pts).tobytes()
+
+
+# ------------------------------------------------------- one-pass far field
+
+TOL_FAR_FIELD = 64 * np.finfo(float).eps  # relative to max|u_inf|, fixed before measuring
+
+
+def test_far_field_matches_the_two_exponential_form(green_evaluator):
+    _, ev = green_evaluator
+    angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    ref = two_exponential_far_field(KITE, ev.terms, angles)
+    got = ev.far_field(angles).values
+    assert np.max(np.abs(got - ref)) <= TOL_FAR_FIELD * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [32.0, 8.0 + 0.5j])
+def test_far_field_of_many_terms_matches_the_two_exponential_form(k):
+    rng = np.random.default_rng(11)
+    terms = [(kind, k, rng.normal(size=2 * N) + 1j * rng.normal(size=2 * N))
+             for kind in ("sl", "dl", "dl", "sl")]
+    angles = rng.uniform(0.0, 2.0 * np.pi, 50)
+    ref = two_exponential_far_field(KITE, terms, angles)
+    got = FieldEvaluator(KITE, terms).far_field(angles).values
+    assert np.max(np.abs(got - ref)) <= TOL_FAR_FIELD * np.max(np.abs(ref))
+    for kind, fn in (("sl", single_layer_far_field), ("dl", double_layer_far_field)):
+        term = terms[0] if kind == "sl" else terms[1]
+        ref = two_exponential_far_field(KITE, [term], angles)
+        got = fn(KITE, k, term[2], angles)
+        assert np.max(np.abs(got - ref)) <= TOL_FAR_FIELD * np.max(np.abs(ref))

@@ -1,4 +1,5 @@
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -490,6 +491,22 @@ def test_shared_arrays_are_read_only():
             array[0, 0] = 1.0
 
 
+def test_regularizer_keeps_only_its_two_full_blocks():
+    # R_kappa = [I, r12; r21, nu I] / (nu + 1) off its two full blocks
+    prob = TransmissionProblem(KITE, 3.0, 5.0, 2.0, PlaneWave((0.6, 0.8)))
+    N = 16
+    system = assemble("l3", prob, N)
+    assert system.regularizer.shape == (2, 2 * N, 2 * N)
+    r12, r21 = system.regularizer
+    eye = np.eye(2 * N)
+    dense = np.block([[eye / 3.0, r12], [r21, (2.0 / 3.0) * eye]])
+    data = build_data(prob, N)
+    v = np.concatenate([data.h.nodal, data.eta.nodal])
+    # within the rounding bound n eps |R| |v| of a matrix-vector product
+    bound = dense.shape[0] * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
+    assert np.all(np.abs(system.rhs - dense @ v) <= bound)
+
+
 def test_nonfinite_block_is_named(monkeypatch):
     prob = TransmissionProblem(circle(1.7), 4.5, 6.5, 1.0, PlaneWave((1.0, 0.0)))
     ef = operators.ef_matrices
@@ -693,13 +710,30 @@ def test_lu_stages_time_the_factor_only_when_it_is_computed():
     first, again = _sweep_problems(2)
     fresh = solve(assemble("l1", first, 32)).diagnostics
     reused = solve(assemble("l1", again, 32)).diagnostics
-    assert set(fresh.stages) == {"factor", "solve", "residual"}
+    assert set(fresh.stages) == {"assemble", "factor", "solve", "residual"}
     assert fresh.stages["factor"] > 0.0 and reused.stages["factor"] == 0.0
     for diag in (fresh, reused):
         assert all(t >= 0.0 for t in diag.stages.values())
-        assert sum(diag.stages.values()) <= diag.seconds
-    gmres_diag = solve(assemble("l1", first, 32), method="gmres", tol=1e-8).diagnostics
-    assert gmres_diag.stages == {"gmres": gmres_diag.seconds}
+        # ``seconds`` is the solve's own time, which assembly precedes
+        assert sum(diag.stages.values()) - diag.stages["assemble"] <= diag.seconds
+    system = assemble("l1", first, 32)
+    gmres_diag = solve(system, method="gmres", tol=1e-8).diagnostics
+    assert gmres_diag.stages == {"assemble": system.seconds, "gmres": gmres_diag.seconds}
+
+
+def test_assemble_stage_times_the_call_that_returned_the_system():
+    formulations.empty_slot()
+    first, again = _sweep_problems(2)
+    t0 = time.perf_counter()
+    cold = assemble("l3", first, 24)
+    wall = time.perf_counter() - t0
+    hit = assemble("l3", again, 24)
+    assert 0.0 < cold.seconds <= wall
+    # a hit builds only the data and the right-hand side
+    assert 0.0 < hit.seconds < cold.seconds
+    assert solve(hit).diagnostics.stages["assemble"] == hit.seconds
+    direct = assemble_l1(first, 24)
+    assert direct.seconds is None and "assemble" not in solve(direct).diagnostics.stages
 
 
 # ------------------------------------------------------------- reciprocity

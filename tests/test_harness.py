@@ -1,9 +1,10 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
-from helmbie import formulations, harness
+from helmbie import formulations, harness, operators
 from helmbie.cli import main
 from helmbie.harness import (
     ConfigError,
@@ -324,6 +325,34 @@ def test_cli_solve_writes_stages(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((tmp_path / "out" / "solve_l1_N32.json").read_text())
     stages = payload["stages"]
-    assert set(stages) == {"factor", "solve", "residual"}
+    assert set(stages) == {"assemble", "factor", "solve", "residual"}
     assert stages["factor"] > 0.0  # a fresh system is factored
     assert sum(stages.values()) <= payload["seconds"]
+
+
+def test_study_rows_carry_stages(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_STUDY + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), "study"]) == 0
+    rows = json.loads((tmp_path / "out" / "study.json").read_text())["rows"]
+    for row in rows:
+        assert set(row["stages"]) == {"assemble", "factor", "solve", "residual"}
+        assert sum(row["stages"].values()) <= row["seconds"]
+
+
+def test_cli_solve_nonfinite_block_exit_code(tmp_path, capsys, monkeypatch):
+    # a build that fails a study cell fails a solve with the solver exit code
+    ef = operators.ef_matrices
+
+    def poisoned(ctx, N, oversample=1):
+        e_mat, f_mat = ef(ctx, N, oversample)
+        f_mat[3, 5] = np.nan
+        return e_mat, f_mat
+
+    monkeypatch.setattr(operators, "ef_matrices", poisoned)
+    formulations.empty_slot()  # no kept system may stand in for the build
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_STUDY + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), "solve"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "non-finite entries in block a21" in err

@@ -6,6 +6,7 @@ import mpmath as mp
 from helmbie.geometry import cavity, circle, grid, kite
 from helmbie.kernels import (
     KernelContext,
+    KernelFactors,
     diag_a_tilde,
     diag_b,
     diag_c,
@@ -285,6 +286,33 @@ def test_sin2_matrix():
     m = sin2_matrix(N)
     assert np.max(np.abs(np.diag(m))) == 0.0
     assert m[0, N] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_sin2_circulant_is_symmetric_and_matches_pairwise_values(N):
+    m = sin2_matrix(N)
+    assert np.array_equal(m, m.T)
+    nodes = grid(N)
+    pairwise = np.sin(0.5 * (nodes[:, None] - nodes[None, :])) ** 2
+    assert np.max(np.abs(m - pairwise)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+def test_double_layer_pass_is_byte_equal_to_kernel_matrix(monkeypatch, k):
+    passes = []
+    dm = KernelFactors._dm
+
+    def counted(self):
+        passes.append(self)
+        return dm(self)
+
+    monkeypatch.setattr(KernelFactors, "_dm", counted)
+    N = 24
+    c_mat, d_mat = kernel_matrix(KernelContext(kite(), k), ("C", "D"), N)
+    assert len(passes) == 1
+    fresh = KernelContext(kite(), k)
+    assert kernel_matrix(fresh, "C", N).tobytes() == c_mat.tobytes()
+    assert kernel_matrix(fresh, "D", N).tobytes() == d_mat.tobytes()
 
 
 def test_context_validation():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helmbie import specfun
-from helmbie.fourier import diff_matrix
+from helmbie.fourier import conv_matrix, diff_matrix, weight_table
 from helmbie.geometry import ParametricCurve, circle, grid, kite
+from helmbie.kernels import KernelFactors, kernel_matrix
 from helmbie.operators import OperatorFamily, load_operator, save_operator
 
-from oracles import mp_circle_eigs
+from oracles import k_kt_from_factors, mp_circle_eigs, t_from_pairwise_grid
 
 
 def _circle_eig_table(data_dir):
@@ -200,6 +201,47 @@ def test_one_fused_kernel_pass_per_family(monkeypatch, k):
     assert {size for _, _, size in bessel_calls} == {n * (n - 1) // 2}
     assert set(curve_points) <= {0, 1, 2}
     assert max(curve_points.values()) <= n
+
+
+@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+def test_family_operators_match_their_first_assembled_forms(k):
+    # K' is K^T, and T takes its grid factors as circulants: both round
+    # differently from the forms kept in the oracles, within n eps max|A|
+    # (bound fixed before measuring); V and R~ are summed as they always were
+    N = 48
+    fam = OperatorFamily(kite(), k, N)
+    ctx, n = fam.ctx, 2 * N
+
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= n * np.finfo(float).eps * np.max(np.abs(ref))
+
+    for family in ("plain", "tilde"):
+        k_ref, kt_ref = k_kt_from_factors(ctx, N, family)
+        assert_close(getattr(fam, f"k_{family}").matrix, k_ref)
+        assert_close(getattr(fam, f"kt_{family}").matrix, kt_ref)
+    assert_close(fam.t_op.matrix, t_from_pairwise_grid(ctx, N))
+    a_mat, b_mat, at_mat = (kernel_matrix(ctx, which, N) for which in ("A", "B", "At"))
+    w1, w2 = (conv_matrix(weight_table(m, N)).real for m in (1, 2))
+    w0 = np.pi / N
+    assert fam.v_plain.matrix.tobytes() == (w1 * a_mat + w0 * b_mat).tobytes()
+    assert fam.r_tilde.matrix.tobytes() == (w2 * at_mat + w0 * b_mat).tobytes()
+
+
+def test_each_k_build_takes_one_double_layer_pass(monkeypatch):
+    # C and D of one K build share one delta . m
+    passes = []
+    dm = KernelFactors._dm
+
+    def counted(self):
+        passes.append(self)
+        return dm(self)
+
+    monkeypatch.setattr(KernelFactors, "_dm", counted)
+    fam = OperatorFamily(kite(), 8.0, 16)
+    fam.k_plain, fam.kt_plain
+    assert len(passes) == 1
+    fam.kt_tilde, fam.k_tilde
+    assert len(passes) == 2
 
 
 def test_operator_dump_roundtrip(tmp_path):
