@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import linalg, specfun
 from .geometry import ParametricCurve, grid_geometry
 
 __all__ = [
@@ -73,7 +73,7 @@ def single_layer_potential(curve, k, density, points):
     _, _, r = _offsets(points, xb)
     kern = specfun.hankel1(0, k * r)
     kern *= 0.25j
-    return (np.pi / N) * (kern @ density)
+    return (np.pi / N) * linalg.matmul(kern, density)
 
 
 def double_layer_potential(curve, k, density, points):
@@ -87,7 +87,7 @@ def double_layer_potential(curve, k, density, points):
     kern *= 0.25j * k
     kern *= dx
     kern /= r
-    return (np.pi / N) * (kern @ density)
+    return (np.pi / N) * linalg.matmul(kern, density)
 
 
 def _directions(angles):
@@ -125,7 +125,7 @@ def _far_field(curve, k, sl_density, dl_density, angles):
     if np.imag(k) != 0.0:
         trig *= np.exp(_phase(xhat, xb, np.imag(k)))
     # both real products at once: rows cos then sin, columns (re, im) of cols
-    sums = (trig.reshape(2 * p, -1) @ cols.view(float)).view(complex)
+    sums = linalg.matmul(trig.reshape(2 * p, -1), cols.view(float)).view(complex)
     e_sl, e_m1, e_m2 = (sums[:p] - 1j * sums[p:]).T
     vals = e_sl - 1j * k * (xhat[:, 0] * e_m1 + xhat[:, 1] * e_m2)
     return far_field_constant(k) * (np.pi / N) * vals

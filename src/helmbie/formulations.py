@@ -229,8 +229,8 @@ class FormulationSystem:
         if self.formulation == "l3":
             nu = self.problem.nu
             r12, r21 = self.regularizer
-            return np.concatenate([h / (nu + 1.0) + r12 @ eta,
-                                   r21 @ h + (nu / (nu + 1.0)) * eta])
+            return np.concatenate([h / (nu + 1.0) + linalg.matmul(r12, eta),
+                                   linalg.matmul(r21, h) + (nu / (nu + 1.0)) * eta])
         if self.formulation == "l4":
             return eta - 1j * self.rho * h
         return np.concatenate([h, eta])
@@ -289,8 +289,8 @@ class SolveResult:
             conorm_p = eta - self.phi
             return [("sl", k, -conorm_p), ("dl", k, trace_p)]
         m = -self.mu
-        sl_dens = nu * (m + 2.0 * (self.aux["kt_minus"] @ m))
-        dl_dens = -2.0 * (self.aux["v_minus"] @ m)
+        sl_dens = nu * (m + 2.0 * linalg.matmul(self.aux["kt_minus"], m))
+        dl_dens = -2.0 * linalg.matmul(self.aux["v_minus"], m)
         return [("sl", k, sl_dens), ("dl", k, dl_dens)]
 
     def interior_terms(self):
@@ -459,8 +459,8 @@ def assemble_l3(
     # of I, so each of its two full blocks meets one block row of L2
     r12, r21 = reg
     matrix = np.empty_like(l2t)
-    np.matmul(r12, l2t[n2:], out=matrix[:n2])
-    np.matmul(r21, l2t[:n2], out=matrix[n2:])
+    linalg.matmul(r12, l2t[n2:], out=matrix[:n2])
+    linalg.matmul(r21, l2t[:n2], out=matrix[n2:])
     l2t[:n2] *= 1.0 / (nu + 1.0)
     l2t[n2:] *= nu / (nu + 1.0)
     matrix += l2t
@@ -493,9 +493,9 @@ def assemble_l4(
     # is, with P = nu (Kt+ - i rho V+), grouped into two products:
     #   -(nu+1)/2 I - nu Kt- - P + 2 (Kt- - P) Kt- + [2 (T+ - T-) + i rho (I - 2 K+)] V-
     p_plus = nu * (fp.kt_plain.matrix - 1j * rho * fp.v_plain.matrix)
-    matrix = (2.0 * (kt_m - p_plus)) @ kt_m
-    matrix += (2.0 * (fp.t_op.matrix - fm.t_op.matrix)
-               + 1j * rho * (eye - 2.0 * k_p)) @ v_m
+    matrix = linalg.matmul(2.0 * (kt_m - p_plus), kt_m)
+    matrix += linalg.matmul(2.0 * (fp.t_op.matrix - fm.t_op.matrix)
+                            + 1j * rho * (eye - 2.0 * k_p), v_m)
     matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
     return _system("l4", matrix, problem, N, kind="indirect", rho=rho,
                    aux={"kt_minus": kt_m, "v_minus": v_m})
@@ -580,7 +580,7 @@ def solve(
         t1 = time.perf_counter()
         x = linalg.lu_solve(factors, system.rhs)
         t2 = time.perf_counter()
-        res = np.linalg.norm(system.matrix @ x - system.rhs, np.inf)
+        res = np.linalg.norm(linalg.matmul(system.matrix, x) - system.rhs, np.inf)
         res /= max(np.linalg.norm(system.rhs, np.inf), 1e-300)
         t3 = time.perf_counter()
         stages = {"factor": 0.0 if reused else t1 - t0, "solve": t2 - t1,

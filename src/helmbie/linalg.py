@@ -1,4 +1,17 @@
-"""Dense complex direct solver and a restart-free GMRES."""
+"""Dense complex direct solver, a restart-free GMRES, and the dense product.
+
+One BLAS.  numpy and scipy wheels each bundle their own OpenBLAS (numpy's
+scipy-openblas64, scipy's scipy-openblas32), and each copy keeps its own
+thread pool.  After a call a pool's worker keeps spinning on a core, so a
+scipy LU that follows a numpy product waits for cores the other pool holds:
+on two cores and two BLAS threads, the LU of a 1024 x 1024 complex matrix
+took about 50 ms alone, 100-120 ms right after a numpy (512 x 512)(512 x 1024)
+product and about 50 ms after the same product through scipy.  Every product of a matrix with a matrix or a vector on the
+``assemble -> solve -> far field`` path therefore goes through ``matmul``
+below, which calls scipy's BLAS, the one that also factors and solves.  Only
+products with a 2-vector, which OpenBLAS runs on the calling thread, stay in
+numpy.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 __all__ = [
@@ -17,6 +31,7 @@ __all__ = [
     "lu_factor",
     "lu_solve",
     "gmres",
+    "matmul",
 ]
 
 
@@ -51,12 +66,40 @@ class LUFactors:
         return self.lu.shape
 
 
+def matmul(a, b, out=None):
+    """a @ b for a matrix ``a`` and a matrix or vector ``b``, through scipy's
+    BLAS (see the module docstring).
+
+    The column-major BLAS call works on the transposes, b.T a.T = (a b).T, so
+    C-contiguous operands are passed without a copy and the result is
+    C-contiguous.  ``out``, a C-contiguous matrix of the result's dtype, is
+    written in place and returned; it is not supported with a vector ``b``.
+    """
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    dtype = np.dtype(float if real else complex)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if b.ndim == 1 and out is None:
+        gemv = scipy.linalg.blas.dgemv if real else scipy.linalg.blas.zgemv
+        return gemv(1.0, a.T, b, trans=1)
+    gemm = scipy.linalg.blas.dgemm if real else scipy.linalg.blas.zgemm
+    if out is None:
+        return gemm(1.0, b.T, a.T).T
+    if b.ndim != 2 or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} matrix "
+                         f"and b a matrix")
+    gemm(1.0, b.T, a.T, c=out.T, overwrite_c=True)
+    return out
+
+
 def lu_factor(matrix) -> LUFactors:
     """Factor a dense complex matrix by partial-pivot LU with a pivot guard."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
+    # zgecon needs the 1-norm, which is NaN or inf exactly when an entry is
+    # (or when the column sums overflow), so it doubles as the finite check
+    anorm = np.linalg.norm(a, 1)
+    if not np.isfinite(anorm):
         raise ValueError("non-finite entries in the linear system")
     with warnings.catch_warnings():
         # the pivot guard below is the error path for singular input
@@ -69,7 +112,7 @@ def lu_factor(matrix) -> LUFactors:
         raise SingularMatrixError(
             worst, f"matrix singular to working precision at pivot {worst}"
         )
-    rcond, _ = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(a, 1), norm="1")
+    rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
     return LUFactors(lu, piv, float(rcond))
 
 
@@ -110,7 +153,7 @@ def gmres(operator, b, tol: float = 1e-10, maxit: int | None = None) -> GmresRes
         apply_op = operator
     else:
         mat = np.asarray(operator, dtype=complex)
-        apply_op = lambda v: mat @ v
+        apply_op = lambda v: matmul(mat, v)
     b = np.asarray(b, dtype=complex)
     n = b.size
     if maxit is None:

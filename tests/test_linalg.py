@@ -1,12 +1,17 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import helmbie
 from helmbie.linalg import (
     GmresError,
     SingularMatrixError,
     gmres,
     lu_factor,
     lu_solve,
+    matmul,
 )
 
 
@@ -38,8 +43,13 @@ def test_lu_singular_reports_pivot():
 
 
 def test_lu_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        lu_solve(np.array([[np.inf, 0], [0, 1.0]]), np.ones(2))
+    # the 1-norm that zgecon needs is the check: inf or NaN with any entry
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+        a = np.array([[bad, 0], [0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_solve(a, np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(a)
 
 
 def test_lu_factor_rcond_matches_condition_number():
@@ -122,3 +132,75 @@ def test_gmres_maxit_failure_carries_history():
 def test_gmres_rejects_bad_tol():
     with pytest.raises(ValueError):
         gmres(np.eye(2), np.ones(2), tol=0.0)
+
+
+def _product_gap(a, b, product):
+    """|product - np.matmul(a, b)| against 4 n eps max|a| max|b|, n inner."""
+    exact = np.matmul(a, b)
+    assert product.shape == exact.shape
+    bound = 4 * a.shape[1] * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+    return np.max(np.abs(product - exact)) / bound
+
+
+def _random(rng, *shape, real=False):
+    out = rng.standard_normal(shape)
+    return out if real else out + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("real_a, real_b", [(False, False), (True, True),
+                                            (True, False), (False, True)])
+def test_matmul_matches_numpy(real_a, real_b):
+    rng = np.random.default_rng(5)
+    a = _random(rng, 37, 23, real=real_a)
+    b = _random(rng, 23, 11, real=real_b)
+    for rhs in (b, b[:, 3]):  # matrix x matrix and matrix x vector
+        product = matmul(a, rhs)
+        assert product.dtype == np.result_type(a, rhs)
+        assert product.flags.c_contiguous
+        assert _product_gap(a, rhs, product) <= 1.0
+
+
+def test_matmul_non_contiguous_operands():
+    rng = np.random.default_rng(6)
+    a = _random(rng, 40, 60)[::2, 1::2]     # 20 x 30, strided in both axes
+    b = _random(rng, 15, 30).T              # 30 x 15, F-contiguous
+    v = _random(rng, 90)[::3]
+    assert _product_gap(a, b, matmul(a, b)) <= 1.0
+    assert _product_gap(a, v, matmul(a, v)) <= 1.0
+    assert _product_gap(b.T, a.T, matmul(b.T, a.T)) <= 1.0
+
+
+def test_matmul_out_writes_row_block_in_place():
+    rng = np.random.default_rng(7)
+    a = _random(rng, 24, 24)
+    b = _random(rng, 24, 48)
+    big = np.full((48, 48), np.nan, dtype=complex)  # beta = 0 ignores the NaN
+    block = big[:24]
+    assert matmul(a, b, out=block) is block
+    assert _product_gap(a, b, big[:24]) <= 1.0
+    assert np.all(np.isnan(big[24:]))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        matmul(a, b[:, :24], out=big[:24, :24])  # not C-contiguous
+    with pytest.raises(ValueError, match="C-contiguous"):
+        matmul(a.real, b.real, out=big[24:])     # float product into complex
+
+
+# Products with a 2-vector run on the calling thread in either BLAS
+_NUMPY_PRODUCTS = {"formulations.py": {"pts @ d"}, "fields.py": {"xhat @ y0"}}
+
+
+@pytest.mark.parametrize("module", ["formulations.py", "fields.py", "linalg.py"])
+def test_dense_products_go_through_one_blas(module):
+    """Every matrix product on the assemble -> solve -> far field path goes
+    through linalg.matmul, whose BLAS also factors and solves (see the linalg
+    module docstring): a numpy product there brings back numpy's own
+    OpenBLAS thread pool."""
+    path = pathlib.Path(helmbie.__file__).parent / module
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(ast.unparse(node))
+    assert sorted(found) == sorted(_NUMPY_PRODUCTS.get(module, ()))
