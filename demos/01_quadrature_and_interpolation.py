@@ -14,7 +14,7 @@ convolution operators built from the weights.
 import numpy as np
 
 from helmbie import TrigPolynomial, grid, psi_hat, weight_table
-from helmbie.fourier import dld_apply, lambda_apply, weighted_conv
+from helmbie.fourier import dld_matrix, lambda_matrix, weighted_conv
 
 print("weight coefficients (normalization: (1/2pi) int psi e_{-n})")
 print(f"  psihat_1(0) = {psi_hat(1, 0):+.12f}   (= -2 log 2)")
@@ -47,7 +47,7 @@ print("\ndiagonal spectral operators:")
 delta = np.zeros(2 * N, dtype=complex)
 delta[3] = 1.0
 e3 = TrigPolynomial.from_coeffs(delta)
-print(f"  Lambda e_3 / e_3      = {lambda_apply(e3).coeff(3).real:+.10f}"
-      "  (= 1/6)")
-print(f"  D Lambda D e_3 / e_3  = {dld_apply(e3).coeff(3).real:+.10f}"
-      "  (= -3/2)")
+lam_e3 = TrigPolynomial(lambda_matrix(N) @ e3.nodal)
+dld_e3 = TrigPolynomial(dld_matrix(N) @ e3.nodal)
+print(f"  Lambda e_3 / e_3      = {lam_e3.coeff(3).real:+.10f}  (= 1/6)")
+print(f"  D Lambda D e_3 / e_3  = {dld_e3.coeff(3).real:+.10f}  (= -3/2)")

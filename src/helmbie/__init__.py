@@ -21,7 +21,7 @@ from .fourier import (
     weighted_conv,
 )
 from .kernels import KernelContext
-from .operators import DiscreteOperator, OperatorFamily, load_operator, save_operator
+from .operators import DiscreteOperator, OperatorFamily
 from .linalg import GmresResult, gmres, lu_solve
 from .formulations import (
     PlaneWave,

@@ -4,6 +4,7 @@
     helmbie study  --config cfg [--out DIR]   convergence ladder -> CSV + JSON
     helmbie verify SUITE [SUITE ...]          verification batteries
 
+``verify`` prints the reports the acceptance criteria of the test suite check.
 Exit codes: 0 ok, 1 config error, 2 solver failure, 3 verification failure.
 """
 
@@ -42,10 +43,6 @@ def _load_config(args) -> StudyConfig:
         cfg = StudyConfig.from_file(args.config)
     if args.out is not None:
         cfg.out_dir = Path(args.out)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg.threads = args.threads
     return cfg
 
 
@@ -115,8 +112,6 @@ def _add_common(parser, suppress: bool):
     kw = {"default": argparse.SUPPRESS} if suppress else {"default": None}
     parser.add_argument("--config", help="key = value config file", **kw)
     parser.add_argument("--out", help="output directory", **kw)
-    parser.add_argument("--threads", type=int,
-                        help="concurrent study cells", **kw)
 
 
 def main(argv=None) -> int:

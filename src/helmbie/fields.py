@@ -181,7 +181,7 @@ class FieldEvaluator:
     wavenumber.
     """
 
-    def __init__(self, curve: ParametricCurve, terms, guard: bool = True):
+    def __init__(self, curve: ParametricCurve, terms):
         if not terms:
             raise ValueError("need at least one potential term")
         sizes = {len(np.asarray(d)) for _, _, d in terms}
@@ -198,7 +198,6 @@ class FieldEvaluator:
             if not np.all(np.isfinite(density)):
                 raise ValueError(f"term {i} ({kind}): density has non-finite values")
         self.N = sizes.pop() // 2
-        self.guard = guard
         self._max_speed = curve.max_speed()
 
     @property
@@ -209,14 +208,13 @@ class FieldEvaluator:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise ValueError("evaluation points must be finite")
-        if self.guard:
-            dist = self.curve.distance(pts)
-            if np.any(dist <= self.min_distance):
-                worst = float(dist.min())
-                raise ValueError(
-                    f"evaluation point at distance {worst:.3e} from the curve; "
-                    f"the quadrature guard requires > {self.min_distance:.3e}"
-                )
+        dist = self.curve.distance(pts)
+        if np.any(dist <= self.min_distance):
+            worst = float(dist.min())
+            raise ValueError(
+                f"evaluation point at distance {worst:.3e} from the curve; "
+                f"the quadrature guard requires > {self.min_distance:.3e}"
+            )
         out = np.zeros(pts.shape[0], dtype=complex)
         for kind, k, density in self.terms:
             if kind == "sl":

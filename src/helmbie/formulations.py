@@ -102,10 +102,11 @@ class PlaneWave:
     direction: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        norm = np.linalg.norm(np.asarray(self.direction, dtype=float))
-        if not (np.isfinite(norm) and norm > 0):
-            raise ValueError(f"plane-wave direction must be finite and nonzero, "
-                             f"got {self.direction}")
+        direction = np.asarray(self.direction, dtype=float)
+        norm = np.linalg.norm(direction)
+        if direction.shape != (2,) or not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"plane-wave direction must be two finite coordinates, "
+                             f"not both zero, got {self.direction}")
 
     def value(self, k, points):
         d = np.asarray(self.direction, dtype=float)

@@ -43,11 +43,7 @@ __all__ = [
     "circulant",
     "circulant_from_symbol",
     "lambda_symbol",
-    "lambda_apply",
     "lambda_matrix",
-    "diff_apply",
-    "diff_matrix",
-    "dld_apply",
     "dld_matrix",
     "sobolev_norm",
 ]
@@ -171,33 +167,13 @@ def lambda_symbol(N: int) -> np.ndarray:
     return np.where(n == 0, np.log(2.0), 1.0 / (2.0 * np.maximum(np.abs(n), 1)))
 
 
-def lambda_apply(g: TrigPolynomial) -> TrigPolynomial:
-    return TrigPolynomial.from_coeffs(g.spectral * lambda_symbol(g.N))
-
-
 def lambda_matrix(N: int) -> np.ndarray:
     return circulant_from_symbol(lambda_symbol(N))
-
-
-def diff_symbol(N: int) -> np.ndarray:
-    return 1j * fft_modes(N)
-
-
-def diff_apply(g: TrigPolynomial) -> TrigPolynomial:
-    return TrigPolynomial.from_coeffs(g.spectral * diff_symbol(g.N))
-
-
-def diff_matrix(N: int) -> np.ndarray:
-    return circulant_from_symbol(diff_symbol(N))
 
 
 def dld_symbol(N: int) -> np.ndarray:
     """Symbol of D Lambda D: -|n|/2, with constants annihilated."""
     return -0.5 * np.abs(fft_modes(N)).astype(float)
-
-
-def dld_apply(g: TrigPolynomial) -> TrigPolynomial:
-    return TrigPolynomial.from_coeffs(g.spectral * dld_symbol(g.N))
 
 
 def dld_matrix(N: int) -> np.ndarray:

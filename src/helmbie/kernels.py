@@ -73,11 +73,7 @@ from .geometry import ParametricCurve, grid
 __all__ = [
     "KernelContext",
     "KernelFactors",
-    "diag_a",
-    "diag_b",
-    "diag_c",
-    "diag_d",
-    "diag_a_tilde",
+    "diagonal_limits",
     "kernel_matrix",
     "sin2_matrix",
     "ef_matrices",
@@ -156,24 +152,9 @@ def _diagonal_limits(k, d1, d2):
     }
 
 
-def diag_a(ctx, s):
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["A"]
-
-
-def diag_b(ctx, s):
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["B"]
-
-
-def diag_a_tilde(ctx, s):
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["At"]
-
-
-def diag_c(ctx, s):
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["C"]
-
-
-def diag_d(ctx, s):
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))["D"]
+def diagonal_limits(ctx, s):
+    """Diagonal limits {"A", "B", "At", "C", "D"} at the parameters ``s``."""
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))
 
 
 class KernelFactors:

@@ -29,7 +29,6 @@ the design target, so dense storage and direct factorization are fine.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,8 +42,6 @@ __all__ = [
     "DiscreteOperator",
     "OperatorFamily",
     "MIN_N",
-    "save_operator",
-    "load_operator",
 ]
 
 MIN_N = 8  # smallest grid the operators are assembled on
@@ -59,12 +56,6 @@ class DiscreteOperator:
     continuous_id: str    # "V" | "K" | "Kt" | "H" | "T" | "R"
     k: complex
     N: int
-
-    def apply(self, v):
-        return self.matrix @ np.asarray(v, dtype=complex)
-
-    def __matmul__(self, v):
-        return self.apply(v)
 
 
 class OperatorFamily:
@@ -155,45 +146,3 @@ class OperatorFamily:
     def h_op(self):
         return self._wrap(self.dld_mat + self.t_op.matrix, "plain", "H")
 
-
-_MAGIC = b"HBOP"
-_HEADER = struct.Struct("<4sI q dd 8s 8s")
-
-
-def save_operator(op: DiscreteOperator, path) -> None:
-    """Binary dump: header (N, k, ids) + row-major complex doubles."""
-    k = complex(op.k)
-    header = _HEADER.pack(
-        _MAGIC,
-        1,
-        op.N,
-        k.real,
-        k.imag,
-        op.family.encode().ljust(8, b"\0"),
-        op.continuous_id.encode().ljust(8, b"\0"),
-    )
-    mat = np.ascontiguousarray(op.matrix, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(mat.tobytes())
-
-
-def load_operator(path) -> DiscreteOperator:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size or raw[:4] != _MAGIC:
-            raise ValueError("not an operator dump")
-        magic, version, n, kr, ki, fam, cid = _HEADER.unpack(raw)
-        if version != 1:
-            raise ValueError(f"unsupported dump version {version}")
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    size = 2 * n
-    matrix = data.reshape(size, size).copy()
-    k = kr if ki == 0.0 else complex(kr, ki)
-    return DiscreteOperator(
-        matrix,
-        fam.rstrip(b"\0").decode(),
-        cid.rstrip(b"\0").decode(),
-        k,
-        n,
-    )

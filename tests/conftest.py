@@ -1,9 +1,11 @@
 import pathlib
 import sys
+import time
 
 import pytest
 
 from helmbie import formulations
+from helmbie.harness import VERIFICATION_SUITES
 
 TESTS_DIR = pathlib.Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
@@ -18,3 +20,21 @@ def data_dir():
 def empty_system_slot():
     """Every test starts without a reusable system, whatever ran before it."""
     formulations.empty_slot()
+
+
+@pytest.fixture(scope="session")
+def suite_seconds():
+    """Wall time of each verification suite, filled by ``verification_reports``."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def verification_reports(suite_seconds):
+    """Every ``helmbie verify`` suite, run once per session: {name: report}."""
+    formulations.empty_slot()
+    reports = {}
+    for name, suite in VERIFICATION_SUITES.items():
+        t0 = time.perf_counter()
+        reports[name] = suite()
+        suite_seconds[name] = time.perf_counter() - t0
+    return reports

@@ -16,7 +16,9 @@ The operator section holds the formulas the family operators and the far
 field were first assembled with: K' from the transposed factor matrices,
 the E/F grid factors sampled pair by pair, and the far field as one complex
 exponential per layer term.  They take the kernel factors from the package
-and are the reference for the one-pass forms, which round differently.
+and are the reference for the one-pass forms, which round differently.  The
+spectral differentiation matrix of the Maue route H = D V D + ... sits here
+too: the package needs no D of its own.
 
 The composition section holds l3 and l4 as the full-matrix sums and
 products they were first written as (one 4N x 4N product for R_kappa L2, five
@@ -36,16 +38,16 @@ import mpmath as mp
 from scipy import special as sp
 
 from helmbie.fields import far_field_constant
-from helmbie.fourier import conv_matrix, dld_matrix, lambda_matrix, weight_table
-from helmbie.geometry import FINE_SAMPLES, grid, grid_geometry
-from helmbie.kernels import (
-    _spectral_derivative,
-    diag_a_tilde,
-    diag_b,
-    diag_c,
-    diag_d,
-    kernel_matrix,
+from helmbie.fourier import (
+    circulant_from_symbol,
+    conv_matrix,
+    dld_matrix,
+    fft_modes,
+    lambda_matrix,
+    weight_table,
 )
+from helmbie.geometry import FINE_SAMPLES, grid, grid_geometry
+from helmbie.kernels import _spectral_derivative, diagonal_limits, kernel_matrix
 
 # ----------------------------------------------------------------------
 # curves in mpmath (mirrors of the package's built-in shapes)
@@ -317,7 +319,7 @@ def kernel_b(ctx, s, t):
     h0 = _h(ctx, 0, ctx.k * r_safe)
     j0 = _j(ctx, 0, ctx.k * r_safe)
     off = 0.25j * h0 + j0 * np.log(sin2_safe) / (4.0 * np.pi)
-    return np.where(diag, diag_b(ctx, np.asarray(s, dtype=float)), off)
+    return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["B"], off)
 
 
 def kernel_a_tilde(ctx, s, t):
@@ -325,7 +327,7 @@ def kernel_a_tilde(ctx, s, t):
     _, r, sin2, diag = _pair_geometry(ctx, s, t)
     sin2_safe = np.where(diag, 1.0, sin2)
     off = _one_minus_j0(ctx, ctx.k * r) / (4.0 * np.pi * sin2_safe)
-    return np.where(diag, diag_a_tilde(ctx, np.asarray(s, dtype=float)), off)
+    return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["At"], off)
 
 
 def _delta_dot_m(ctx, s, t, delta):
@@ -345,7 +347,7 @@ def kernel_c(ctx, s, t):
         * _j(ctx, 1, ctx.k * r_safe)
         / (r_safe * sin2_safe)
     )
-    return np.where(diag, diag_c(ctx, np.asarray(s, dtype=float)), off)
+    return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["C"], off)
 
 
 def kernel_d(ctx, s, t):
@@ -362,7 +364,8 @@ def kernel_d(ctx, s, t):
         / r_safe
         * np.log(sin2_safe)
     )
-    return np.where(diag, diag_d(ctx, np.asarray(s, dtype=float)), full - csl)
+    limit = diagonal_limits(ctx, np.asarray(s, dtype=float))["D"]
+    return np.where(diag, limit, full - csl)
 
 
 _POINTWISE = {
@@ -420,6 +423,12 @@ def _pairwise_sin2(N):
     nodes = grid(N)
     half = np.sin(0.5 * (nodes[:, None] - nodes[None, :]))
     return half * half
+
+
+def diff_matrix(N):
+    """Spectral differentiation d/dt on the 2N grid, symbol i n with the
+    unpaired top mode taken as +N: the D of the Maue route D V D."""
+    return circulant_from_symbol(1j * fft_modes(N))
 
 
 def k_kt_from_factors(ctx, N, family):

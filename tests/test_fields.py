@@ -164,10 +164,8 @@ def test_evaluator_rejects_nonfinite_terms():
         FieldEvaluator(KITE, [("sl", np.inf, zeros)])
 
 
-@pytest.mark.parametrize("guard", [True, False])
-def test_evaluator_rejects_nonfinite_points(green_evaluator, guard):
+def test_evaluator_rejects_nonfinite_points(green_evaluator):
     _, ev = green_evaluator
-    ev = FieldEvaluator(ev.curve, ev.terms, guard=guard)
     with pytest.raises(ValueError, match="evaluation points must be finite"):
         ev(np.array([[3.0, 0.0], [np.nan, 1.0]]))
 

@@ -95,8 +95,9 @@ def test_problem_validation():
         TransmissionProblem(KITE, 1.0, float("nan"), 1.0, PlaneWave())
     with pytest.raises(ValueError, match="nu"):
         TransmissionProblem(KITE, 1.0, 2.0, float("inf"), PlaneWave())
-    with pytest.raises(ValueError, match="direction"):
-        PlaneWave((0.0, 0.0))
+    for direction in ((0.0, 0.0), (1.0, 0.0, 5.0), (1.0,), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="direction"):
+            PlaneWave(direction)
     with pytest.raises(ValueError):
         PointSource((0.0, 0.0), side="above")
 

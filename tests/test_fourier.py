@@ -4,10 +4,9 @@ import pytest
 from helmbie.fourier import (
     TrigPolynomial,
     conv_matrix,
-    diff_apply,
-    dld_apply,
+    dld_matrix,
     fft_modes,
-    lambda_apply,
+    lambda_matrix,
     psi_hat,
     sobolev_norm,
     weight_table,
@@ -15,7 +14,7 @@ from helmbie.fourier import (
 )
 from helmbie.geometry import grid
 
-from oracles import brute_dft, brute_weighted_conv, mp_psi_hat
+from oracles import brute_dft, brute_weighted_conv, diff_matrix, mp_psi_hat
 
 
 def _basis(N, n):
@@ -183,18 +182,24 @@ def test_conv_matrix_matches_apply():
 # ---------------------------------------------------- diagonal spectral ops
 
 
+def _eigenvalue(matrix, N, n):
+    """Coefficient n of the matrix applied to the basis element e_n."""
+    return TrigPolynomial(matrix @ _basis(N, n).nodal).coeff(n)
+
+
 def test_lambda_rules():
     N = 16
-    assert abs(lambda_apply(_basis(N, 0)).coeff(0) - np.log(2.0)) <= 1e-15
-    assert abs(lambda_apply(_basis(N, 2)).coeff(2) - 0.25) <= 1e-15
-    assert abs(lambda_apply(_basis(N, -5)).coeff(-5) - 0.1) <= 1e-15
+    lam = lambda_matrix(N)
+    assert abs(_eigenvalue(lam, N, 0) - np.log(2.0)) <= 1e-15
+    assert abs(_eigenvalue(lam, N, 2) - 0.25) <= 1e-15
+    assert abs(_eigenvalue(lam, N, -5) - 0.1) <= 1e-15
 
 
 def test_diff_and_dld_rules():
     N = 16
-    assert abs(diff_apply(_basis(N, 3)).coeff(3) - 3j) <= 1e-15
-    assert abs(dld_apply(_basis(N, 3)).coeff(3) + 1.5) <= 1e-15
-    assert np.max(np.abs(dld_apply(_basis(N, 0)).nodal)) <= 1e-15
+    assert abs(_eigenvalue(diff_matrix(N), N, 3) - 3j) <= 1e-15
+    assert abs(_eigenvalue(dld_matrix(N), N, 3) + 1.5) <= 1e-15
+    assert np.max(np.abs(dld_matrix(N) @ _basis(N, 0).nodal)) <= 1e-15
 
 
 def test_spectral_ops_commute_with_translation():
@@ -202,9 +207,9 @@ def test_spectral_ops_commute_with_translation():
     N = 16
     shift = 7  # grid shift by 7 pi/N
     vals = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-    for op in (lambda_apply, diff_apply, dld_apply):
-        a = np.roll(op(TrigPolynomial(vals)).nodal, shift)
-        b = op(TrigPolynomial(np.roll(vals, shift))).nodal
+    for op in (lambda_matrix(N), diff_matrix(N), dld_matrix(N)):
+        a = np.roll(op @ vals, shift)
+        b = op @ np.roll(vals, shift)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a) + 1)
 
 

@@ -1,5 +1,4 @@
 import json
-import time
 
 import numpy as np
 import pytest
@@ -38,6 +37,8 @@ def test_defaults_build():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         StudyConfig.from_mapping({"wavenumber": 3})
+    with pytest.raises(ConfigError, match="threads"):
+        StudyConfig.from_mapping({"threads": "2"})
 
 
 def test_config_rejects_bad_values():
@@ -55,8 +56,11 @@ def test_config_rejects_bad_values():
         StudyConfig.from_mapping({"k_plus": "nan"})
     with pytest.raises(ConfigError, match="nu"):
         StudyConfig.from_mapping({"nu": "inf"})
-    with pytest.raises(ConfigError, match="direction"):
-        StudyConfig.from_mapping({"direction": "0,0"})
+    for direction in ("0,0", "1,0,5", "1"):
+        with pytest.raises(ConfigError, match="direction"):
+            StudyConfig.from_mapping({"direction": direction})
+    with pytest.raises(ConfigError, match="kappa"):
+        StudyConfig.from_mapping({"kappa": "8,0.5,7"})
     with pytest.raises(ConfigError, match="boundary"):
         StudyConfig.from_mapping({"incident": "point", "source": "1,0"})
     with pytest.raises(ConfigError, match=">= 8"):
@@ -114,21 +118,6 @@ def test_self2x_reference(tmp_path):
     assert report.rows[0].error_linf <= 1e-6
 
 
-def test_study_runs_concurrently(tmp_path):
-    cfg = StudyConfig.from_mapping({
-        "k_minus": "8.0",
-        "formulations": "l1,l2",
-        "n_ladder": "16,24",
-        "n_reference": "48",
-        "directions": "18",
-        "threads": "4",
-    })
-    report = run_convergence(cfg)
-    assert [(r.formulation, r.N) for r in report.rows] == [
-        ("l1", 16), ("l1", 24), ("l2", 16), ("l2", 24)
-    ]
-
-
 @pytest.mark.parametrize("solver", ["lu", "gmres"])
 def test_study_rows_carry_rcond(monkeypatch, solver):
     solve_cell = harness._solve_cell
@@ -160,29 +149,19 @@ def test_study_rows_carry_rcond(monkeypatch, solver):
 
 
 def test_every_cell_assembles_its_own_system(monkeypatch):
-    # the reference (l1, 16) finishes last and cell (l1, 8) starts late, so
-    # cell (l1, 16) would find the reference's system kept for reuse; its
-    # seconds must still include assembly, like every other cell's
-    solve_cell, families = harness._solve_cell, []
-    seen = set()
-
-    def slow_solve_cell(problem, form, N, cfg):
-        first = (form, N) not in seen
-        seen.add((form, N))
-        if (N == 16 and first) or N == 8:
-            time.sleep(0.3)
-        return solve_cell(problem, form, N, cfg)
+    # cell (l1, 16) has the key of the reference (l1, 16); its seconds must
+    # still include assembly, like every other cell's
+    families = []
 
     def counted_family(*args, **kw):
         families.append(args[2])
         return OperatorFamily(*args, **kw)
 
-    monkeypatch.setattr(harness, "_solve_cell", slow_solve_cell)
     monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
     cfg = StudyConfig.from_mapping({
         "k_plus": "2.0", "k_minus": "3.0", "formulations": "l1",
         "n_ladder": "8,16", "reference_formulation": "self2x",
-        "directions": "8", "threads": "2",
+        "directions": "8",
     })
     report = run_convergence(cfg)
     assert not any(r.failure for r in report.rows)
@@ -211,7 +190,7 @@ def test_failing_shared_reference_solved_once(monkeypatch):
     monkeypatch.setattr(harness, "_solve_cell", solve_cell)
     cfg = StudyConfig.from_mapping({
         "formulations": "l1,l2", "n_ladder": "24,32", "n_reference": "64",
-        "directions": "36", "threads": "2",
+        "directions": "36",
     })
     report = run_convergence(cfg)
     assert calls == [("l1", 64)]
@@ -224,15 +203,26 @@ def test_unknown_suite_rejected():
         run_verification("spectralify")
 
 
-def test_weights_suite_passes():
-    rep = run_verification("weights")
+def test_weights_suite_passes(verification_reports):
+    rep = verification_reports["weights"]
     assert rep.passed
     assert any("quadrature oracle" in c.label for c in rep.checks)
 
 
-def test_extinction_suite_passes():
-    rep = run_verification("extinction")
+def test_extinction_suite_passes(verification_reports):
+    rep = verification_reports["extinction"]
     assert rep.passed
+
+
+def test_rates_suite_fails_when_no_rate_is_binding(monkeypatch):
+    # with every error at the roundoff floor no decay factor is checked;
+    # the suite must not pass on its separation checks alone
+    monkeypatch.setattr(harness, "_h0_errors", lambda curve, k: {
+        N: {"plain": 1e-15, "tilde": 1e-15} for N in (32, 48, 64)
+    })
+    rep = run_verification("rates")
+    assert not rep.passed
+    assert [c.label for c in rep.checks if not c.ok] == ["binding decay factors"]
 
 
 # ------------------------------------------------------------------- CLI
@@ -263,6 +253,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("curve = dodecahedron\n")
     assert main(["--config", str(cfg), "study"]) == 1
+    cfg.write_text(FAST_STUDY + "direction = 1,0,5\n" + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), "study"]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg"), "study"]) == 1
 
 
@@ -276,12 +268,6 @@ def test_cli_point_source_on_boundary_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "boundary" in err
     assert err.count("\n") == 1
-
-
-def test_cli_threads_flag(tmp_path):
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text(FAST_STUDY + f"out_dir = {tmp_path/'out'}\n")
-    assert main(["--config", str(cfg), "--threads", "2", "study"]) == 0
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
@@ -311,7 +297,7 @@ def test_cells_at_one_n_build_their_own_families(monkeypatch):
     monkeypatch.setattr(formulations, "OperatorFamily", counted_family)
     cfg = StudyConfig.from_mapping({
         "k_plus": "2.0", "k_minus": "3.0", "formulations": "l1,l2",
-        "n_ladder": "8", "n_reference": "16", "directions": "8", "threads": "2",
+        "n_ladder": "8", "n_reference": "16", "directions": "8",
     })
     report = run_convergence(cfg)
     assert not any(r.failure for r in report.rows)

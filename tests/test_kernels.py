@@ -7,10 +7,7 @@ from helmbie.geometry import cavity, circle, grid, kite
 from helmbie.kernels import (
     KernelContext,
     KernelFactors,
-    diag_a_tilde,
-    diag_b,
-    diag_c,
-    diag_d,
+    diagonal_limits,
     ef_matrices,
     kernel_matrix,
     sin2_matrix,
@@ -66,7 +63,7 @@ def test_a_tilde_circle_values():
     s, t = rng.uniform(0, 2 * np.pi, (2, 200))
     vals = kernel_a_tilde(ctx, s, t)
     assert np.all(vals > 0)
-    assert np.all(diag_a_tilde(ctx, s) > 0)
+    assert np.all(diagonal_limits(ctx, s)["At"] > 0)
 
 
 @pytest.mark.parametrize("curve_name", ["circle", "kite"])
@@ -137,7 +134,7 @@ def test_diag_b_vs_richardson(curve_name, k, s):
     ctx = KernelContext(CURVES[curve_name], k)
     limit = richardson_diagonal(
         lambda a, b: mp_kernel_b(curve_name, k, a, b), mp.mpf(s))
-    got = diag_b(ctx, np.array([s]))[0]
+    got = diagonal_limits(ctx, np.array([s]))["B"][0]
     assert abs(got - complex(limit)) <= 1e-11
     assert got.imag == pytest.approx(0.25, abs=1e-13)
 
@@ -153,7 +150,7 @@ def test_diag_a_tilde_vs_richardson_rejects_single_speed_power(curve_name, k, s)
     speed = ctx.curve.speed(np.array([s]))[0]
     squared = k * k * speed**2 / (4 * np.pi)
     single = k * k * speed / (4 * np.pi)
-    assert diag_a_tilde(ctx, np.array([s]))[0] == pytest.approx(limit, rel=1e-10)
+    assert diagonal_limits(ctx, np.array([s]))["At"][0] == pytest.approx(limit, rel=1e-10)
     assert squared == pytest.approx(limit, rel=1e-10)
     if abs(speed - 1.0) > 1e-3:
         assert abs(single - limit) > 1e-3 * abs(limit)
@@ -169,8 +166,9 @@ def test_diag_c_and_d_vs_richardson(curve_name, k, s):
         lambda a, b: mp_kernel_c(curve_name, k, a, b), mp.mpf(s))))
     lim_d = richardson_diagonal(
         lambda a, b: mp_kernel_d(curve_name, k, a, b), mp.mpf(s))
-    assert diag_c(ctx, np.array([s]))[0] == pytest.approx(lim_c, rel=1e-10)
-    got_d = diag_d(ctx, np.array([s]))[0]
+    limits = diagonal_limits(ctx, np.array([s]))
+    assert limits["C"][0] == pytest.approx(lim_c, rel=1e-10)
+    got_d = limits["D"][0]
     assert abs(got_d - complex(lim_d)) <= 1e-10 * max(1.0, abs(complex(lim_d)))
 
 
@@ -179,9 +177,10 @@ def test_circle_double_layer_diagonal_constant():
     # constant; classical value -1/(4 pi) on the unit circle
     ctx = KernelContext(circle(), 2.0)
     s = np.linspace(0, 2 * np.pi, 40)
-    d_diag = diag_d(ctx, s)
+    limits = diagonal_limits(ctx, s)
+    d_diag = limits["D"]
     assert np.max(np.abs(d_diag + 1.0 / (4 * np.pi))) <= 1e-14
-    c_diag = diag_c(ctx, s)
+    c_diag = limits["C"]
     assert np.max(np.abs(c_diag - c_diag[0])) <= 1e-14
 
 
@@ -225,7 +224,7 @@ def test_kernel_matrix_finite_and_diagonal():
         assert np.all(np.isfinite(mat))
     b_mat = kernel_matrix(ctx, "B", N)
     nodes = grid(N)
-    assert np.max(np.abs(np.diag(b_mat) - diag_b(ctx, nodes))) == 0.0
+    assert np.max(np.abs(np.diag(b_mat) - diagonal_limits(ctx, nodes)["B"])) == 0.0
 
 
 @pytest.mark.parametrize("curve_name", ["kite", "cavity"])
@@ -264,7 +263,7 @@ def test_ef_diagonal_values():
     e_mat, _ = ef_matrices(ctx, N)
     nodes = grid(N)
     speed = ctx.curve.speed(nodes)
-    expected = 0.5 * diag_a_tilde(ctx, nodes) - 2.0**2 * speed**2 / (4 * np.pi)
+    expected = 0.5 * diagonal_limits(ctx, nodes)["At"] - 2.0**2 * speed**2 / (4 * np.pi)
     assert np.max(np.abs(np.diag(e_mat) - expected)) <= 1e-8
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from helmbie import specfun
-from helmbie.fourier import conv_matrix, diff_matrix, weight_table
+from helmbie.fourier import conv_matrix, weight_table
 from helmbie.geometry import ParametricCurve, circle, grid, kite
 from helmbie.kernels import KernelFactors, kernel_matrix
-from helmbie.operators import OperatorFamily, load_operator, save_operator
+from helmbie.operators import OperatorFamily
 
-from oracles import k_kt_from_factors, mp_circle_eigs, t_from_pairwise_grid
+from oracles import diff_matrix, k_kt_from_factors, mp_circle_eigs, t_from_pairwise_grid
 
 
 def _circle_eig_table(data_dir):
@@ -243,30 +243,3 @@ def test_each_k_build_takes_one_double_layer_pass(monkeypatch):
     fam.kt_tilde, fam.k_tilde
     assert len(passes) == 2
 
-
-def test_operator_dump_roundtrip(tmp_path):
-    fam = OperatorFamily(kite(), 8.0, 16)
-    path = tmp_path / "v.bin"
-    save_operator(fam.v_plain, path)
-    out = load_operator(path)
-    assert out.N == 16
-    assert out.k == 8.0
-    assert out.family == "plain"
-    assert out.continuous_id == "V"
-    assert np.array_equal(out.matrix, fam.v_plain.matrix)
-
-
-def test_operator_dump_complex_k(tmp_path):
-    fam = OperatorFamily(kite(), 2.0 + 0.5j, 16)
-    path = tmp_path / "r.bin"
-    save_operator(fam.r_tilde, path)
-    out = load_operator(path)
-    assert out.k == 2.0 + 0.5j
-    assert np.array_equal(out.matrix, fam.r_tilde.matrix)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an operator dump at all, sorry......")
-    with pytest.raises(ValueError):
-        load_operator(path)
