@@ -10,7 +10,8 @@ projector gives two residual identities on the parameterized Cauchy data
 and the exterior Green representation -SL phi + DL a reproduces u outside
 while extinguishing identically inside.  Both are strong whole-calculus
 tests: any wrong jump sign, kernel factor, or quadrature weight breaks them
-at O(1).
+at O(1).  The operators are the read-only Nystrom matrices of an
+``OperatorFamily``, applied to the nodal Cauchy data as plain products.
 """
 
 import numpy as np
@@ -29,10 +30,10 @@ for N in (16, 32, 64, 128):
     a = src.value(k, xb)
     phi = np.sum(src.gradient(k, xb) * m, axis=-1)
     eye = np.eye(2 * N)
-    r1 = np.max(np.abs((-0.5 * eye + fam.k_plain.matrix) @ a
-                       - fam.v_plain.matrix @ phi))
-    r2 = np.max(np.abs(fam.h_op.matrix @ a
-                       - (0.5 * eye + fam.kt_plain.matrix) @ phi))
+    r1 = np.max(np.abs((-0.5 * eye + fam.k_plain) @ a
+                       - fam.v_plain @ phi))
+    r2 = np.max(np.abs(fam.h_op @ a
+                       - (0.5 * eye + fam.kt_plain) @ phi))
     print(f"  N = {N:4d}:  trace {r1:.3e}   conormal {r2:.3e}")
 
 print("\nGreen representation at N = 128:")

@@ -21,8 +21,8 @@ from .fourier import (
     weighted_conv,
 )
 from .kernels import KernelContext
-from .operators import DiscreteOperator, OperatorFamily
-from .linalg import GmresResult, gmres, lu_solve
+from .operators import OperatorFamily
+from .linalg import GmresResult, gmres, lu_factor, lu_solve
 from .formulations import (
     PlaneWave,
     PointSource,

@@ -48,11 +48,12 @@ direct ``assemble_l*`` call); a new problem object or a new N replaces them,
 even when its system is a hit and builds nothing, and a failed ``assemble``
 drops them.  A problem object is a unit of reuse:
 an equal problem built anew assembles its own families.  With every operator
-built once, the three families of the kite at N = 256 hold about 91 MiB
-(measured with tracemalloc), four times as much at N = 512, until the next
-problem or ``empty_slot()``.  A lock guards only the slot's reads and writes;
-two threads may race to build the same system or operator, which costs time
-but never returns a wrong matrix.
+built once, the three families of the kite at N = 256 hold about 99 MiB
+(measured with tracemalloc; Lambda and D Lambda D of the k+ family, which
+the first-kind blocks and R_kappa read, are part of it), four times as much
+at N = 512, until the next problem or ``empty_slot()``.  A lock guards only
+the slot's reads and writes; two threads may race to build the same system
+or operator, which costs time but never returns a wrong matrix.
 
 Block algebra.  Every formulation writes its blocks into one preallocated
 matrix.  l3 forms R_kappa L2 by block rows, as 2 V_kappa times the lower
@@ -73,6 +74,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, specfun
+# Lambda and D Lambda D come from the k+ family; the two imports stay because
+# perfbench/spans.py wraps lambda_matrix and dld_matrix in this module too
 from .fourier import TrigPolynomial, dld_matrix, lambda_matrix
 from .geometry import FINE_SAMPLES, ParametricCurve, grid_geometry
 from .operators import OperatorFamily
@@ -208,7 +211,6 @@ class FormulationSystem:
     problem: TransmissionProblem
     data: TransmissionData
     kind: str = "direct"  # reconstruction: "direct" | "indirect"
-    family: str = "plain"
     kappa: Optional[complex] = None
     rho: Optional[float] = None
     # needed by the indirect reconstruction
@@ -301,12 +303,6 @@ class SolveResult:
             return [("sl", k, -self.phi / nu), ("dl", k, self.a)]
         return [("sl", k, 2.0 * self.mu)]
 
-    def exterior_cauchy(self):
-        """Parameterized Cauchy data (trace, |x'|-weighted conormal) of u+."""
-        if self.kind != "direct":
-            raise ValueError("Cauchy data stored only for the direct systems")
-        return self.data.h.nodal - self.a, self.data.eta.nodal - self.phi
-
 
 def _op_families(problem, N, kappa=None):
     """The (k+, k-, kappa) operator families of the problem at N; kappa's is
@@ -369,33 +365,34 @@ def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     (a11, a12), (a21, a22) = _blocks(matrix)
     # summed left to right as written above, which fixes each entry's
     # rounding: with matched media, adding the identity last gives exactly I
-    np.add(half * eye, nu * fm.k_plain.matrix, out=a11)
-    a11 -= fp.k_plain.matrix
-    np.subtract(fp.v_plain.matrix, fm.v_plain.matrix, out=a12)
-    np.multiply(nu, fm.t_op.matrix - fp.t_op.matrix, out=a21)
-    np.add(half * eye, nu * fp.kt_plain.matrix, out=a22)
-    a22 -= fm.kt_plain.matrix
+    np.add(half * eye, nu * fm.k_plain, out=a11)
+    a11 -= fp.k_plain
+    np.subtract(fp.v_plain, fm.v_plain, out=a12)
+    np.multiply(nu, fm.t_op - fp.t_op, out=a21)
+    np.add(half * eye, nu * fp.kt_plain, out=a22)
+    a22 -= fm.kt_plain
     return _system("l1", matrix, problem, N)
 
 
-def _l2_matrix(problem, N, family, fp, fm, lam, dld):
+def _l2_matrix(problem, N, family, fp, fm):
     nu = problem.nu
+    lam, dld = fp.lambda_mat, fp.dld_mat
     matrix = np.empty((4 * N, 4 * N), dtype=complex)
     (a11, a12), (a21, a22) = _blocks(matrix)
     if family == "tilde":
         # leading part plus kernel blocks; the 0.0 of the leading part's zero
         # blocks is added too, so that each entry keeps the sign of its zeros
         lead = 1.0 + 1.0 / nu
-        np.add(0.0, -(fm.k_tilde.matrix + fp.k_tilde.matrix), out=a11)
-        np.add(lead * lam, fp.r_tilde.matrix / nu + fm.r_tilde.matrix, out=a12)
-        np.add(lead * (-nu * dld), -(fm.t_op.matrix + nu * fp.t_op.matrix), out=a21)
-        np.add(0.0, fp.kt_tilde.matrix + fm.kt_tilde.matrix, out=a22)
+        np.add(0.0, -(fm.k_tilde + fp.k_tilde), out=a11)
+        np.add(lead * lam, fp.r_tilde / nu + fm.r_tilde, out=a12)
+        np.add(lead * (-nu * dld), -(fm.t_op + nu * fp.t_op), out=a21)
+        np.add(0.0, fp.kt_tilde + fm.kt_tilde, out=a22)
         return matrix
     # unanalyzed plain-V variant, kept for the accuracy comparison
-    np.negative(fm.k_plain.matrix + fp.k_plain.matrix, out=a11)
-    np.add(fp.v_plain.matrix / nu, fm.v_plain.matrix, out=a12)
-    np.subtract(-(1.0 + nu) * dld, fm.t_op.matrix + nu * fp.t_op.matrix, out=a21)
-    np.add(fp.kt_plain.matrix, fm.kt_plain.matrix, out=a22)
+    np.negative(fm.k_plain + fp.k_plain, out=a11)
+    np.add(fp.v_plain / nu, fm.v_plain, out=a12)
+    np.subtract(-(1.0 + nu) * dld, fm.t_op + nu * fp.t_op, out=a21)
+    np.add(fp.kt_plain, fm.kt_plain, out=a22)
     return matrix
 
 
@@ -408,9 +405,8 @@ def assemble_l2(
     if family not in ("tilde", "plain"):
         raise ValueError("family must be 'tilde' or 'plain'")
     fp, fm, _ = _op_families(problem, N)
-    matrix = _l2_matrix(problem, N, family, fp, fm, lambda_matrix(N), dld_matrix(N))
-    name = "l2" if family == "tilde" else "l2plain"
-    return _system(name, matrix, problem, N, family=family)
+    matrix = _l2_matrix(problem, N, family, fp, fm)
+    return _system("l2" if family == "tilde" else "l2plain", matrix, problem, N)
 
 
 def _regularizer(problem, N, fk, lam, dld):
@@ -418,8 +414,8 @@ def _regularizer(problem, N, fk, lam, dld):
     R_kappa = [I, 2 V_kappa; -2 nu H_kappa, nu I] / (nu + 1)."""
     nu = problem.nu
     reg = np.empty((2, 2 * N, 2 * N), dtype=complex)
-    np.divide(2.0 * (lam + fk.r_tilde.matrix), nu + 1.0, out=reg[0])
-    np.divide(-2.0 * nu * (dld + fk.t_op.matrix), nu + 1.0, out=reg[1])
+    np.divide(2.0 * (lam + fk.r_tilde), nu + 1.0, out=reg[0])
+    np.divide(-2.0 * nu * (dld + fk.t_op), nu + 1.0, out=reg[1])
     return reg
 
 
@@ -451,11 +447,10 @@ def assemble_l3(
     fp, fm, fk = _op_families(problem, N, kappa)
     nu = problem.nu
     n2 = 2 * N
-    lam = lambda_matrix(N)
-    dld = dld_matrix(N)
+    lam, dld = fp.lambda_mat, fp.dld_mat
     reg = _regularizer(problem, N, fk, lam, dld)
     reg.flags.writeable = False
-    l2t = _l2_matrix(problem, N, "tilde", fp, fm, lam, dld)
+    l2t = _l2_matrix(problem, N, "tilde", fp, fm)
     # R_kappa L2 by block rows: the diagonal blocks of R_kappa are multiples
     # of I, so each of its two full blocks meets one block row of L2
     r12, r21 = reg
@@ -468,12 +463,11 @@ def assemble_l3(
     # plus the leading blocks and those of k-
     eye = np.eye(n2)
     (a11, a12), (a21, a22) = _blocks(matrix)
-    a11 += 0.5 * eye + fm.k_tilde.matrix
-    a12 -= (lam + fm.r_tilde.matrix) / nu
-    a21 += nu * (dld + fm.t_op.matrix)
-    a22 += 0.5 * eye - fm.kt_tilde.matrix
-    return _system("l3", matrix, problem, N, family="tilde", kappa=kappa,
-                   regularizer=reg)
+    a11 += 0.5 * eye + fm.k_tilde
+    a12 -= (lam + fm.r_tilde) / nu
+    a21 += nu * (dld + fm.t_op)
+    a22 += 0.5 * eye - fm.kt_tilde
+    return _system("l3", matrix, problem, N, kappa=kappa, regularizer=reg)
 
 
 def assemble_l4(
@@ -485,17 +479,17 @@ def assemble_l4(
     fp, fm, _ = _op_families(problem, N)
     nu = problem.nu
     eye = np.eye(2 * N)
-    kt_m = fm.kt_plain.matrix
-    v_m = fm.v_plain.matrix
-    k_p = fp.k_plain.matrix
+    kt_m = fm.kt_plain
+    v_m = fm.v_plain
+    k_p = fp.k_plain
     # -(nu+1)/2 I + big_K - i rho big_V with
     #   big_K = -Kt-(nu I - 2 Kt-) - nu Kt+(I + 2 Kt-) + 2 (T+ - T-) V-
     #   big_V = -nu V+(I + 2 Kt-) - (I - 2 K+) V-
     # is, with P = nu (Kt+ - i rho V+), grouped into two products:
     #   -(nu+1)/2 I - nu Kt- - P + 2 (Kt- - P) Kt- + [2 (T+ - T-) + i rho (I - 2 K+)] V-
-    p_plus = nu * (fp.kt_plain.matrix - 1j * rho * fp.v_plain.matrix)
+    p_plus = nu * (fp.kt_plain - 1j * rho * fp.v_plain)
     matrix = linalg.matmul(2.0 * (kt_m - p_plus), kt_m)
-    matrix += linalg.matmul(2.0 * (fp.t_op.matrix - fm.t_op.matrix)
+    matrix += linalg.matmul(2.0 * (fp.t_op - fm.t_op)
                             + 1j * rho * (eye - 2.0 * k_p), v_m)
     matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
     return _system("l4", matrix, problem, N, kind="indirect", rho=rho,

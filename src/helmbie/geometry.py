@@ -35,7 +35,7 @@ __all__ = [
     "make_curve",
 ]
 
-FINE_SAMPLES = 4096  # nodes of the fine sample behind max_speed and distance
+FINE_SAMPLES = 4096  # fine sample behind the speed check, max_speed and distance
 _DISTANCE_BLOCK = 64  # points per block in ParametricCurve.distance
 
 
@@ -44,8 +44,10 @@ class ParametricCurve:
     """Closed curve x(t) = c0 + sum_m [ C[:,m] cos(m t) + S[:,m] sin(m t) ].
 
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
-    ``sin_coef`` has shape (2, M) for m = 1..M.  Immutable and safe to share.
-    Keeps the read-only ``grid_geometry`` of the most recent N.
+    ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, and the
+    speed |x'| on the fine sample must stay above 1e-12 times its maximum.
+    Immutable and safe to share.  Keeps the read-only ``grid_geometry`` of
+    the most recent N.
     """
 
     name: str
@@ -58,8 +60,14 @@ class ParametricCurve:
         s = np.atleast_2d(np.asarray(self.sin_coef, dtype=float))
         if c.shape[0] != 2 or s.shape[0] != 2 or c.shape[1] != s.shape[1] + 1:
             raise ValueError("coefficient arrays must have shapes (2, M+1) and (2, M)")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
+            raise ValueError(f"curve {self.name!r} has non-finite coefficients")
         object.__setattr__(self, "cos_coef", c)
         object.__setattr__(self, "sin_coef", s)
+        # relative bound: ellipse(2, 0) reads |x'| ~ 1e-16 where it folds flat
+        speed = self._fine_sample[1]
+        if not np.min(speed) > 1e-12 * np.max(speed):
+            raise ValueError(f"curve {self.name!r} is degenerate: |x'(t)| vanishes")
 
     @property
     def degree(self) -> int:
@@ -104,7 +112,7 @@ class ParametricCurve:
     @cached_property
     def _fine_sample(self):
         """Coordinate rows x1, x2 (shape (2, S)) and speeds on FINE_SAMPLES
-        equispaced nodes, sampled once per curve for max_speed and distance."""
+        equispaced nodes, sampled once, when the curve is constructed."""
         t = np.linspace(0.0, 2.0 * np.pi, FINE_SAMPLES, endpoint=False)
         return np.ascontiguousarray(self.point(t).T), self.speed(t)
 

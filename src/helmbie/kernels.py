@@ -41,6 +41,9 @@ H = D V D + k^2 V[(x'(s).x'(.)) .], pinned by the circle eigenvalue tests.
 The mixed partials are produced by spectral differentiation of the sampled
 biperiodic smooth kernels (diagonals filled with the analytic limits first),
 so E and F are exposed as grid matrices rather than pointwise scalars.
+They are taken on the 2N grid the operators act on, from the same factor
+set as A, B, C and D; the test oracles check them against pointwise
+formulas sampled on a twice finer grid.
 
 Fused pass.  All factors are closed-form in J0, J1, H0 and H1 of k r over
 the same node pairs, so one ``KernelFactors`` per (curve, k, N) samples x, x'
@@ -328,14 +331,8 @@ def _spectral_derivative(values, axis):
     return np.fft.ifft(hat, axis=axis, out=hat)
 
 
-def ef_matrices(ctx: KernelContext, N: int, oversample: int = 1):
-    """Grid matrices (E, F) of the hypersingular remainder kernel.
-
-    Sampled on a (2M)x(2M) grid with M = oversample*N (grids nest), the mixed
-    partials of A~ and B are taken spectrally, and the result is restricted
-    to the 2N operator grid.
-    """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    e_mat, f_mat = ctx.factors(oversample * N).ef()
-    return e_mat[::oversample, ::oversample], f_mat[::oversample, ::oversample]
+def ef_matrices(ctx: KernelContext, N: int):
+    """Grid matrices (E, F) of the hypersingular remainder kernel on the 2N
+    operator grid, from the context's fused factor set: the mixed partials
+    of A~ and B are taken spectrally on that grid."""
+    return ctx.factors(N).ef()

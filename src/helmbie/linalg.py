@@ -116,16 +116,12 @@ def lu_factor(matrix) -> LUFactors:
     return LUFactors(lu, piv, float(rcond))
 
 
-def lu_solve(matrix, rhs):
-    """Solve a dense complex system by partial-pivot LU with a pivot guard.
-
-    ``matrix`` is the matrix itself or its ``lu_factor``; passing the factors
-    leaves only the two triangular solves.
-    """
+def lu_solve(factors: LUFactors, rhs):
+    """Solve a dense complex system from its ``lu_factor``: the two
+    triangular solves."""
     b = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite entries in the linear system")
-    factors = matrix if isinstance(matrix, LUFactors) else lu_factor(matrix)
     return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
 
 

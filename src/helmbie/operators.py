@@ -23,13 +23,14 @@ its K' is a contiguous copy of the transpose.  W1 and W2 are symmetric only
 up to rounding, so this K' differs from W*(C^T sin^2) + W0*D^T (the form kept
 in the test oracles) by at most eps max|K|.
 
-Matrices assemble in O(N^2 log N) and are immutable once built; N <= 512 is
-the design target, so dense storage and direct factorization are fine.
+Each operator is a plain read-only ndarray, built on first access and
+returned as the same object on every later one.  Matrices assemble in
+O(N^2 log N); N <= 512 is the design target, so dense storage and direct
+factorization are fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +40,6 @@ from .geometry import ParametricCurve
 from .kernels import KernelContext, ef_matrices, kernel_matrix, sin2_matrix
 
 __all__ = [
-    "DiscreteOperator",
     "OperatorFamily",
     "MIN_N",
 ]
@@ -47,26 +47,28 @@ __all__ = [
 MIN_N = 8  # smallest grid the operators are assembled on
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """2N x 2N complex matrix tagged with its continuous counterpart."""
-
-    matrix: np.ndarray
-    family: str           # "plain" | "tilde" | "spectral"
-    continuous_id: str    # "V" | "K" | "Kt" | "H" | "T" | "R"
-    k: complex
-    N: int
+def _frozen(matrix):
+    """The matrix made read-only: a family hands one array to every caller."""
+    matrix.flags.writeable = False
+    return matrix
 
 
 class OperatorFamily:
-    """Lazy cache of all discrete operators for one (curve, k, N) triple."""
+    """Lazy cache of all discrete operators for one (curve, k, N) triple.
 
-    def __init__(self, curve: ParametricCurve, k, N: int, oversample: int = 1):
+    Every operator is a read-only 2N x 2N ndarray on the 2N grid: V, R~, V~,
+    K, K', K~, K~', T, H and the two spectral matrices Lambda and D Lambda D.
+    """
+
+    # every kernel is sampled on the 2N grid the operators act on; kept as a
+    # constant because perfbench/spans.py keys its build spans on it
+    oversample = 1
+
+    def __init__(self, curve: ParametricCurve, k, N: int):
         if N < MIN_N:
             raise ValueError(f"N must be >= {MIN_N}")
         self.ctx = KernelContext(curve, k)
         self.N = N
-        self.oversample = oversample
         self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
 
     def _kernel(self, which):
@@ -82,67 +84,49 @@ class OperatorFamily:
 
     @cached_property
     def lambda_mat(self):
-        return lambda_matrix(self.N)
+        return _frozen(lambda_matrix(self.N))
 
     @cached_property
     def dld_mat(self):
-        return dld_matrix(self.N)
-
-    def _wrap(self, matrix, family, cid):
-        return DiscreteOperator(matrix, family, cid, self.ctx.k, self.N)
+        return _frozen(dld_matrix(self.N))
 
     @cached_property
     def v_plain(self):
-        m = self._w1 * self._kernel("A") + self._w0 * self._kernel("B")
-        return self._wrap(m, "plain", "V")
+        return _frozen(self._w1 * self._kernel("A") + self._w0 * self._kernel("B"))
 
     @cached_property
     def r_tilde(self):
-        m = self._w2 * self._kernel("At") + self._w0 * self._kernel("B")
-        return self._wrap(m, "tilde", "R")
+        return _frozen(self._w2 * self._kernel("At") + self._w0 * self._kernel("B"))
 
     @cached_property
     def v_tilde(self):
-        return self._wrap(self.lambda_mat + self.r_tilde.matrix, "tilde", "V")
-
-    def _k_kt(self, family, k_mat):
-        """K and its transpose Kt, which is the Nystrom matrix of K'."""
-        kt_mat = np.ascontiguousarray(k_mat.T)
-        return self._wrap(k_mat, family, "K"), self._wrap(kt_mat, family, "Kt")
+        return _frozen(self.lambda_mat + self.r_tilde)
 
     @cached_property
-    def _k_kt_plain(self):
-        c_mat, d_mat = self._kernel(("C", "D"))
-        k_mat = self._w1 * (c_mat * sin2_matrix(self.N)) + self._w0 * d_mat
-        return self._k_kt("plain", k_mat)
-
-    @property
     def k_plain(self):
-        return self._k_kt_plain[0]
-
-    @property
-    def kt_plain(self):
-        return self._k_kt_plain[1]
+        c_mat, d_mat = self._kernel(("C", "D"))
+        return _frozen(self._w1 * (c_mat * sin2_matrix(self.N)) + self._w0 * d_mat)
 
     @cached_property
-    def _k_kt_tilde(self):
-        c_mat, d_mat = self._kernel(("C", "D"))
-        return self._k_kt("tilde", self._w2 * c_mat + self._w0 * d_mat)
+    def kt_plain(self):
+        """K', the transpose of K (see the module docstring)."""
+        return _frozen(np.ascontiguousarray(self.k_plain.T))
 
-    @property
+    @cached_property
     def k_tilde(self):
-        return self._k_kt_tilde[0]
+        c_mat, d_mat = self._kernel(("C", "D"))
+        return _frozen(self._w2 * c_mat + self._w0 * d_mat)
 
-    @property
+    @cached_property
     def kt_tilde(self):
-        return self._k_kt_tilde[1]
+        """K~', the transpose of K~ (see the module docstring)."""
+        return _frozen(np.ascontiguousarray(self.k_tilde.T))
 
     @cached_property
     def t_op(self):
-        e_mat, f_mat = ef_matrices(self.ctx, self.N, self.oversample)
-        return self._wrap(self._w1 * e_mat + self._w0 * f_mat, "plain", "T")
+        e_mat, f_mat = ef_matrices(self.ctx, self.N)
+        return _frozen(self._w1 * e_mat + self._w0 * f_mat)
 
     @cached_property
     def h_op(self):
-        return self._wrap(self.dld_mat + self.t_op.matrix, "plain", "H")
-
+        return _frozen(self.dld_mat + self.t_op)

@@ -496,11 +496,11 @@ def l3_full_matrix(problem, N, fp, fm, fk, l2):
     eye = np.eye(2 * N)
     lead = np.block([[0.5 * eye, -lam / nu], [nu * dld, 0.5 * eye]])
     mid = np.block([
-        [fm.k_tilde.matrix, -fm.r_tilde.matrix / nu],
-        [nu * fm.t_op.matrix, -fm.kt_tilde.matrix],
+        [fm.k_tilde, -fm.r_tilde / nu],
+        [nu * fm.t_op, -fm.kt_tilde],
     ])
-    v_kappa = lam + fk.r_tilde.matrix
-    h_kappa = dld + fk.t_op.matrix
+    v_kappa = lam + fk.r_tilde
+    h_kappa = dld + fk.t_op
     reg = np.block([[eye, 2.0 * v_kappa], [-2.0 * nu * h_kappa, nu * eye]]) / (nu + 1.0)
     return lead + mid + reg @ l2
 
@@ -509,12 +509,12 @@ def l4_full_matrix(problem, N, rho, fp, fm):
     """-(nu+1)/2 I + big_K - i rho big_V with the five products as written."""
     nu = problem.nu
     eye = np.eye(2 * N)
-    kt_m, kt_p = fm.kt_plain.matrix, fp.kt_plain.matrix
-    v_m, v_p, k_p = fm.v_plain.matrix, fp.v_plain.matrix, fp.k_plain.matrix
+    kt_m, kt_p = fm.kt_plain, fp.kt_plain
+    v_m, v_p, k_p = fm.v_plain, fp.v_plain, fp.k_plain
     big_k = (
         -kt_m @ (nu * eye - 2.0 * kt_m)
         - nu * kt_p @ (eye + 2.0 * kt_m)
-        + 2.0 * (fp.t_op.matrix - fm.t_op.matrix) @ v_m
+        + 2.0 * (fp.t_op - fm.t_op) @ v_m
     )
     big_v = -nu * v_p @ (eye + 2.0 * kt_m) - (eye - 2.0 * k_p) @ v_m
     return -0.5 * (nu + 1.0) * eye + big_k - 1j * rho * big_v

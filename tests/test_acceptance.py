@@ -95,7 +95,7 @@ def test_criterion_3_circle_eigenvalues():
             (fam.k_tilde, lam_k, "tilde"), (fam.kt_tilde, lam_kt, "tilde"),
             (fam.h_op, lam_h, "H"),
         ]:
-            err = np.max(np.abs(op.matrix @ e - lam * e)) / abs(lam)
+            err = np.max(np.abs(op @ e - lam * e)) / abs(lam)
             worst[group] = max(worst[group], err)
     elapsed = time.perf_counter() - t0
     ok = all(worst[g] <= tol_by_group[g] for g in worst) and elapsed < 10.0

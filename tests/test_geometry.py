@@ -197,6 +197,16 @@ def test_grid_rejects_zero():
         grid(0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("circle", (0.0,)), ("ellipse", (2.0, 0.0)), ("ellipse", (0.0, 1.0)),
+    ("circle", (np.nan,)), ("ellipse", (np.inf, 1.0)),
+], ids=["circle 0", "ellipse 2,0", "ellipse 0,1", "circle nan", "ellipse inf,1"])
+def test_degenerate_or_nonfinite_curve_rejected(name, params):
+    # ellipse(2, 0) folds flat: its fine-sample speed is ~1e-16 at t = 0, not 0
+    with pytest.raises(ValueError, match="degenerate|non-finite"):
+        make_curve(name, *params)
+
+
 def test_make_curve_registry():
     assert make_curve("circle", 2.0).point(0.0)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):

@@ -61,6 +61,9 @@ def test_config_rejects_bad_values():
             StudyConfig.from_mapping({"direction": direction})
     with pytest.raises(ConfigError, match="kappa"):
         StudyConfig.from_mapping({"kappa": "8,0.5,7"})
+    for curve, params in (("circle", "0"), ("circle", "nan"), ("ellipse", "2,0")):
+        with pytest.raises(ConfigError, match="curve"):
+            StudyConfig.from_mapping({"curve": curve, "curve_params": params})
     with pytest.raises(ConfigError, match="boundary"):
         StudyConfig.from_mapping({"incident": "point", "source": "1,0"})
     with pytest.raises(ConfigError, match=">= 8"):
@@ -255,6 +258,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", str(cfg), "study"]) == 1
     cfg.write_text(FAST_STUDY + "direction = 1,0,5\n" + f"out_dir = {tmp_path/'out'}\n")
     assert main(["--config", str(cfg), "study"]) == 1
+    cfg.write_text(FAST_STUDY + "curve = circle\ncurve_params = 0\n"
+                   + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), "study"]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg"), "study"]) == 1
 
 
@@ -330,8 +336,8 @@ def test_cli_solve_nonfinite_block_exit_code(tmp_path, capsys, monkeypatch):
     # a build that fails a study cell fails a solve with the solver exit code
     ef = operators.ef_matrices
 
-    def poisoned(ctx, N, oversample=1):
-        e_mat, f_mat = ef(ctx, N, oversample)
+    def poisoned(ctx, N):
+        e_mat, f_mat = ef(ctx, N)
         f_mat[3, 5] = np.nan
         return e_mat, f_mat
 

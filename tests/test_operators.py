@@ -51,27 +51,27 @@ def test_circle_eigenvalues_all_operators(circle_family, data_dir):
         lams = table[abs(n)]
         for idx, group in ops.items():
             for op, tol in group:
-                err = np.max(np.abs(op.matrix @ e - lams[idx] * e))
-                assert err / abs(lams[idx]) <= tol, (n, op.continuous_id, err)
+                err = np.max(np.abs(op @ e - lams[idx] * e))
+                assert err / abs(lams[idx]) <= tol, (n, idx, tol, err)
 
 
 def test_v_plain_constant_density_value(circle_family):
     # V e_0 -> (i pi / 2) J_0(2) H1_0(2) at high accuracy
     lam = complex(mp_circle_eigs(2.0, 0)[0])
     e0 = np.ones(128, dtype=complex)
-    err = np.max(np.abs(circle_family.v_plain.matrix @ e0 - lam * e0))
+    err = np.max(np.abs(circle_family.v_plain @ e0 - lam * e0))
     assert err / abs(lam) <= 1e-10
 
 
 def test_double_layer_constant(circle_family):
     lam = complex(mp_circle_eigs(2.0, 0)[1])
     e0 = np.ones(128, dtype=complex)
-    err = np.max(np.abs(circle_family.k_plain.matrix @ e0 - lam * e0))
+    err = np.max(np.abs(circle_family.k_plain @ e0 - lam * e0))
     assert err <= 1e-10
 
 
 def test_circle_matrices_are_circulant(circle_family):
-    mat = circle_family.v_plain.matrix
+    mat = circle_family.v_plain
     col = mat[:, 0]
     rebuilt = np.stack([np.roll(col, j) for j in range(mat.shape[1])], axis=1)
     assert np.max(np.abs(mat - rebuilt)) <= 1e-12
@@ -79,15 +79,15 @@ def test_circle_matrices_are_circulant(circle_family):
 
 def test_k_and_kt_are_transposes():
     fam = OperatorFamily(kite(), 8.0, 32)
-    assert np.max(np.abs(fam.k_plain.matrix.T - fam.kt_plain.matrix)) <= 1e-12
-    assert np.max(np.abs(fam.k_tilde.matrix.T - fam.kt_tilde.matrix)) <= 1e-12
+    assert np.max(np.abs(fam.k_plain.T - fam.kt_plain)) <= 1e-12
+    assert np.max(np.abs(fam.k_tilde.T - fam.kt_tilde)) <= 1e-12
 
 
 def test_lambda_part_of_v_tilde():
     fam = OperatorFamily(circle(), 2.0, 32)
     t = grid(32)
     e3 = np.exp(3j * t)
-    lam_part = fam.v_tilde.matrix - fam.r_tilde.matrix
+    lam_part = fam.v_tilde - fam.r_tilde
     assert np.max(np.abs(lam_part @ e3 - e3 / 6.0)) <= 1e-12
 
 
@@ -101,7 +101,7 @@ def test_plain_tilde_consistency_under_refinement():
         fam = OperatorFamily(curve, k, N)
         t = grid(N)
         phi = np.exp(np.cos(t))
-        gap = fam.v_tilde.matrix @ phi - fam.v_plain.matrix @ phi
+        gap = fam.v_tilde @ phi - fam.v_plain @ phi
         gaps.append(np.max(np.abs(gap)))
     assert gaps[1] <= gaps[0] / 10.0
 
@@ -113,8 +113,8 @@ def test_operators_are_linear():
     g = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     alpha, beta = 1.3 - 0.2j, -0.7 + 2.1j
     for op in (fam.v_plain, fam.k_tilde, fam.h_op):
-        lhs = op.matrix @ (alpha * f + beta * g)
-        rhs = alpha * (op.matrix @ f) + beta * (op.matrix @ g)
+        lhs = op @ (alpha * f + beta * g)
+        rhs = alpha * (op @ f) + beta * (op @ g)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs) + 1)
 
 
@@ -127,11 +127,11 @@ def test_h_via_alternative_maue_route():
     d_mat = diff_matrix(N)
     d1 = curve.d1(t)
     xdx = d1 @ d1.T
-    h_alt = d_mat @ fam.v_plain.matrix @ d_mat + k * k * (
-        fam.v_plain.matrix * xdx
+    h_alt = d_mat @ fam.v_plain @ d_mat + k * k * (
+        fam.v_plain * xdx
     )
     e1 = np.exp(1j * t)
-    assert np.max(np.abs(fam.h_op.matrix @ e1 - h_alt @ e1)) <= 1e-7
+    assert np.max(np.abs(fam.h_op @ e1 - h_alt @ e1)) <= 1e-7
 
 
 def test_t_operator_carries_h_for_constants(circle_family, data_dir):
@@ -139,7 +139,7 @@ def test_t_operator_carries_h_for_constants(circle_family, data_dir):
     table = _circle_eig_table(data_dir)
     lam_h = table[0][3]
     e0 = np.ones(128, dtype=complex)
-    err = np.max(np.abs(circle_family.t_op.matrix @ e0 - lam_h * e0))
+    err = np.max(np.abs(circle_family.t_op @ e0 - lam_h * e0))
     assert err / abs(lam_h) <= 1e-10
 
 
@@ -152,21 +152,21 @@ def test_maue_coupling_term_in_isolation(circle_family, data_dir):
     lam_v1 = table[1][0]
     d1 = circle().d1(t)
     xdx = d1 @ d1.T
-    coupling = k * k * (circle_family.v_plain.matrix * xdx)
+    coupling = k * k * (circle_family.v_plain * xdx)
     e0 = np.ones(2 * N, dtype=complex)
     target = k * k * lam_v1 * e0  # cos(s-t) splits into e_{+-1} halves
     assert np.max(np.abs(coupling @ e0 - target)) <= 1e-10
 
 
 def test_assembler_functions_and_min_n():
+    # every operator is a plain read-only 2N x 2N array, built once
     fam = OperatorFamily(circle(), 2.0, 8)
-    assert fam.v_plain.continuous_id == "V"
-    assert fam.v_tilde.family == "tilde"
-    assert fam.k_plain.continuous_id == "K"
-    assert fam.kt_tilde.continuous_id == "Kt"
-    assert fam.r_tilde.continuous_id == "R"
-    assert fam.t_op.continuous_id == "T"
-    assert fam.h_op.continuous_id == "H"
+    for name in ("v_plain", "r_tilde", "v_tilde", "k_plain", "kt_plain", "k_tilde",
+                 "kt_tilde", "t_op", "h_op", "lambda_mat", "dld_mat"):
+        op = getattr(fam, name)
+        assert type(op) is np.ndarray and op.shape == (16, 16), name
+        assert not op.flags.writeable, name
+        assert getattr(fam, name) is op, name
     with pytest.raises(ValueError):
         OperatorFamily(circle(), 2.0, 4)
 
@@ -189,9 +189,10 @@ def test_one_fused_kernel_pass_per_family(monkeypatch, k):
         curve_points[order] += np.size(t)
         return trig_sum(self, t, order)
 
+    curve = kite()  # its construction samples the fine grid, before the count
     monkeypatch.setattr(ParametricCurve, "_trig_sum", counted_sum)
     N = 16
-    fam = OperatorFamily(kite(), k, N)
+    fam = OperatorFamily(curve, k, N)
     for name in ("v_plain", "r_tilde", "v_tilde", "k_plain", "kt_plain",
                  "k_tilde", "kt_tilde", "t_op", "h_op"):
         getattr(fam, name)
@@ -217,14 +218,14 @@ def test_family_operators_match_their_first_assembled_forms(k):
 
     for family in ("plain", "tilde"):
         k_ref, kt_ref = k_kt_from_factors(ctx, N, family)
-        assert_close(getattr(fam, f"k_{family}").matrix, k_ref)
-        assert_close(getattr(fam, f"kt_{family}").matrix, kt_ref)
-    assert_close(fam.t_op.matrix, t_from_pairwise_grid(ctx, N))
+        assert_close(getattr(fam, f"k_{family}"), k_ref)
+        assert_close(getattr(fam, f"kt_{family}"), kt_ref)
+    assert_close(fam.t_op, t_from_pairwise_grid(ctx, N))
     a_mat, b_mat, at_mat = (kernel_matrix(ctx, which, N) for which in ("A", "B", "At"))
     w1, w2 = (conv_matrix(weight_table(m, N)).real for m in (1, 2))
     w0 = np.pi / N
-    assert fam.v_plain.matrix.tobytes() == (w1 * a_mat + w0 * b_mat).tobytes()
-    assert fam.r_tilde.matrix.tobytes() == (w2 * at_mat + w0 * b_mat).tobytes()
+    assert fam.v_plain.tobytes() == (w1 * a_mat + w0 * b_mat).tobytes()
+    assert fam.r_tilde.tobytes() == (w2 * at_mat + w0 * b_mat).tobytes()
 
 
 def test_each_k_build_takes_one_double_layer_pass(monkeypatch):
