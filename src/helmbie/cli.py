@@ -13,21 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .harness import (
+    CELL_ERRORS,
     ConfigError,
     StudyConfig,
     VERIFICATION_SUITES,
-    _CELL_ERRORS,
-    _far_field_of,
-    _solve_cell,
-    _write_far_field,
     run_convergence,
     run_verification,
+    solve_cell,
+    write_far_field,
 )
 
 EXIT_OK = 0
@@ -48,29 +46,23 @@ def _load_config(args) -> StudyConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
-    problem = cfg.build_problem()
-    form = cfg.formulations[0]
-    n = max(cfg.n_ladder)
-    t0 = time.perf_counter()
+    form, n = cfg.formulations[0], max(cfg.n_ladder)
     try:
-        result = _solve_cell(problem, form, n, cfg)
-    except _CELL_ERRORS as exc:  # what fails a study cell fails a solve
+        result, ff, seconds = solve_cell(cfg, form, n)
+    except CELL_ERRORS as exc:  # what fails a study cell fails a solve
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    elapsed = time.perf_counter() - t0
-    angles = np.linspace(0.0, 2.0 * np.pi, cfg.directions, endpoint=False)
-    ff = _far_field_of(problem, result, angles)
-    ff_path = _write_far_field(cfg.out_dir, form, n, ff)
+    diag = result.diagnostics
     summary = {
         "formulation": form,
         "N": n,
-        "solver": result.diagnostics.method,
-        "iterations": result.diagnostics.iterations,
-        "residual": result.diagnostics.residual,
-        "rcond": result.diagnostics.rcond,
-        "seconds": elapsed,
-        "stages": result.diagnostics.stages,
-        "farfield_csv": str(ff_path),
+        "solver": diag.method,
+        "iterations": diag.iterations,
+        "residual": diag.residual,
+        "rcond": diag.rcond,
+        "seconds": seconds,
+        "stages": diag.stages,
+        "farfield_csv": str(write_far_field(cfg.out_dir, form, n, ff)),
         "max_farfield_amplitude": float(np.max(np.abs(ff.values))),
     }
     (cfg.out_dir / f"solve_{form}_N{n}.json").write_text(
@@ -140,10 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

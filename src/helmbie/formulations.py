@@ -39,21 +39,24 @@ blocks of R_kappa) and 16 MiB for l4 (with ``aux``), four times as much at
 N = 512.
 
 Many formulations.  The five formulations are block combinations of the same
-Nystrom operators for k+, k- and kappa, so next to the system the slot keeps
-the ``OperatorFamily`` objects of the last problem assembled, for one N: one
-family per distinct wavenumber, k+ and k- and the last kappa, at most three.
-They are shared only with later builds for the same ``TransmissionProblem``
-object at the same N (a system miss for another formulation of it, or a
-direct ``assemble_l*`` call); a new problem object or a new N replaces them,
-even when its system is a hit and builds nothing, and a failed ``assemble``
-drops them.  A problem object is a unit of reuse:
-an equal problem built anew assembles its own families.  With every operator
-built once, the three families of the kite at N = 256 hold about 99 MiB
-(measured with tracemalloc; Lambda and D Lambda D of the k+ family, which
-the first-kind blocks and R_kappa read, are part of it), four times as much
-at N = 512, until the next problem or ``empty_slot()``.  A lock guards only
-the slot's reads and writes; two threads may race to build the same system
-or operator, which costs time but never returns a wrong matrix.
+Nystrom operators for k+ and k-, so next to the system the slot keeps the
+``OperatorFamily`` objects of the last problem assembled, for one N: one
+family per distinct wavenumber, at most two.  l3 also needs V and H for the
+complex kappa; it builds that family itself and drops it once the two full
+blocks of R_kappa are formed, since no other build reads it.  The kept
+families are shared only with later builds for the same
+``TransmissionProblem`` object at the same N (a system miss for another
+formulation of it, or a direct ``assemble_l*`` call); a new problem object or
+a new N replaces them, even when its system is a hit and builds nothing, and
+a failed ``assemble`` drops them.  A problem object is a unit of reuse: an
+equal problem built anew assembles its own families.  With every operator
+built once, the two families of the kite at N = 256 hold about 81 MiB
+(measured with tracemalloc, kernel factor sets included; Lambda and D Lambda
+D of the k+ family, which the first-kind blocks and R_kappa read, are part
+of it), four times as much at N = 512, until the next problem or
+``empty_slot()``.  A lock guards only the slot's reads and writes; two
+threads may race to build the same system or operator, which costs time but
+never returns a wrong matrix.
 
 Block algebra.  Every formulation writes its blocks into one preallocated
 matrix.  l3 forms R_kappa L2 by block rows, as 2 V_kappa times the lower
@@ -76,11 +79,12 @@ import numpy as np
 from . import linalg, specfun
 # Lambda and D Lambda D come from the k+ family; the two imports stay because
 # perfbench/spans.py wraps lambda_matrix and dld_matrix in this module too
-from .fourier import TrigPolynomial, dld_matrix, lambda_matrix
+from .fourier import dld_matrix, lambda_matrix
 from .geometry import FINE_SAMPLES, ParametricCurve, grid_geometry
 from .operators import OperatorFamily
 
 __all__ = [
+    "FORMULATIONS",
     "PlaneWave",
     "PointSource",
     "TransmissionProblem",
@@ -96,6 +100,8 @@ __all__ = [
     "empty_slot",
     "solve",
 ]
+
+FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
 
 
 @dataclass(frozen=True)
@@ -125,18 +131,15 @@ class PlaneWave:
 
 @dataclass(frozen=True)
 class PointSource:
-    """Incident field Phi_k(. - location); ``side`` records where it sits."""
+    """Incident field Phi_k(. - location)."""
 
     location: tuple = (0.0, 0.0)
-    side: str = "interior"
 
     def __post_init__(self):
         location = np.asarray(self.location, dtype=float)
         if location.shape != (2,) or not np.all(np.isfinite(location)):
             raise ValueError(f"point-source location must be two finite "
                              f"coordinates, got {self.location}")
-        if self.side not in ("interior", "exterior"):
-            raise ValueError("side must be 'interior' or 'exterior'")
 
     def _displacement(self, points):
         y0 = np.asarray(self.location, dtype=float)
@@ -180,10 +183,10 @@ class TransmissionProblem:
 
 @dataclass(frozen=True)
 class TransmissionData:
-    """Nodal transmission data (h, eta) as degree-N trigonometric polynomials."""
+    """Transmission data (h, eta) as nodal vectors on the 2N grid."""
 
-    h: TrigPolynomial
-    eta: TrigPolynomial
+    h: np.ndarray
+    eta: np.ndarray
     N: int
 
 
@@ -193,7 +196,7 @@ def build_data(problem: TransmissionProblem, N: int) -> TransmissionData:
     _, xb, m = grid_geometry(problem.curve, N)  # |x'| already inside m
     h = -inc.value(k, xb)
     eta = -np.sum(inc.gradient(k, xb) * m, axis=-1)
-    return TransmissionData(TrigPolynomial(h), TrigPolynomial(eta), N)
+    return TransmissionData(h, eta, N)
 
 
 @dataclass
@@ -226,7 +229,7 @@ class FormulationSystem:
 
     def rhs_for(self, data: TransmissionData) -> np.ndarray:
         """Right-hand side of this formulation for the data (h, eta)."""
-        h, eta = data.h.nodal, data.eta.nodal
+        h, eta = data.h, data.eta
         if self.formulation == "l1":
             return np.concatenate([h, self.problem.nu * eta])
         if self.formulation == "l3":
@@ -287,7 +290,7 @@ class SolveResult:
         """Potential terms for u+ : list of (kind, k, density)."""
         k, nu = self.problem.k_plus, self.problem.nu
         if self.kind == "direct":
-            h, eta = self.data.h.nodal, self.data.eta.nodal
+            h, eta = self.data.h, self.data.eta
             trace_p = h - self.a
             conorm_p = eta - self.phi
             return [("sl", k, -conorm_p), ("dl", k, trace_p)]
@@ -304,23 +307,19 @@ class SolveResult:
         return [("sl", k, 2.0 * self.mu)]
 
 
-def _op_families(problem, N, kappa=None):
-    """The (k+, k-, kappa) operator families of the problem at N; kappa's is
-    None without a kappa.  Shared through the slot with every build for the
-    same problem object at the same N (see the module docstring)."""
+def _op_families(problem, N):
+    """The k+ and k- operator families of the problem at N, shared through
+    the slot with every build for the same problem object at the same N (see
+    the module docstring)."""
     global _families
-    wanted = (problem.k_plus, problem.k_minus, kappa)
     with _slot_lock:
         if _families is None or _families[0] is not problem or _families[1] != N:
             _families = (problem, N, {})
         kept = _families[2]
-        if kappa is not None:
-            for k in set(kept) - set(wanted):  # keep only the last kappa
-                del kept[k]
-        for k in wanted:
-            if k is not None and k not in kept:
+        for k in (problem.k_plus, problem.k_minus):
+            if k not in kept:
                 kept[k] = OperatorFamily(problem.curve, k, N)
-        return tuple(None if k is None else kept[k] for k in wanted)
+        return kept[problem.k_plus], kept[problem.k_minus]
 
 
 def _blocks(matrix):
@@ -357,7 +356,7 @@ def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
     with right-hand side (h, nu eta); the D Lambda D parts of the two
     hypersingular operators cancel in the difference.
     """
-    fp, fm, _ = _op_families(problem, N)
+    fp, fm = _op_families(problem, N)
     nu = problem.nu
     eye = np.eye(2 * N)
     half = 0.5 * (1.0 + nu)
@@ -404,7 +403,7 @@ def assemble_l2(
     for comparison.  Right-hand side (h, eta)."""
     if family not in ("tilde", "plain"):
         raise ValueError("family must be 'tilde' or 'plain'")
-    fp, fm, _ = _op_families(problem, N)
+    fp, fm = _op_families(problem, N)
     matrix = _l2_matrix(problem, N, family, fp, fm)
     return _system("l2" if family == "tilde" else "l2plain", matrix, problem, N)
 
@@ -442,13 +441,14 @@ def assemble_l3(
 ) -> FormulationSystem:
     """Regularized combined-field system R_kappa-preconditioned on top of the
     tilde-family blocks; kappa must have positive imaginary part.  Right-hand
-    side R_kappa (h, eta)."""
+    side R_kappa (h, eta).  The complex kappa family is built here and
+    dropped on return: only the two full blocks of R_kappa are kept."""
     kappa = _kappa(problem, kappa)
-    fp, fm, fk = _op_families(problem, N, kappa)
+    fp, fm = _op_families(problem, N)
     nu = problem.nu
     n2 = 2 * N
     lam, dld = fp.lambda_mat, fp.dld_mat
-    reg = _regularizer(problem, N, fk, lam, dld)
+    reg = _regularizer(problem, N, OperatorFamily(problem.curve, kappa, N), lam, dld)
     reg.flags.writeable = False
     l2t = _l2_matrix(problem, N, "tilde", fp, fm)
     # R_kappa L2 by block rows: the diagonal blocks of R_kappa are multiples
@@ -476,7 +476,7 @@ def assemble_l4(
     """Single-density indirect system from plain-family compositions.
     Right-hand side eta - i rho h."""
     rho = _rho(problem, rho)
-    fp, fm, _ = _op_families(problem, N)
+    fp, fm = _op_families(problem, N)
     nu = problem.nu
     eye = np.eye(2 * N)
     kt_m = fm.kt_plain
@@ -496,8 +496,6 @@ def assemble_l4(
                    aux={"kt_minus": kt_m, "v_minus": v_m})
 
 
-_ASSEMBLERS = ("l1", "l2", "l2plain", "l3", "l4")
-
 _slot_lock = threading.Lock()
 _slot: Optional[tuple] = None  # (key, system) of the last system built
 # (problem, N, {k: OperatorFamily}) of the last problem assembled
@@ -512,19 +510,25 @@ def empty_slot():
         _slot = _families = None
 
 
-def assemble(formulation: str, problem: TransmissionProblem, N: int, **kw):
-    """Assemble one of 'l1', 'l2', 'l2plain', 'l3', 'l4' ('kappa' for l3,
-    'rho' for l4), reusing the last system built when only the incident
-    field differs, and the operator families of the last problem object
-    (see the module docstring)."""
+def assemble(
+    formulation: str,
+    problem: TransmissionProblem,
+    N: int,
+    kappa: Optional[complex] = None,
+    rho: Optional[float] = None,
+) -> FormulationSystem:
+    """Assemble one of ``FORMULATIONS``, reusing the last system built when
+    only the incident field differs, and the operator families of the last
+    problem object (see the module docstring).  l3 reads ``kappa`` and l4
+    reads ``rho``; every other formulation ignores both."""
     global _slot, _families
     t0 = time.perf_counter()
-    if formulation not in _ASSEMBLERS:
+    if formulation not in FORMULATIONS:
         raise ValueError(
-            f"unknown formulation {formulation!r}; choices {sorted(_ASSEMBLERS)}"
+            f"unknown formulation {formulation!r}; choices {sorted(FORMULATIONS)}"
         )
-    kappa = _kappa(problem, **kw) if formulation == "l3" else None
-    rho = _rho(problem, **kw) if formulation == "l4" else None
+    kappa = _kappa(problem, kappa) if formulation == "l3" else None
+    rho = _rho(problem, rho) if formulation == "l4" else None
     curve = problem.curve
     key = (formulation, curve.name, curve.cos_coef.tobytes(), curve.sin_coef.tobytes(),
            problem.k_plus, problem.k_minus, problem.nu, N, kappa, rho)

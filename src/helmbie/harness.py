@@ -3,6 +3,10 @@
 A study solves each (formulation, N) cell of a ladder against a common
 reference solution (by default the second-kind direct formulation at a much
 larger N) and reports the max far-field error over equispaced directions.
+Every reference, every ladder cell and ``helmbie solve`` run through
+``solve_cell``: assemble, solve and far field on a problem of the cell's
+own, with one meaning of ``seconds``.  Each config key is declared once, as
+a ``StudyConfig`` field carrying its default text, parser and doc.
 Verification suites package the library's absolute-accuracy checks; each
 returns measured numbers next to its tolerances.  They are the one place
 these numbers are computed: ``helmbie verify`` prints them, and the
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from scipy import special as _sp
 
 from .fields import FieldEvaluator, far_field_linf_diff
 from .formulations import (
+    FORMULATIONS,
     PlaneWave,
     PointSource,
     TransmissionProblem,
@@ -33,11 +38,14 @@ from .linalg import GmresError, gmres
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
+    "CELL_ERRORS",
     "ConfigError",
     "StudyConfig",
     "StudyReport",
     "run_convergence",
     "run_verification",
+    "solve_cell",
+    "write_far_field",
     "VERIFICATION_SUITES",
 ]
 
@@ -46,109 +54,68 @@ class ConfigError(ValueError):
     """Invalid or inconsistent study configuration."""
 
 
-_DEFAULTS = {
-    # every default documented here; the config file may override any key
-    "curve": "kite",            # circle | ellipse | kite | cavity
-    "curve_params": "",         # comma-separated floats for circle/ellipse
-    "k_plus": "8.0",            # exterior wavenumber
-    "k_minus": "32.0",          # interior wavenumber
-    "nu": "1.0",                # transmission impedance ratio
-    "incident": "plane",        # plane | point
-    "direction": "1,0",         # plane-wave direction (normalized)
-    "source": "0.1,0.2",        # point-source location
-    "source_side": "interior",  # interior | exterior
-    "formulations": "l2,l2plain",  # any of l1,l2,l2plain,l3,l4
-    "n_ladder": "96,128,160",   # study resolutions
-    "n_reference": "320",       # reference resolution (>= 2x max ladder N)
-    "reference_formulation": "l1",  # reference solver; 'self2x' = same
-    #   formulation at twice the cell's N (Richardson-style self reference)
-    "kappa": "",                # regularizer wavenumber, "re,im"; default k++0.5i
-    "rho": "",                  # indirect coupling parameter; default k+
-    "solver": "lu",             # lu | gmres
-    "gmres_tol": "1e-10",
-    "directions": "360",        # far-field sample count
-    "dump_farfield": "false",   # also write per-cell far-field CSVs
-    "out_dir": "out",
-}
+def _key(default: str, parse, doc: str):
+    """One config key: its default text, the parser of its text, its doc."""
+    return field(metadata={"default": default, "parse": parse, "doc": doc})
 
-_FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
+
+def _list(item):
+    """Parser of a comma-separated list; blank entries are skipped."""
+    return lambda text: tuple(item(x) for x in text.split(",") if x.strip())
+
+
+def _point(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+def _optional(parse):
+    """Parser that reads a blank value as None."""
+    return lambda text: parse(text) if text.strip() else None
 
 
 @dataclass
 class StudyConfig:
-    curve_name: str
-    curve_params: tuple
-    k_plus: float
-    k_minus: float
-    nu: float
-    incident_kind: str
-    direction: tuple
-    source: tuple
-    source_side: str
-    formulations: tuple
-    n_ladder: tuple
-    n_reference: int
-    reference_formulation: str
-    kappa: complex | None
-    rho: float | None
-    solver: str
-    gmres_tol: float
-    directions: int
-    dump_farfield: bool
-    out_dir: Path
+    """A study; each field is the config key of the same name, and a config
+    file may override any key."""
+
+    curve: str = _key("kite", str, "circle | ellipse | kite | cavity")
+    curve_params: tuple = _key("", _list(float), "floats for circle/ellipse")
+    k_plus: float = _key("8.0", float, "exterior wavenumber")
+    k_minus: float = _key("32.0", float, "interior wavenumber")
+    nu: float = _key("1.0", float, "transmission impedance ratio")
+    incident: str = _key("plane", str, "plane | point")
+    direction: tuple = _key("1,0", _point, "plane-wave direction (normalized)")
+    source: tuple = _key("0.1,0.2", _point, "point-source location")
+    formulations: tuple = _key("l2,l2plain", _list(str.strip),
+                               "any of " + ",".join(FORMULATIONS))
+    n_ladder: tuple = _key("96,128,160", _list(int), "study resolutions")
+    n_reference: int = _key("320", int, "reference resolution (>= 2x max ladder N)")
+    reference_formulation: str = _key(
+        "l1", str, "reference solver; 'self2x' = same formulation at twice the "
+        "cell's N (Richardson-style self reference)")
+    kappa: complex | None = _key("", _optional(lambda text: complex(*_point(text))),
+                                 "l3 regularizer wavenumber 're,im'; default k+ +0.5i")
+    rho: float | None = _key("", _optional(float), "l4 coupling parameter; default k+")
+    solver: str = _key("lu", str, "lu | gmres")
+    gmres_tol: float = _key("1e-10", float, "GMRES relative residual tolerance")
+    directions: int = _key("360", int, "far-field sample count")
+    dump_farfield: bool = _key("false", lambda t: t.lower() in ("true", "1", "yes"),
+                               "also write per-cell far-field CSVs")
+    out_dir: Path = _key("out", Path, "output directory")
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "StudyConfig":
-        unknown = set(raw) - set(_DEFAULTS)
+        keys = {f.name: f.metadata for f in fields(cls)}
+        unknown = set(raw) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kv = dict(_DEFAULTS)
-        kv.update({k: str(v) for k, v in raw.items()})
-        try:
-            params = tuple(
-                float(x) for x in kv["curve_params"].split(",") if x.strip()
-            )
-            forms = tuple(
-                f.strip() for f in kv["formulations"].split(",") if f.strip()
-            )
-            ladder = tuple(
-                int(x) for x in kv["n_ladder"].split(",") if x.strip()
-            )
-            direction = tuple(float(x) for x in kv["direction"].split(","))
-            source = tuple(float(x) for x in kv["source"].split(","))
-            kappa = None
-            if kv["kappa"].strip():
-                re_im = [float(x) for x in kv["kappa"].split(",")]
-                if len(re_im) > 2:
-                    raise ConfigError(f"kappa takes 're' or 're,im', got {kv['kappa']!r}")
-                kappa = complex(*re_im)
-            rho = float(kv["rho"]) if kv["rho"].strip() else None
-            cfg = cls(
-                curve_name=kv["curve"],
-                curve_params=params,
-                k_plus=float(kv["k_plus"]),
-                k_minus=float(kv["k_minus"]),
-                nu=float(kv["nu"]),
-                incident_kind=kv["incident"],
-                direction=direction,
-                source=source,
-                source_side=kv["source_side"],
-                formulations=forms,
-                n_ladder=ladder,
-                n_reference=int(kv["n_reference"]),
-                reference_formulation=kv["reference_formulation"],
-                kappa=kappa,
-                rho=rho,
-                solver=kv["solver"],
-                gmres_tol=float(kv["gmres_tol"]),
-                directions=int(kv["directions"]),
-                dump_farfield=kv["dump_farfield"].lower() in ("true", "1", "yes"),
-                out_dir=Path(kv["out_dir"]),
-            )
-        except ConfigError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        values = {}
+        for name, key in keys.items():
+            try:
+                values[name] = key["parse"](str(raw.get(name, key["default"])))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad config value for {name}: {exc}") from exc
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -166,13 +133,13 @@ class StudyConfig:
         return cls.from_mapping(raw)
 
     def validate(self):
-        if self.incident_kind not in ("plane", "point"):
+        if self.incident not in ("plane", "point"):
             raise ConfigError("incident must be 'plane' or 'point'")
         try:
             self.build_problem()
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad problem: {exc}") from exc
-        bad = [f for f in self.formulations if f not in _FORMULATIONS]
+        bad = [f for f in self.formulations if f not in FORMULATIONS]
         if bad:
             raise ConfigError(f"unknown formulations {bad}")
         if not self.n_ladder:
@@ -185,7 +152,7 @@ class StudyConfig:
         if min(self.n_ladder) < MIN_N:
             raise ConfigError(f"ladder N must be >= {MIN_N}")
         if self.reference_formulation != "self2x":
-            if self.reference_formulation not in _FORMULATIONS:
+            if self.reference_formulation not in FORMULATIONS:
                 raise ConfigError(
                     f"unknown reference formulation {self.reference_formulation!r}"
                 )
@@ -198,11 +165,11 @@ class StudyConfig:
             raise ConfigError("directions must be >= 1")
 
     def build_problem(self) -> TransmissionProblem:
-        curve = make_curve(self.curve_name, *self.curve_params)
-        if self.incident_kind == "plane":
+        curve = make_curve(self.curve, *self.curve_params)
+        if self.incident == "plane":
             incident = PlaneWave(self.direction)
         else:
-            incident = PointSource(self.source, self.source_side)
+            incident = PointSource(self.source)
         return TransmissionProblem(curve, self.k_plus, self.k_minus, self.nu, incident)
 
 
@@ -212,7 +179,7 @@ class StudyRow:
     N: int
     error_linf: float
     iterations: int
-    seconds: float
+    seconds: float  # of ``solve_cell``; 0 on a failure
     failure: str = ""
     rcond: float | None = None  # LU condition estimate; None for GMRES or a failure
     stages: dict = field(default_factory=dict)  # SolverDiagnostics.stages; {} on a failure
@@ -233,7 +200,7 @@ class StudyReport:
 
     def to_json(self) -> str:
         payload = {
-            "curve": self.config.curve_name,
+            "curve": self.config.curve,
             "k_plus": self.config.k_plus,
             "k_minus": self.config.k_minus,
             "nu": self.config.nu,
@@ -255,23 +222,30 @@ class StudyReport:
         return json.dumps(payload, indent=2)
 
 
-def _solve_cell(problem, form, N, cfg):
-    kw = {}
-    if form == "l3" and cfg.kappa is not None:
-        kw["kappa"] = cfg.kappa
-    if form == "l4" and cfg.rho is not None:
-        kw["rho"] = cfg.rho
-    system = assemble(form, problem, N, **kw)
-    if cfg.solver == "gmres":
-        return solve(system, method="gmres", tol=cfg.gmres_tol, maxit=4 * N)
-    return solve(system)
+# what fails a cell: a singular or non-finite system, GMRES missing its tolerance
+CELL_ERRORS = (GmresError, np.linalg.LinAlgError, ValueError)
 
 
-def _far_field_of(problem, result, angles):
-    return FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
+def solve_cell(config: StudyConfig, form: str, N: int):
+    """Solve one (formulation, N) cell on a problem of its own.
+
+    Returns (SolveResult, far field over ``config.directions`` equispaced
+    directions, seconds of assembly, solve and far field together); raises
+    one of ``CELL_ERRORS`` when the cell fails.
+    """
+    problem = config.build_problem()
+    angles = np.linspace(0.0, 2.0 * np.pi, config.directions, endpoint=False)
+    t0 = time.perf_counter()
+    system = assemble(form, problem, N, kappa=config.kappa, rho=config.rho)
+    if config.solver == "gmres":
+        result = solve(system, method="gmres", tol=config.gmres_tol, maxit=4 * N)
+    else:
+        result = solve(system)
+    ff = FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
+    return result, ff, time.perf_counter() - t0
 
 
-def _write_far_field(out_dir, form, N, ff):
+def write_far_field(out_dir, form, N, ff):
     """Write one far field as angle,re,im CSV; returns the path."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"farfield_{form}_N{N}.csv"
@@ -283,16 +257,13 @@ def _write_far_field(out_dir, form, N, ff):
     return path
 
 
-_CELL_ERRORS = (GmresError, np.linalg.LinAlgError, ValueError)
-
-
 def run_convergence(config: StudyConfig) -> StudyReport:
     """Solve the ladder, measure far-field errors against the reference.
 
-    Each reference and each cell builds its own problem, so none of them
-    reuses the operator families ``assemble`` keeps for another's problem.
+    Each reference and each cell builds its own problem in ``solve_cell``,
+    so none of them reuses the operator families ``assemble`` keeps for
+    another's problem.
     """
-    angles = np.linspace(0.0, 2.0 * np.pi, config.directions, endpoint=False)
     report = StudyReport(config)
 
     def reference_key(form, N):
@@ -302,43 +273,31 @@ def run_convergence(config: StudyConfig) -> StudyReport:
 
     def reference(key):
         """Far field of one reference, or the exception that stopped it."""
-        problem = config.build_problem()
         try:
-            return _far_field_of(problem, _solve_cell(problem, *key, config), angles)
-        except _CELL_ERRORS as exc:
+            return solve_cell(config, *key)[1]
+        except CELL_ERRORS as exc:
             return exc
 
-    def run_cell(cell):
-        form, N = cell
+    def run_cell(form, N):
         ref = refs[reference_key(form, N)]
         if isinstance(ref, Exception):
             return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(ref))
-        problem = config.build_problem()
-        t0 = time.perf_counter()
         try:
-            result = _solve_cell(problem, form, N, config)
-            ff = _far_field_of(problem, result, angles)
-            err = far_field_linf_diff(ff, ref)
-            row = StudyRow(
-                form, N, err, result.diagnostics.iterations,
-                time.perf_counter() - t0, rcond=result.diagnostics.rcond,
-                stages=result.diagnostics.stages,
-            )
-            if config.dump_farfield:
-                _write_far_field(config.out_dir, form, N, ff)
-            return row
-        except _CELL_ERRORS as exc:
-            return StudyRow(
-                form, N, float("nan"), 0, time.perf_counter() - t0,
-                failure=str(exc),
-            )
+            result, ff, seconds = solve_cell(config, form, N)
+        except CELL_ERRORS as exc:
+            return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(exc))
+        if config.dump_farfield:
+            write_far_field(config.out_dir, form, N, ff)
+        diag = result.diagnostics
+        return StudyRow(form, N, far_field_linf_diff(ff, ref), diag.iterations,
+                        seconds, rcond=diag.rcond, stages=diag.stages)
 
     cells = [(f, N) for f in config.formulations for N in config.n_ladder]
     # every distinct reference is solved once, before any cell runs; a
     # failed one is recorded on each row that needs it
     keys = sorted({reference_key(f, N) for f, N in cells})
     refs = {key: reference(key) for key in keys}
-    rows = [run_cell(cell) for cell in cells]
+    rows = [run_cell(*cell) for cell in cells]
     report.rows = sorted(rows, key=lambda r: (r.formulation, r.N))
     if config.reference_formulation == "self2x":
         report.reference_label = "self at 2N"
@@ -416,10 +375,11 @@ def _psi_hat_quadrature(m, n_max):
     return (cosnt @ (w * psi)) / np.pi  # 2/(2 pi) * integral over [0, pi]
 
 
-def verify_weights(n_max: int = 64) -> VerificationReport:
+def verify_weights() -> VerificationReport:
     """Weight tables vs the quadrature oracle; spectral symbols; the
     documented discrepancies of the commonly printed tables."""
     rep = VerificationReport("weights")
+    n_max = 64
     ns = np.arange(n_max + 1)
     for m in (0, 1, 2):
         oracle = _psi_hat_quadrature(m, n_max)
@@ -465,9 +425,10 @@ def _circle_eig_scipy(k, n):
     return lam_v, lam_k, lam_kt, lam_h
 
 
-def verify_circle(k: float = 2.0, N: int = 64, n_max: int = 8) -> VerificationReport:
+def verify_circle() -> VerificationReport:
     """Operator eigenvalues on the unit circle vs separation of variables."""
     rep = VerificationReport("circle")
+    k, N, n_max = 2.0, 64, 8
     fam = OperatorFamily(make_curve("circle"), k, N)
     t = grid(N)
     groups = {
@@ -498,9 +459,10 @@ def _interior_source_cauchy(curve, k, N, location):
     return a, phi
 
 
-def verify_calderon(k: float = 8.0) -> VerificationReport:
+def verify_calderon() -> VerificationReport:
     """Green-formula residual identities on the kite, interior source."""
     rep = VerificationReport("calderon")
+    k = 8.0
     curve = make_curve("kite")
     res = {}
     for N in (32, 128):
@@ -521,10 +483,11 @@ def verify_calderon(k: float = 8.0) -> VerificationReport:
     return rep
 
 
-def verify_extinction(k: float = 8.0, N: int = 128) -> VerificationReport:
+def verify_extinction() -> VerificationReport:
     """Exterior Green representation: reproduces an interior source outside,
     vanishes inside."""
     rep = VerificationReport("extinction")
+    k, N = 8.0, 128
     curve = make_curve("kite")
     src = PointSource((0.1, 0.2))
     a, phi = _interior_source_cauchy(curve, k, N, (0.1, 0.2))
@@ -539,17 +502,18 @@ def verify_extinction(k: float = 8.0, N: int = 128) -> VerificationReport:
     return rep
 
 
-def verify_crossform(N: int = 256) -> VerificationReport:
+def verify_crossform() -> VerificationReport:
     """All four formulations agree pairwise in the far field (kite,
     k+ = 8, k- = 32, nu = 1, plane wave); GMRES iteration diagnostic."""
     rep = VerificationReport("crossform")
+    N = 256
     curve = make_curve("kite")
     prob = TransmissionProblem(curve, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     patterns = {}
     for form in ("l1", "l2", "l3", "l4"):
         result = solve(assemble(form, prob, N))
-        patterns[form] = _far_field_of(prob, result, angles)
+        patterns[form] = FieldEvaluator(curve, result.exterior_terms()).far_field(angles)
     names = list(patterns)
     for i, fa in enumerate(names):
         for fb in names[i + 1:]:

@@ -10,18 +10,18 @@ product W_m * K with K the sampled smooth kernel factor.  Families:
     T  = W1*E + W0*F,   H = D Lambda D + T
 
 psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
-is applied as that scalar; W1 and W2 have real even symbols and are stored as
-real matrices.  All factors of one family come from one fused kernel pass
-(see ``helmbie.kernels``), which the family's context keeps.  The tilde
-single layer is stored via its smooth remainder R~ = W2*At + W0*B so the
-formulations can use Lambda and R~ separately.
+is applied as that scalar; W1 and W2 have real even symbols and are formed as
+real matrices on each use, not kept.  All factors of one family come from
+one fused kernel pass (see ``helmbie.kernels``), which the family's context
+keeps.  The tilde single layer is stored via its smooth remainder
+R~ = W2*At + W0*B so the formulations can use Lambda and R~ separately.
 
 K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
 symmetric grid the weights are even circulants, so the Nystrom matrix of K'
-is the transpose of K's: each K is built from one sampling of C and D and
-its K' is a contiguous copy of the transpose.  W1 and W2 are symmetric only
-up to rounding, so this K' differs from W*(C^T sin^2) + W0*D^T (the form kept
-in the test oracles) by at most eps max|K|.
+is the transpose of K's: K and K~ are built together from one sampling of
+C and D, and each K' is a contiguous copy of the transpose.  W1 and W2 are
+symmetric only up to rounding, so this K' differs from W*(C^T sin^2) + W0*D^T
+(the form kept in the test oracles) by at most eps max|K|.
 
 Each operator is a plain read-only ndarray, built on first access and
 returned as the same object on every later one.  Matrices assemble in
@@ -74,13 +74,10 @@ class OperatorFamily:
     def _kernel(self, which):
         return kernel_matrix(self.ctx, which, self.N)
 
-    @cached_property
-    def _w1(self):
-        return conv_matrix(weight_table(1, self.N)).real.copy()
-
-    @cached_property
-    def _w2(self):
-        return conv_matrix(weight_table(2, self.N)).real.copy()
+    def _w(self, m):
+        """W_m as a real matrix, formed on each use (0.8 ms at N = 256)
+        rather than kept (2 MiB per weight and family at N = 256)."""
+        return conv_matrix(weight_table(m, self.N)).real
 
     @cached_property
     def lambda_mat(self):
@@ -92,20 +89,29 @@ class OperatorFamily:
 
     @cached_property
     def v_plain(self):
-        return _frozen(self._w1 * self._kernel("A") + self._w0 * self._kernel("B"))
+        return _frozen(self._w(1) * self._kernel("A")
+                       + self._w0 * self._kernel("B"))
 
     @cached_property
     def r_tilde(self):
-        return _frozen(self._w2 * self._kernel("At") + self._w0 * self._kernel("B"))
+        return _frozen(self._w(2) * self._kernel("At") + self._w0 * self._kernel("B"))
 
     @cached_property
     def v_tilde(self):
         return _frozen(self.lambda_mat + self.r_tilde)
 
     @cached_property
-    def k_plain(self):
+    def _k_pair(self):
+        """(K, K~) from one sampling of C and D: a family that builds one
+        double layer builds the other with it."""
         c_mat, d_mat = self._kernel(("C", "D"))
-        return _frozen(self._w1 * (c_mat * sin2_matrix(self.N)) + self._w0 * d_mat)
+        w0_d = self._w0 * d_mat
+        return (_frozen(self._w(1) * (c_mat * sin2_matrix(self.N)) + w0_d),
+                _frozen(self._w(2) * c_mat + w0_d))
+
+    @cached_property
+    def k_plain(self):
+        return self._k_pair[0]
 
     @cached_property
     def kt_plain(self):
@@ -114,8 +120,7 @@ class OperatorFamily:
 
     @cached_property
     def k_tilde(self):
-        c_mat, d_mat = self._kernel(("C", "D"))
-        return _frozen(self._w2 * c_mat + self._w0 * d_mat)
+        return self._k_pair[1]
 
     @cached_property
     def kt_tilde(self):
@@ -125,7 +130,7 @@ class OperatorFamily:
     @cached_property
     def t_op(self):
         e_mat, f_mat = ef_matrices(self.ctx, self.N)
-        return _frozen(self._w1 * e_mat + self._w0 * f_mat)
+        return _frozen(self._w(1) * e_mat + self._w0 * f_mat)
 
     @cached_property
     def h_op(self):

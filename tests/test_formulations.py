@@ -13,6 +13,7 @@ from helmbie.fields import (
     point_source_far_field,
 )
 from helmbie.formulations import (
+    FORMULATIONS,
     PlaneWave,
     PointSource,
     TransmissionProblem,
@@ -28,6 +29,7 @@ from helmbie.formulations import (
 from helmbie.fourier import dld_matrix, lambda_matrix
 from helmbie.geometry import ParametricCurve, circle, ellipse, grid, kite, make_curve
 from helmbie.linalg import gmres, lu_factor, lu_solve
+from helmbie.operators import OperatorFamily
 from oracles import l3_full_matrix, l4_full_matrix
 
 KITE = kite()
@@ -46,7 +48,7 @@ def test_build_data_plane_wave():
     data = build_data(prob, 32)
     t = grid(32)
     xb = KITE.point(t)
-    assert np.max(np.abs(data.h.nodal + np.exp(1j * 8.0 * xb[:, 0]))) <= 1e-14
+    assert np.max(np.abs(data.h + np.exp(1j * 8.0 * xb[:, 0]))) <= 1e-14
 
 
 def test_build_data_point_source():
@@ -55,7 +57,7 @@ def test_build_data_point_source():
     data = build_data(prob, 32)
     t = grid(32)
     xb = KITE.point(t)
-    assert np.max(np.abs(data.h.nodal + src.value(8.0, xb))) <= 1e-15
+    assert np.max(np.abs(data.h + src.value(8.0, xb))) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -75,7 +77,7 @@ def test_build_data_eta_carries_speed_factor():
     n = circle().normal(t)
     grad = prob.incident.gradient(2.0, xb)
     direct = -np.sum(grad * n, axis=-1)
-    assert np.max(np.abs(data.eta.nodal - direct)) <= 1e-14
+    assert np.max(np.abs(data.eta - direct)) <= 1e-14
 
 
 def test_point_source_on_boundary_rejected():
@@ -98,8 +100,6 @@ def test_problem_validation():
     for direction in ((0.0, 0.0), (1.0, 0.0, 5.0), (1.0,), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="direction"):
             PlaneWave(direction)
-    with pytest.raises(ValueError):
-        PointSource((0.0, 0.0), side="above")
 
 
 # --------------------------------------------------------- matched media
@@ -124,8 +124,8 @@ def test_matched_media_l1_solution_equals_rhs():
     system = assemble("l1", prob, 32)
     assert np.max(np.abs(system.matrix - np.eye(4 * 32))) <= 1e-10
     result = solve(system)
-    assert np.max(np.abs(result.a - system.data.h.nodal)) <= 1e-10
-    assert np.max(np.abs(result.phi - system.data.eta.nodal)) <= 1e-10
+    assert np.max(np.abs(result.a - system.data.h)) <= 1e-10
+    assert np.max(np.abs(result.phi - system.data.eta)) <= 1e-10
 
 
 def test_interior_source_matched_media_reconstruction():
@@ -234,7 +234,7 @@ def test_l2_leading_block_is_diagonal_in_fourier_basis():
     prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
     N = 16
     system = assemble_l2(prob, N)
-    fp, fm, _ = _op_families(prob, N)
+    fp, fm = _op_families(prob, N)
     kernels = np.block([
         [-(fm.k_tilde + fp.k_tilde),
          fp.r_tilde / nu + fm.r_tilde],
@@ -284,7 +284,8 @@ def test_l3_factorized_identity_exact_with_tilde_blocks():
     kappa = 8.0 + 0.5j
     l2 = assemble("l2", prob, N).matrix
     l3 = assemble_l3(prob, N, kappa=kappa).matrix
-    fp, fm, fk = _op_families(prob, N, kappa)
+    fp, fm = _op_families(prob, N)
+    fk = OperatorFamily(KITE, kappa, N)
     lam, dld = lambda_matrix(N), dld_matrix(N)
     eye = np.eye(2 * N)
     l1_tilde = np.block([
@@ -310,7 +311,7 @@ def test_l3_matches_plain_l1_composition_for_smooth_data():
     l1 = assemble("l1", prob, N).matrix
     l2 = assemble("l2", prob, N).matrix
     l3 = assemble_l3(prob, N, kappa=kappa).matrix
-    _, _, fk = _op_families(prob, N, kappa)
+    fk = OperatorFamily(KITE, kappa, N)
     lam, dld = lambda_matrix(N), dld_matrix(N)
     zero = np.zeros((2 * N, 2 * N))
     mid = np.block([[zero, lam + fk.r_tilde],
@@ -341,6 +342,19 @@ def test_l4_rejects_zero_rho():
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     with pytest.raises(ValueError):
         assemble_l4(prob, 16, rho=0.0)
+
+
+def test_each_formulation_reads_only_its_own_keyword():
+    # the driver passes kappa and rho to every formulation
+    prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
+    for form in FORMULATIONS:
+        formulations.empty_slot()
+        plain = assemble(form, prob, 16).matrix.tobytes()
+        formulations.empty_slot()
+        other = "rho" if form == "l3" else "kappa"
+        both = assemble(form, prob, 16, **{other: 1.0}).matrix.tobytes()
+        assert both == plain, form
+    assert assemble("l3", prob, 16, rho=1.0).kappa == 8.0 + 0.5j
 
 
 def test_l4_reconstruction_identities(transmission_results):
@@ -507,7 +521,7 @@ def test_regularizer_keeps_only_its_two_full_blocks():
     eye = np.eye(2 * N)
     dense = np.block([[eye / 3.0, r12], [r21, (2.0 / 3.0) * eye]])
     data = build_data(prob, N)
-    v = np.concatenate([data.h.nodal, data.eta.nodal])
+    v = np.concatenate([data.h, data.eta])
     # within the rounding bound n eps |R| |v| of a matrix-vector product
     bound = dense.shape[0] * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
     assert np.all(np.abs(system.rhs - dense @ v) <= bound)
@@ -558,8 +572,6 @@ def test_slot_under_threads_never_returns_a_wrong_matrix():
 
 # ------------------------------------------- operator families per problem
 
-FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
-
 
 def _count_families(monkeypatch):
     built = []
@@ -573,16 +585,18 @@ def _count_families(monkeypatch):
     return built
 
 
-def test_five_formulations_share_three_families(monkeypatch):
+def test_five_formulations_build_three_families_and_keep_two(monkeypatch):
     built = _count_families(monkeypatch)
     prob = _sweep_problems(1)[0]
     for form in FORMULATIONS:
         assemble(form, prob, 16)
     kappa = prob.k_plus + 0.5j
     assert built == [(3.0, 16), (5.0, 16), (kappa, 16)]
-    # a new kappa replaces the last one: at most three families are kept
+    # l3 drops its kappa family: only the k+ and k- families are kept
+    assert set(formulations._families[2]) == {3.0, 5.0}
     assemble("l3", prob, 16, kappa=2.0 + 1.0j)
-    assert set(formulations._families[2]) == {3.0, 5.0, 2.0 + 1.0j}
+    assert built[3] == (2.0 + 1.0j, 16)
+    assert set(formulations._families[2]) == {3.0, 5.0}
     # equal wavenumbers share one family; a new N builds afresh
     matched = TransmissionProblem(KITE, 3.0, 3.0, 1.0, PlaneWave((1.0, 0.0)))
     assemble("l1", matched, 16)
@@ -694,10 +708,11 @@ def test_block_algebra_matches_the_full_matrix_oracle(case, form):
     prob = TransmissionProblem(curve, k_plus, k_minus, nu, PlaneWave((0.6, 0.8)))
     system = assemble(form, prob, N)
     if form == "l3":
-        fp, fm, fk = _op_families(prob, N, system.kappa)
+        fp, fm = _op_families(prob, N)
+        fk = OperatorFamily(curve, system.kappa, N)
         oracle = l3_full_matrix(prob, N, fp, fm, fk, assemble("l2", prob, N).matrix)
     else:
-        fp, fm, _ = _op_families(prob, N)
+        fp, fm = _op_families(prob, N)
         oracle = l4_full_matrix(prob, N, system.rho, fp, fm)
     n = oracle.shape[0]
     assert np.max(np.abs(system.matrix - oracle)) <= \

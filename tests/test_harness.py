@@ -1,9 +1,12 @@
+import ast
+import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from helmbie import formulations, harness, operators
+from helmbie import cli, formulations, harness, operators
 from helmbie.cli import main
 from helmbie.harness import (
     ConfigError,
@@ -28,7 +31,7 @@ directions = 36
 
 def test_defaults_build():
     cfg = StudyConfig.from_mapping({})
-    assert cfg.curve_name == "kite"
+    assert cfg.curve == "kite"
     assert cfg.n_reference >= 2 * max(cfg.n_ladder)
     prob = cfg.build_problem()
     assert prob.k_minus == 32.0
@@ -77,6 +80,17 @@ def test_config_rejects_repeated_cells():
         StudyConfig.from_mapping({"n_ladder": "96,96"})
 
 
+def test_every_key_round_trips_with_its_default(tmp_path):
+    keys = dataclasses.fields(StudyConfig)
+    assert len(keys) == 19
+    path = tmp_path / "defaults.cfg"
+    path.write_text("".join(f"{key.name} = {key.metadata['default']}  "
+                            f"# {key.metadata['doc']}\n" for key in keys))
+    assert StudyConfig.from_file(path) == StudyConfig.from_mapping({})
+    with pytest.raises(ConfigError, match="source_side"):
+        StudyConfig.from_mapping({"source_side": "interior"})
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text(FAST_STUDY)
@@ -123,14 +137,14 @@ def test_self2x_reference(tmp_path):
 
 @pytest.mark.parametrize("solver", ["lu", "gmres"])
 def test_study_rows_carry_rcond(monkeypatch, solver):
-    solve_cell = harness._solve_cell
+    solve_cell = harness.solve_cell
 
-    def failing_cell(problem, form, N, cfg):
+    def failing_cell(config, form, N):
         if N == 24:
             raise ValueError("cell failed on purpose")
-        return solve_cell(problem, form, N, cfg)
+        return solve_cell(config, form, N)
 
-    monkeypatch.setattr(harness, "_solve_cell", failing_cell)
+    monkeypatch.setattr(harness, "solve_cell", failing_cell)
     cfg = StudyConfig.from_mapping({
         "k_minus": "8.0",
         "formulations": "l1",
@@ -186,11 +200,11 @@ def test_reports_are_deterministic(tmp_path):
 def test_failing_shared_reference_solved_once(monkeypatch):
     calls = []
 
-    def solve_cell(problem, form, N, cfg):
+    def solve_cell(config, form, N):
         calls.append((form, N))
         raise ValueError("reference diverged")
 
-    monkeypatch.setattr(harness, "_solve_cell", solve_cell)
+    monkeypatch.setattr(harness, "solve_cell", solve_cell)
     cfg = StudyConfig.from_mapping({
         "formulations": "l1,l2", "n_ladder": "24,32", "n_reference": "64",
         "directions": "36",
@@ -250,6 +264,26 @@ def test_cli_study_and_solve(tmp_path, capsys):
     assert payload["formulation"] == "l1"
     assert 0.0 < payload["rcond"] <= 1.0
     assert (tmp_path / "out" / "farfield_l1_N32.csv").exists()
+
+
+def test_cli_solve_and_one_cell_study_write_the_same_far_field(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("k_minus = 16.0\nformulations = l3\nn_ladder = 32\n"
+                   "n_reference = 64\ndirections = 36\ndump_farfield = true\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "solve"), "solve"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "study"), "study"]) == 0
+    csvs = [(tmp_path / run / "farfield_l3_N32.csv").read_bytes()
+            for run in ("solve", "study")]
+    assert csvs[0] == csvs[1]
+
+
+def test_cli_imports_no_private_harness_name():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("harness", "helmbie.harness")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
