@@ -22,7 +22,7 @@ from .fourier import (
 )
 from .kernels import KernelContext
 from .operators import OperatorFamily
-from .linalg import GmresResult, gmres, lu_factor, lu_solve
+from .linalg import gmres, lu_factor, lu_solve
 from .formulations import (
     PlaneWave,
     PointSource,

@@ -22,6 +22,7 @@ from .harness import (
     ConfigError,
     StudyConfig,
     VERIFICATION_SUITES,
+    cell_fields,
     run_convergence,
     run_verification,
     solve_cell,
@@ -52,16 +53,8 @@ def _cmd_solve(args) -> int:
     except CELL_ERRORS as exc:  # what fails a study cell fails a solve
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    diag = result.diagnostics
     summary = {
-        "formulation": form,
-        "N": n,
-        "solver": diag.method,
-        "iterations": diag.iterations,
-        "residual": diag.residual,
-        "rcond": diag.rcond,
-        "seconds": seconds,
-        "stages": diag.stages,
+        **cell_fields(form, n, result.diagnostics, seconds),
         "farfield_csv": str(write_far_field(cfg.out_dir, form, n, ff)),
         "max_farfield_amplitude": float(np.max(np.abs(ff.values))),
     }

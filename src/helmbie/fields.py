@@ -43,8 +43,16 @@ __all__ = [
 ]
 
 
+def _wavenumber(k, where: str = "") -> float:
+    """k as a float; raises unless it is a finite positive real."""
+    if np.imag(k) != 0.0 or not np.isfinite(k) or not np.real(k) > 0.0:
+        raise ValueError(f"{where}wavenumber k must be a finite positive real, got {k}")
+    return float(np.real(k))
+
+
 def far_field_constant(k: float) -> complex:
-    return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * k)
+    """e^{i pi/4} / sqrt(8 pi k); every far field calls it, so it checks k."""
+    return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * _wavenumber(k))
 
 
 def _on_grid(curve: ParametricCurve, density):
@@ -113,17 +121,16 @@ def _far_field(curve, k, sl_density, dl_density, angles):
     meets phi, m1 g and m2 g in one product; the DL term is then
     -ik (x^1 sum e m1 g + x^2 sum e m2 g).
     """
+    k = _wavenumber(k)
     sl, N, xb, m = _on_grid(curve, sl_density)
     dl = np.asarray(dl_density, dtype=complex)
     xhat = _directions(angles)
     p = xhat.shape[0]
     cols = np.stack([sl, m[:, 0] * dl, m[:, 1] * dl], axis=1)
     trig = np.empty((2, p, sl.size))  # cos, sin of k x^.x(t)
-    arg = _phase(xhat, xb, np.real(k))
+    arg = _phase(xhat, xb, k)
     np.cos(arg, out=trig[0])
     np.sin(arg, out=trig[1])
-    if np.imag(k) != 0.0:
-        trig *= np.exp(_phase(xhat, xb, np.imag(k)))
     # both real products at once: rows cos then sin, columns (re, im) of cols
     sums = linalg.matmul(trig.reshape(2 * p, -1), cols.view(float)).view(complex)
     e_sl, e_m1, e_m2 = (sums[:p] - 1j * sums[p:]).T
@@ -175,10 +182,10 @@ def far_field_linf_diff(p: FarFieldPattern, q: FarFieldPattern) -> float:
 class FieldEvaluator:
     """Sum of layer potentials with fixed densities on one curve.
 
-    ``terms`` is a list of ("sl" | "dl", k, nodal density), with finite k and
-    densities.  Evaluation rejects non-finite points and enforces the
-    5 h max|x'| distance guard; far fields require all terms to share one
-    wavenumber.
+    ``terms`` is a list of ("sl" | "dl", k, nodal density), with a finite
+    positive real k and finite densities.  Evaluation rejects non-finite
+    points and enforces the 5 h max|x'| distance guard; far fields require
+    all terms to share one wavenumber.
     """
 
     def __init__(self, curve: ParametricCurve, terms):
@@ -191,12 +198,13 @@ class FieldEvaluator:
         if unknown:
             raise ValueError(f"unknown potential kinds {sorted(unknown)}")
         self.curve = curve
-        self.terms = [(kind, k, np.asarray(d, dtype=complex)) for kind, k, d in terms]
-        for i, (kind, k, density) in enumerate(self.terms):
-            if not np.isfinite(k):
-                raise ValueError(f"term {i} ({kind}): wavenumber k must be finite, got {k}")
+        self.terms = []
+        for i, (kind, k, density) in enumerate(terms):
+            k = _wavenumber(k, f"term {i} ({kind}): ")
+            density = np.asarray(density, dtype=complex)
             if not np.all(np.isfinite(density)):
                 raise ValueError(f"term {i} ({kind}): density has non-finite values")
+            self.terms.append((kind, k, density))
         self.N = sizes.pop() // 2
         self._max_speed = curve.max_speed()
 
@@ -228,7 +236,6 @@ class FieldEvaluator:
         if len(ks) != 1:
             raise ValueError("far field undefined for mixed wavenumbers")
         k = ks.pop()
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
         sl, dl = (sum((d for kind, _, d in self.terms if kind == which),
                       np.zeros(2 * self.N, dtype=complex)) for which in ("sl", "dl"))
         return FarFieldPattern(angles, _far_field(self.curve, k, sl, dl, angles))

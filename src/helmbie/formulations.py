@@ -241,19 +241,14 @@ class FormulationSystem:
             return eta - 1j * self.rho * h
         return np.concatenate([h, eta])
 
-    def lu_factors(self) -> linalg.LUFactors:
-        """LU factors of ``matrix``, computed on first use and shared with
-        every system that shares the matrix."""
-        factors = self._kept_lu()
-        if factors is None:
-            factors = linalg.lu_factor(self.matrix)
-            self._lu[:] = [(self.matrix, factors)]
-        return factors
-
-    def _kept_lu(self) -> Optional[linalg.LUFactors]:
-        """The LU factors of ``matrix`` if some system computed them, else None."""
-        kept = self._lu[0] if self._lu else None
-        return kept[1] if kept is not None and kept[0] is self.matrix else None
+    def _lu_factors(self):
+        """(LU factors of ``matrix``, whether they were reused): computed on
+        first use and shared with every system that shares the matrix."""
+        if self._lu and self._lu[0][0] is self.matrix:
+            return self._lu[0][1], True
+        factors = linalg.lu_factor(self.matrix)
+        self._lu[:] = [(self.matrix, factors)]
+        return factors, False
 
 
 @dataclass
@@ -422,8 +417,8 @@ def _kappa(problem, kappa=None) -> complex:
     if kappa is None:
         kappa = problem.k_plus + 0.5j
     kappa = complex(kappa)
-    if kappa.imag <= 0:
-        raise ValueError("kappa needs a positive imaginary part")
+    if not (np.isfinite(kappa) and kappa.imag > 0):
+        raise ValueError("kappa must be finite with a positive imaginary part")
     return kappa
 
 
@@ -431,8 +426,8 @@ def _rho(problem, rho=None) -> float:
     if rho is None:
         rho = problem.k_plus
     rho = float(rho)
-    if rho == 0.0:
-        raise ValueError("rho must be a nonzero real number")
+    if not (np.isfinite(rho) and rho != 0.0):
+        raise ValueError("rho must be a finite nonzero real number")
     return rho
 
 
@@ -574,8 +569,7 @@ def solve(
     matrix) or restart-free 'gmres'."""
     t0 = time.perf_counter()
     if method == "lu":
-        reused = system._kept_lu() is not None
-        factors = system.lu_factors()
+        factors, reused = system._lu_factors()
         t1 = time.perf_counter()
         x = linalg.lu_solve(factors, system.rhs)
         t2 = time.perf_counter()
@@ -587,17 +581,10 @@ def solve(
         diag = SolverDiagnostics("lu", 0, float(res), t3 - t0,
                                  rcond=factors.rcond, stages=stages)
     elif method == "gmres":
-        out = linalg.gmres(system.matrix, system.rhs, tol=tol, maxit=maxit)
+        x, history = linalg.gmres(system.matrix, system.rhs, tol=tol, maxit=maxit)
         seconds = time.perf_counter() - t0
-        diag = SolverDiagnostics(
-            "gmres",
-            out.iterations,
-            out.residual,
-            seconds,
-            history=out.residuals,
-            stages={"gmres": seconds},
-        )
-        x = out.x
+        diag = SolverDiagnostics("gmres", len(history) - 1, float(history[-1]),
+                                 seconds, history=history, stages={"gmres": seconds})
     else:
         raise ValueError("method must be 'lu' or 'gmres'")
     if system.seconds is not None:

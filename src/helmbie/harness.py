@@ -5,8 +5,9 @@ reference solution (by default the second-kind direct formulation at a much
 larger N) and reports the max far-field error over equispaced directions.
 Every reference, every ladder cell and ``helmbie solve`` run through
 ``solve_cell``: assemble, solve and far field on a problem of the cell's
-own, with one meaning of ``seconds``.  Each config key is declared once, as
-a ``StudyConfig`` field carrying its default text, parser and doc.
+own, with one meaning of ``seconds``, and ``cell_fields`` writes the JSON
+record of each from its ``SolverDiagnostics``.  Each config key is declared
+once, as a ``StudyConfig`` field carrying its default text, parser and doc.
 Verification suites package the library's absolute-accuracy checks; each
 returns measured numbers next to its tolerances.  They are the one place
 these numbers are computed: ``helmbie verify`` prints them, and the
@@ -28,13 +29,16 @@ from .formulations import (
     FORMULATIONS,
     PlaneWave,
     PointSource,
+    SolverDiagnostics,
     TransmissionProblem,
+    _kappa,
+    _rho,
     assemble,
     solve,
 )
 from .fourier import TrigPolynomial, dld_matrix, fft_modes, lambda_matrix, psi_hat
 from .geometry import grid, grid_geometry, make_curve
-from .linalg import GmresError, gmres
+from .linalg import GmresError
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "ConfigError",
     "StudyConfig",
     "StudyReport",
+    "cell_fields",
     "run_convergence",
     "run_verification",
     "solve_cell",
@@ -136,7 +141,9 @@ class StudyConfig:
         if self.incident not in ("plane", "point"):
             raise ConfigError("incident must be 'plane' or 'point'")
         try:
-            self.build_problem()
+            problem = self.build_problem()
+            _kappa(problem, self.kappa)
+            _rho(problem, self.rho)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad problem: {exc}") from exc
         bad = [f for f in self.formulations if f not in FORMULATIONS]
@@ -173,16 +180,35 @@ class StudyConfig:
         return TransmissionProblem(curve, self.k_plus, self.k_minus, self.nu, incident)
 
 
+def cell_fields(formulation: str, N: int, diagnostics: SolverDiagnostics | None,
+                seconds: float) -> dict:
+    """The JSON fields of one cell: how it was solved and how well.
+
+    ``history`` is the GMRES residual history (null for LU); a failed cell,
+    with no diagnostics, reads 0 iterations, null and no stages.
+    """
+    d = diagnostics or SolverDiagnostics(None, 0, None, 0.0)
+    return {
+        "formulation": formulation,
+        "N": N,
+        "solver": d.method,
+        "iterations": d.iterations,
+        "residual": d.residual,
+        "rcond": d.rcond,
+        "history": None if d.history is None else d.history.tolist(),
+        "seconds": seconds,
+        "stages": d.stages,
+    }
+
+
 @dataclass
 class StudyRow:
     formulation: str
     N: int
     error_linf: float
-    iterations: int
     seconds: float  # of ``solve_cell``; 0 on a failure
+    diagnostics: SolverDiagnostics | None = None  # None on a failure
     failure: str = ""
-    rcond: float | None = None  # LU condition estimate; None for GMRES or a failure
-    stages: dict = field(default_factory=dict)  # SolverDiagnostics.stages; {} on a failure
 
 
 @dataclass
@@ -195,7 +221,8 @@ class StudyReport:
         lines = ["formulation,N,error_linf,iters,seconds"]
         for r in self.rows:
             err = "nan" if r.failure else f"{r.error_linf:.6e}"
-            lines.append(f"{r.formulation},{r.N},{err},{r.iterations},{r.seconds:.3f}")
+            iters = r.diagnostics.iterations if r.diagnostics else 0
+            lines.append(f"{r.formulation},{r.N},{err},{iters},{r.seconds:.3f}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -207,13 +234,8 @@ class StudyReport:
             "reference": self.reference_label,
             "rows": [
                 {
-                    "formulation": r.formulation,
-                    "N": r.N,
+                    **cell_fields(r.formulation, r.N, r.diagnostics, r.seconds),
                     "error_linf": None if r.failure else r.error_linf,
-                    "iters": r.iterations,
-                    "seconds": r.seconds,
-                    "rcond": r.rcond,
-                    "stages": r.stages,
                     "failure": r.failure,
                 }
                 for r in self.rows
@@ -237,10 +259,7 @@ def solve_cell(config: StudyConfig, form: str, N: int):
     angles = np.linspace(0.0, 2.0 * np.pi, config.directions, endpoint=False)
     t0 = time.perf_counter()
     system = assemble(form, problem, N, kappa=config.kappa, rho=config.rho)
-    if config.solver == "gmres":
-        result = solve(system, method="gmres", tol=config.gmres_tol, maxit=4 * N)
-    else:
-        result = solve(system)
+    result = solve(system, config.solver, tol=config.gmres_tol, maxit=4 * N)
     ff = FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
     return result, ff, time.perf_counter() - t0
 
@@ -281,16 +300,15 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     def run_cell(form, N):
         ref = refs[reference_key(form, N)]
         if isinstance(ref, Exception):
-            return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(ref))
+            return StudyRow(form, N, float("nan"), 0.0, failure=str(ref))
         try:
             result, ff, seconds = solve_cell(config, form, N)
         except CELL_ERRORS as exc:
-            return StudyRow(form, N, float("nan"), 0, 0.0, failure=str(exc))
+            return StudyRow(form, N, float("nan"), 0.0, failure=str(exc))
         if config.dump_farfield:
             write_far_field(config.out_dir, form, N, ff)
-        diag = result.diagnostics
-        return StudyRow(form, N, far_field_linf_diff(ff, ref), diag.iterations,
-                        seconds, rcond=diag.rcond, stages=diag.stages)
+        return StudyRow(form, N, far_field_linf_diff(ff, ref), seconds,
+                        result.diagnostics)
 
     cells = [(f, N) for f in config.formulations for N in config.n_ladder]
     # every distinct reference is solved once, before any cell runs; a
@@ -502,32 +520,39 @@ def verify_extinction() -> VerificationReport:
     return rep
 
 
+def _gmres_iterations(system):
+    """GMRES iterations to 1e-10, or inf when 4N of them do not reach it."""
+    try:
+        result = solve(system, "gmres", tol=1e-10, maxit=4 * system.N)
+    except GmresError:
+        return np.inf
+    return result.diagnostics.iterations
+
+
 def verify_crossform() -> VerificationReport:
-    """All four formulations agree pairwise in the far field (kite,
-    k+ = 8, k- = 32, nu = 1, plane wave); GMRES iteration diagnostic."""
+    """All four formulations agree pairwise in the far field (kite, k+ = 8,
+    k- = 32, nu = 1, plane wave), and the stability of their discrete
+    operators shows as GMRES counts that N = 128 and 256 share within 3."""
     rep = VerificationReport("crossform")
     N = 256
     curve = make_curve("kite")
     prob = TransmissionProblem(curve, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    patterns = {}
+    patterns, iterations = {}, {}
     for form in ("l1", "l2", "l3", "l4"):
-        result = solve(assemble(form, prob, N))
+        system = assemble(form, prob, N)
+        result = solve(system)
         patterns[form] = FieldEvaluator(curve, result.exterior_terms()).far_field(angles)
+        iterations[form] = _gmres_iterations(system)
     names = list(patterns)
     for i, fa in enumerate(names):
         for fb in names[i + 1:]:
             rep.add(f"far-field gap {fa} vs {fb}",
                     far_field_linf_diff(patterns[fa], patterns[fb]), 1e-8)
-    # iteration-count diagnostic at a smaller size (recorded, not asserted)
-    n_small = 64
-    for form in ("l2", "l3"):
-        system = assemble(form, prob, n_small)
-        try:
-            out = gmres(system.matrix, system.rhs, tol=1e-10, maxit=4 * n_small)
-            rep.note(f"gmres iterations, {form} at N={n_small}: {out.iterations}")
-        except GmresError as exc:
-            rep.note(f"gmres failed for {form} at N={n_small}: {exc}")
+    for form in names:
+        coarse = _gmres_iterations(assemble(form, prob, N // 2))
+        rep.add(f"gmres iteration change {form}, N={N // 2} -> {N}",
+                abs(iterations[form] - coarse), 3)
     return rep
 
 

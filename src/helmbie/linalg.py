@@ -26,7 +26,6 @@ import scipy.linalg.lapack
 __all__ = [
     "SingularMatrixError",
     "GmresError",
-    "GmresResult",
     "LUFactors",
     "lu_factor",
     "lu_solve",
@@ -125,31 +124,17 @@ def lu_solve(factors: LUFactors, rhs):
     return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
 
 
-@dataclass
-class GmresResult:
-    x: np.ndarray
-    iterations: int
-    residuals: np.ndarray  # relative residual after each iteration, [0] = 1
-
-    @property
-    def residual(self) -> float:
-        return float(self.residuals[-1])
-
-
-def gmres(operator, b, tol: float = 1e-10, maxit: int | None = None) -> GmresResult:
+def gmres(matrix, b, tol: float = 1e-10, maxit: int | None = None):
     """Restart-free GMRES with modified Gram-Schmidt Arnoldi, zero initial guess.
 
-    ``operator`` is a square matrix or a callable v -> A v.  Returns the first
-    iterate whose relative residual meets ``tol``; raises GmresError with the
-    residual history otherwise.
+    Returns ``(x, history)``: the first iterate whose relative residual meets
+    ``tol``, and the relative residual after each iteration (``history[0]``
+    is 1, so ``len(history) - 1`` is the iteration count).  Raises GmresError
+    with the history otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if callable(operator):
-        apply_op = operator
-    else:
-        mat = np.asarray(operator, dtype=complex)
-        apply_op = lambda v: matmul(mat, v)
+    mat = np.asarray(matrix, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = b.size
     if maxit is None:
@@ -158,7 +143,7 @@ def gmres(operator, b, tol: float = 1e-10, maxit: int | None = None) -> GmresRes
 
     beta = np.linalg.norm(b)
     if beta == 0.0:
-        return GmresResult(np.zeros(n, dtype=complex), 0, np.array([0.0]))
+        return np.zeros(n, dtype=complex), np.array([0.0])
 
     basis = [b / beta]
     hess = np.zeros((maxit + 1, maxit), dtype=complex)
@@ -169,7 +154,7 @@ def gmres(operator, b, tol: float = 1e-10, maxit: int | None = None) -> GmresRes
     history = [1.0]
 
     for j in range(maxit):
-        w = apply_op(basis[j])
+        w = matmul(mat, basis[j])
         for i in range(j + 1):
             hess[i, j] = np.vdot(basis[i], w)
             w = w - hess[i, j] * basis[i]
@@ -200,7 +185,7 @@ def gmres(operator, b, tol: float = 1e-10, maxit: int | None = None) -> GmresRes
             x = np.zeros(n, dtype=complex)
             for i in range(j + 1):
                 x += y[i] * basis[i]
-            return GmresResult(x, j + 1, np.asarray(history))
+            return x, np.asarray(history)
 
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:

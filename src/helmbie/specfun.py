@@ -36,6 +36,8 @@ class DomainError(ValueError):
 
 
 def _check_real(z, positive: bool):
+    if np.iscomplexobj(z):
+        raise DomainError("argument must be real; use the complex entry points")
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("argument must be finite")

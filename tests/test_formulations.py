@@ -9,6 +9,7 @@ import pytest
 from helmbie import formulations, linalg, operators
 from helmbie.fields import (
     FieldEvaluator,
+    far_field_constant,
     far_field_linf_diff,
     point_source_far_field,
 )
@@ -218,9 +219,9 @@ def test_lu_and_gmres_agree_on_every_formulation():
     for form in ("l1", "l2", "l3", "l4"):
         system = assemble(form, prob, 64)
         direct = lu_solve(lu_factor(system.matrix), system.rhs)
-        iterative = gmres(system.matrix, system.rhs, tol=1e-13,
-                          maxit=4 * system.N)
-        assert np.max(np.abs(direct - iterative.x)) <= 1e-9 * max(
+        iterative, _ = gmres(system.matrix, system.rhs, tol=1e-13,
+                             maxit=4 * system.N)
+        assert np.max(np.abs(direct - iterative)) <= 1e-9 * max(
             1.0, np.max(np.abs(direct))
         )
 
@@ -329,8 +330,8 @@ def test_l3_gmres_converges_faster_than_l2():
     N = 64
     s2 = assemble("l2", prob, N)
     s3 = assemble("l3", prob, N)
-    it2 = gmres(s2.matrix, s2.rhs, tol=1e-10, maxit=4 * N).iterations
-    it3 = gmres(s3.matrix, s3.rhs, tol=1e-10, maxit=4 * N).iterations
+    it2, it3 = (solve(s, "gmres", tol=1e-10, maxit=4 * N).diagnostics.iterations
+                for s in (s2, s3))
     print(f"\n    gmres iterations at tol 1e-10: l2 = {it2}, l3 = {it3}")
     assert it2 > 0 and it3 > 0
 
@@ -775,3 +776,26 @@ def test_far_field_reciprocity(curve_name, N, form):
         for prob in probs
     ], axis=1)
     assert np.max(np.abs(F - F.T)) <= TOL_RECIPROCITY * np.max(np.abs(F))
+
+
+TOL_UNITARITY = 1e-12  # relative to |z0|; fixed before measuring
+
+
+@pytest.mark.parametrize("form,k_plus", [("l1", 8.0), ("l3", 8.0), ("l4", 8.0),
+                                         ("l1", 4.0)])
+def test_far_field_operator_eigenvalues_lie_on_the_unitarity_circle(form, k_plus):
+    """For real k+, k- and nu > 0 the scatterer absorbs no energy, so the
+    far-field operator is normal and its eigenvalues lie on the circle
+    through 0 with centre z0 = 4 pi |gamma(k+)| e^{3i pi/4}.  On m = 64
+    equispaced directions (32 under-resolve the direction integral) with
+    x^_i = d_i, A = (2 pi / m) [u_inf(x^_i; d_j)] is its discrete form."""
+    m = 64
+    probs = _sweep_problems(m, KITE, k_plus, 16.0)
+    directions = 0.3 + 2.0 * np.pi * np.arange(m) / m
+    A = (2.0 * np.pi / m) * np.stack([
+        _exterior_far_field(prob, solve(assemble(form, prob, 160)), directions).values
+        for prob in probs
+    ], axis=1)
+    z0 = 4.0 * np.pi * abs(far_field_constant(k_plus)) * np.exp(0.75j * np.pi)
+    radii = np.abs(np.linalg.eigvals(A) - z0)
+    assert np.max(np.abs(radii - abs(z0))) <= TOL_UNITARITY * abs(z0)

@@ -73,6 +73,25 @@ def test_config_rejects_bad_values():
         StudyConfig.from_mapping({"n_ladder": "4", "n_reference": "16"})
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("kappa", "8", "kappa must be finite with a positive imaginary part"),
+    ("kappa", "8,-0.5", "kappa must be finite with a positive imaginary part"),
+    ("kappa", "nan,0.5", "kappa must be finite with a positive imaginary part"),
+    ("rho", "0", "rho must be a finite nonzero real number"),
+    ("rho", "nan", "rho must be a finite nonzero real number"),
+])
+def test_config_rejects_what_assemble_would(tmp_path, capsys, key, value, message):
+    # the config check runs the resolvers of assemble, so a bad kappa or rho
+    # is a config error (exit 1), not a failed cell (exit 2)
+    with pytest.raises(ConfigError, match=message):
+        StudyConfig.from_mapping({key: value})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_STUDY + f"{key} = {value}\nout_dir = {tmp_path / 'out'}\n")
+    for command in ("solve", "study"):
+        assert main(["--config", str(cfg), command]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_config_rejects_repeated_cells():
     with pytest.raises(ConfigError, match="formulations repeats"):
         StudyConfig.from_mapping({"formulations": "l1,l2,l1"})
@@ -155,13 +174,14 @@ def test_study_rows_carry_rcond(monkeypatch, solver):
     })
     report = run_convergence(cfg)
     ok, failed = report.rows
-    assert failed.failure and failed.rcond is None
+    assert failed.failure and failed.diagnostics is None
+    rcond = ok.diagnostics.rcond
     if solver == "lu":
-        assert 0.0 < ok.rcond <= 1.0
+        assert 0.0 < rcond <= 1.0
     else:
-        assert ok.rcond is None
+        assert rcond is None
     rows = json.loads(report.to_json())["rows"]
-    assert [row["rcond"] for row in rows] == [ok.rcond, None]
+    assert [row["rcond"] for row in rows] == [rcond, None]
     assert report.to_csv().splitlines()[0] == "formulation,N,error_linf,iters,seconds"
 
 
@@ -275,6 +295,27 @@ def test_cli_solve_and_one_cell_study_write_the_same_far_field(tmp_path, capsys)
     csvs = [(tmp_path / run / "farfield_l3_N32.csv").read_bytes()
             for run in ("solve", "study")]
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("solver", ["lu", "gmres"])
+def test_solve_json_and_one_cell_study_row_agree(tmp_path, capsys, solver):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(FAST_STUDY.replace("n_ladder = 24,32", "n_ladder = 32")
+                   + f"solver = {solver}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "solve"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "study"]) == 0
+    solved = json.loads((tmp_path / "solve_l1_N32.json").read_text())
+    row, = json.loads((tmp_path / "study.json").read_text())["rows"]
+    keys = ("formulation", "N", "solver", "iterations", "residual", "rcond", "history")
+    assert {key: solved[key] for key in keys} == {key: row[key] for key in keys}
+    assert solved["solver"] == solver
+    if solver == "lu":
+        assert solved["history"] is None and solved["iterations"] == 0
+    else:
+        assert len(solved["history"]) == solved["iterations"] + 1 > 1
+    cell = set(harness.cell_fields("l1", 32, None, 0.0))
+    assert set(solved) == cell | {"farfield_csv", "max_farfield_amplitude"}
+    assert set(row) == cell | {"error_linf", "failure"}
 
 
 def test_cli_imports_no_private_harness_name():

@@ -116,6 +116,15 @@ def test_domain_errors():
         hankel1_complex(0, 0.0)
 
 
+def test_real_entry_points_reject_complex_input():
+    # complex input was cast to its real part with a ComplexWarning
+    for fn in (bessel_j, bessel_y, hankel1):
+        with pytest.raises(DomainError, match="must be real"):
+            fn(0, 1.0 + 1.0j)
+        with pytest.raises(DomainError, match="must be real"):
+            fn(1, np.array([2.0, 3.0 + 0.5j]))
+
+
 def test_complex_argument_against_mpmath():
     import mpmath as mp
 
