@@ -29,10 +29,6 @@ from .formulations import (
     SolveResult,
     TransmissionProblem,
     assemble,
-    assemble_l1,
-    assemble_l2,
-    assemble_l3,
-    assemble_l4,
     build_data,
     solve,
 )

@@ -43,16 +43,16 @@ __all__ = [
 ]
 
 
-def _wavenumber(k, where: str = "") -> float:
-    """k as a float; raises unless it is a finite positive real."""
-    if np.imag(k) != 0.0 or not np.isfinite(k) or not np.real(k) > 0.0:
-        raise ValueError(f"{where}wavenumber k must be a finite positive real, got {k}")
-    return float(np.real(k))
+def _positive_real(value, name: str = "wavenumber k") -> float:
+    """value as a float; raises unless it is a finite positive real."""
+    if np.imag(value) != 0.0 or not np.isfinite(value) or not np.real(value) > 0.0:
+        raise ValueError(f"{name} must be a finite positive real, got {value}")
+    return float(np.real(value))
 
 
 def far_field_constant(k: float) -> complex:
     """e^{i pi/4} / sqrt(8 pi k); every far field calls it, so it checks k."""
-    return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * _wavenumber(k))
+    return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * _positive_real(k))
 
 
 def _on_grid(curve: ParametricCurve, density):
@@ -121,7 +121,7 @@ def _far_field(curve, k, sl_density, dl_density, angles):
     meets phi, m1 g and m2 g in one product; the DL term is then
     -ik (x^1 sum e m1 g + x^2 sum e m2 g).
     """
-    k = _wavenumber(k)
+    k = _positive_real(k)
     sl, N, xb, m = _on_grid(curve, sl_density)
     dl = np.asarray(dl_density, dtype=complex)
     xhat = _directions(angles)
@@ -200,7 +200,7 @@ class FieldEvaluator:
         self.curve = curve
         self.terms = []
         for i, (kind, k, density) in enumerate(terms):
-            k = _wavenumber(k, f"term {i} ({kind}): ")
+            k = _positive_real(k, f"term {i} ({kind}): wavenumber k")
             density = np.asarray(density, dtype=complex)
             if not np.all(np.isfinite(density)):
                 raise ValueError(f"term {i} ({kind}): density has non-finite values")

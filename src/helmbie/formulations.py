@@ -43,12 +43,13 @@ Nystrom operators for k+ and k-, so next to the system the slot keeps the
 ``OperatorFamily`` objects of the last problem assembled, for one N: one
 family per distinct wavenumber, at most two.  l3 also needs V and H for the
 complex kappa; it builds that family itself and drops it once the two full
-blocks of R_kappa are formed, since no other build reads it.  The kept
-families are shared only with later builds for the same
-``TransmissionProblem`` object at the same N (a system miss for another
-formulation of it, or a direct ``assemble_l*`` call); a new problem object or
-a new N replaces them, even when its system is a hit and builds nothing, and
-a failed ``assemble`` drops them.  A problem object is a unit of reuse: an
+blocks of R_kappa are formed, since no other build reads it.  Only
+``assemble`` reaches the kept families, and passes them with the resolved
+kappa or rho to the builders ``assemble_l1``-``assemble_l4``.  They are
+shared only with a later miss for another formulation of the same
+``TransmissionProblem`` object at the same N; a new problem object or a new N
+replaces them, even when its system is a hit and builds nothing, and a failed
+``assemble`` drops them.  A problem object is a unit of reuse: an
 equal problem built anew assembles its own families.  With every operator
 built once, the two families of the kite at N = 256 hold about 81 MiB
 (measured with tracemalloc, kernel factor sets included; Lambda and D Lambda
@@ -77,11 +78,12 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, specfun
+from .fields import _positive_real
 # Lambda and D Lambda D come from the k+ family; the two imports stay because
 # perfbench/spans.py wraps lambda_matrix and dld_matrix in this module too
 from .fourier import dld_matrix, lambda_matrix
 from .geometry import FINE_SAMPLES, ParametricCurve, grid_geometry
-from .operators import OperatorFamily
+from .operators import OperatorFamily, _grid_size
 
 __all__ = [
     "FORMULATIONS",
@@ -92,10 +94,6 @@ __all__ = [
     "build_data",
     "FormulationSystem",
     "SolveResult",
-    "assemble_l1",
-    "assemble_l2",
-    "assemble_l3",
-    "assemble_l4",
     "assemble",
     "empty_slot",
     "solve",
@@ -169,9 +167,11 @@ class TransmissionProblem:
 
     def __post_init__(self):
         for name in ("k_plus", "k_minus", "nu"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
+        # checked by duck type, so that user-defined incident fields work
+        if not all(callable(getattr(self.incident, m, None)) for m in ("value", "gradient")):
+            raise ValueError(f"incident field needs callable value and gradient "
+                             f"methods, got {self.incident!r}")
         if isinstance(self.incident, PointSource):
             curve = self.curve
             dist = curve.distance([self.incident.location])[0]
@@ -187,7 +187,6 @@ class TransmissionData:
 
     h: np.ndarray
     eta: np.ndarray
-    N: int
 
 
 def build_data(problem: TransmissionProblem, N: int) -> TransmissionData:
@@ -196,7 +195,7 @@ def build_data(problem: TransmissionProblem, N: int) -> TransmissionData:
     _, xb, m = grid_geometry(problem.curve, N)  # |x'| already inside m
     h = -inc.value(k, xb)
     eta = -np.sum(inc.gradient(k, xb) * m, axis=-1)
-    return TransmissionData(h, eta, N)
+    return TransmissionData(h, eta)
 
 
 @dataclass
@@ -213,10 +212,9 @@ class FormulationSystem:
     N: int
     problem: TransmissionProblem
     data: TransmissionData
-    kind: str = "direct"  # reconstruction: "direct" | "indirect"
     kappa: Optional[complex] = None
     rho: Optional[float] = None
-    # needed by the indirect reconstruction
+    # l4: K'- and V-, which ``solve`` applies to the density to form the terms
     aux: dict = field(default_factory=dict)
     # l3: the off-diagonal blocks (r12, r21) of R_kappa as one (2, 2N, 2N)
     # array; its diagonal blocks are I/(nu + 1) and nu I/(nu + 1)
@@ -268,38 +266,25 @@ class SolverDiagnostics:
 
 @dataclass
 class SolveResult:
-    """Solution densities plus everything needed to rebuild the fields."""
+    """Unknowns of one solve and the (kind, k, density) terms of u+ and u-."""
 
-    kind: str             # "direct" | "indirect"
     formulation: str
     N: int
     problem: TransmissionProblem
-    data: TransmissionData
     diagnostics: SolverDiagnostics
+    exterior: list
+    interior: list
     a: Optional[np.ndarray] = None
     phi: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
-    aux: dict = field(default_factory=dict)
 
     def exterior_terms(self):
         """Potential terms for u+ : list of (kind, k, density)."""
-        k, nu = self.problem.k_plus, self.problem.nu
-        if self.kind == "direct":
-            h, eta = self.data.h, self.data.eta
-            trace_p = h - self.a
-            conorm_p = eta - self.phi
-            return [("sl", k, -conorm_p), ("dl", k, trace_p)]
-        m = -self.mu
-        sl_dens = nu * (m + 2.0 * linalg.matmul(self.aux["kt_minus"], m))
-        dl_dens = -2.0 * linalg.matmul(self.aux["v_minus"], m)
-        return [("sl", k, sl_dens), ("dl", k, dl_dens)]
+        return self.exterior
 
     def interior_terms(self):
         """Potential terms for u- : list of (kind, k, density)."""
-        k, nu = self.problem.k_minus, self.problem.nu
-        if self.kind == "direct":
-            return [("sl", k, -self.phi / nu), ("dl", k, self.a)]
-        return [("sl", k, 2.0 * self.mu)]
+        return self.interior
 
 
 def _op_families(problem, N):
@@ -344,14 +329,15 @@ def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
     return system
 
 
-def assemble_l1(problem: TransmissionProblem, N: int) -> FormulationSystem:
+# The builders are not exported (``assemble`` is the one builder); they stay
+# module-level functions because perfbench/spans.py wraps them by name.
+def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> FormulationSystem:
     """Second-kind direct system from the plain operator family.
 
     Blocks: (1+nu)/2 I + [nu K- - K+,  V+ - V- ; nu (T- - T+),  nu Kt+ - Kt-]
     with right-hand side (h, nu eta); the D Lambda D parts of the two
     hypersingular operators cancel in the difference.
     """
-    fp, fm = _op_families(problem, N)
     nu = problem.nu
     eye = np.eye(2 * N)
     half = 0.5 * (1.0 + nu)
@@ -390,15 +376,11 @@ def _l2_matrix(problem, N, family, fp, fm):
     return matrix
 
 
-def assemble_l2(
-    problem: TransmissionProblem, N: int, family: str = "tilde"
-) -> FormulationSystem:
+def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
+                family: str) -> FormulationSystem:
     """First-kind direct system; 'tilde' is the accurate discretization
     ('l2'), 'plain' the unanalyzed single-layer variant ('l2plain') run only
     for comparison.  Right-hand side (h, eta)."""
-    if family not in ("tilde", "plain"):
-        raise ValueError("family must be 'tilde' or 'plain'")
-    fp, fm = _op_families(problem, N)
     matrix = _l2_matrix(problem, N, family, fp, fm)
     return _system("l2" if family == "tilde" else "l2plain", matrix, problem, N)
 
@@ -431,15 +413,12 @@ def _rho(problem, rho=None) -> float:
     return rho
 
 
-def assemble_l3(
-    problem: TransmissionProblem, N: int, kappa: Optional[complex] = None
-) -> FormulationSystem:
+def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
+                kappa: complex) -> FormulationSystem:
     """Regularized combined-field system R_kappa-preconditioned on top of the
-    tilde-family blocks; kappa must have positive imaginary part.  Right-hand
-    side R_kappa (h, eta).  The complex kappa family is built here and
-    dropped on return: only the two full blocks of R_kappa are kept."""
-    kappa = _kappa(problem, kappa)
-    fp, fm = _op_families(problem, N)
+    tilde-family blocks, for a kappa with positive imaginary part.
+    Right-hand side R_kappa (h, eta).  The complex kappa family is built here
+    and dropped on return: only the two full blocks of R_kappa are kept."""
     nu = problem.nu
     n2 = 2 * N
     lam, dld = fp.lambda_mat, fp.dld_mat
@@ -465,13 +444,10 @@ def assemble_l3(
     return _system("l3", matrix, problem, N, kappa=kappa, regularizer=reg)
 
 
-def assemble_l4(
-    problem: TransmissionProblem, N: int, rho: Optional[float] = None
-) -> FormulationSystem:
-    """Single-density indirect system from plain-family compositions.
-    Right-hand side eta - i rho h."""
-    rho = _rho(problem, rho)
-    fp, fm = _op_families(problem, N)
+def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
+                rho: float) -> FormulationSystem:
+    """Single-density indirect system from plain-family compositions, for a
+    finite nonzero real rho.  Right-hand side eta - i rho h."""
     nu = problem.nu
     eye = np.eye(2 * N)
     kt_m = fm.kt_plain
@@ -487,7 +463,7 @@ def assemble_l4(
     matrix += linalg.matmul(2.0 * (fp.t_op - fm.t_op)
                             + 1j * rho * (eye - 2.0 * k_p), v_m)
     matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
-    return _system("l4", matrix, problem, N, kind="indirect", rho=rho,
+    return _system("l4", matrix, problem, N, rho=rho,
                    aux={"kt_minus": kt_m, "v_minus": v_m})
 
 
@@ -522,6 +498,7 @@ def assemble(
         raise ValueError(
             f"unknown formulation {formulation!r}; choices {sorted(FORMULATIONS)}"
         )
+    N = _grid_size(N)
     kappa = _kappa(problem, kappa) if formulation == "l3" else None
     rho = _rho(problem, rho) if formulation == "l4" else None
     curve = problem.curve
@@ -539,16 +516,16 @@ def assemble(
         system.seconds = time.perf_counter() - t0
         return system
     try:
+        fp, fm = _op_families(problem, N)
         if formulation == "l1":
-            system = assemble_l1(problem, N)
-        elif formulation == "l2":
-            system = assemble_l2(problem, N, family="tilde")
-        elif formulation == "l2plain":
-            system = assemble_l2(problem, N, family="plain")
+            system = assemble_l1(problem, N, fp, fm)
         elif formulation == "l3":
-            system = assemble_l3(problem, N, kappa=kappa)
+            system = assemble_l3(problem, N, fp, fm, kappa)
+        elif formulation == "l4":
+            system = assemble_l4(problem, N, fp, fm, rho)
         else:
-            system = assemble_l4(problem, N, rho=rho)
+            family = "tilde" if formulation == "l2" else "plain"
+            system = assemble_l2(problem, N, fp, fm, family)
     except BaseException:
         with _slot_lock:
             _families = None  # they may hold what made the build fail
@@ -590,15 +567,21 @@ def solve(
     if system.seconds is not None:
         diag.stages = {"assemble": system.seconds, **diag.stages}
 
-    n2 = system.N * 2
-    densities = {"mu": x} if system.kind == "indirect" else {"a": x[:n2], "phi": x[n2:]}
-    return SolveResult(
-        system.kind,
-        system.formulation,
-        system.N,
-        system.problem,
-        system.data,
-        diag,
-        aux=system.aux,
-        **densities,
-    )
+    k_plus, k_minus, nu = system.problem.k_plus, system.problem.k_minus, system.problem.nu
+    if system.formulation == "l4":
+        m = -x  # the physical density (see the module docstring)
+        sl_dens = nu * (m + 2.0 * linalg.matmul(system.aux["kt_minus"], m))
+        dl_dens = -2.0 * linalg.matmul(system.aux["v_minus"], m)
+        exterior = [("sl", k_plus, sl_dens), ("dl", k_plus, dl_dens)]
+        interior = [("sl", k_minus, 2.0 * x)]
+        densities = {"mu": x}
+    else:
+        n2 = system.N * 2
+        a, phi = x[:n2], x[n2:]
+        trace_p = system.data.h - a
+        conorm_p = system.data.eta - phi
+        exterior = [("sl", k_plus, -conorm_p), ("dl", k_plus, trace_p)]
+        interior = [("sl", k_minus, -phi / nu), ("dl", k_minus, a)]
+        densities = {"a": a, "phi": phi}
+    return SolveResult(system.formulation, system.N, system.problem, diag,
+                       exterior, interior, **densities)

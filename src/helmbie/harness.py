@@ -38,7 +38,7 @@ from .formulations import (
 )
 from .fourier import TrigPolynomial, dld_matrix, fft_modes, lambda_matrix, psi_hat
 from .geometry import grid, grid_geometry, make_curve
-from .linalg import GmresError
+from .linalg import GmresError, _check_gmres
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
@@ -168,6 +168,10 @@ class StudyConfig:
                 raise ConfigError("n_reference must be >= 2x the largest ladder N")
         if self.solver not in ("lu", "gmres"):
             raise ConfigError("solver must be 'lu' or 'gmres'")
+        try:
+            _check_gmres(self.gmres_tol)
+        except ValueError as exc:
+            raise ConfigError(f"bad gmres_tol: {exc}") from exc
         if self.directions < 1:
             raise ConfigError("directions must be >= 1")
 

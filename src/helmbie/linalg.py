@@ -124,6 +124,14 @@ def lu_solve(factors: LUFactors, rhs):
     return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
 
 
+def _check_gmres(tol, maxit=None):
+    """Raise unless tol is finite and positive and maxit (if given) >= 1."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"GMRES tol must be finite and positive, got {tol}")
+    if maxit is not None and not maxit >= 1:
+        raise ValueError(f"GMRES maxit must be >= 1, got {maxit}")
+
+
 def gmres(matrix, b, tol: float = 1e-10, maxit: int | None = None):
     """Restart-free GMRES with modified Gram-Schmidt Arnoldi, zero initial guess.
 
@@ -132,8 +140,7 @@ def gmres(matrix, b, tol: float = 1e-10, maxit: int | None = None):
     is 1, so ``len(history) - 1`` is the iteration count).  Raises GmresError
     with the history otherwise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_gmres(tol, maxit)
     mat = np.asarray(matrix, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = b.size

@@ -31,6 +31,7 @@ factorization are fine.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 MIN_N = 8  # smallest grid the operators are assembled on
+
+
+def _grid_size(N) -> int:
+    """N as an int; raises unless it is an integer (numpy's too) >= MIN_N."""
+    if not (isinstance(N, numbers.Integral) and N >= MIN_N):
+        raise ValueError(f"N must be an integer >= {MIN_N}, got {N!r}")
+    return int(N)
 
 
 def _frozen(matrix):
@@ -65,10 +73,8 @@ class OperatorFamily:
     oversample = 1
 
     def __init__(self, curve: ParametricCurve, k, N: int):
-        if N < MIN_N:
-            raise ValueError(f"N must be >= {MIN_N}")
+        self.N = N = _grid_size(N)
         self.ctx = KernelContext(curve, k)
-        self.N = N
         self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
 
     def _kernel(self, which):

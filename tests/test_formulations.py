@@ -1,7 +1,8 @@
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ ANGLES = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
 
 def _exterior_far_field(problem, result, angles=ANGLES):
     return FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
+
+
+def _cold_families(problem, N):
+    """New k+ and k- families for a builder: no slot, nothing shared."""
+    return tuple(OperatorFamily(problem.curve, k, N)
+                 for k in (problem.k_plus, problem.k_minus))
 
 
 # ------------------------------------------------------------------ build_data
@@ -101,6 +108,43 @@ def test_problem_validation():
     for direction in ((0.0, 0.0), (1.0, 0.0, 5.0), (1.0,), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="direction"):
             PlaneWave(direction)
+
+
+@pytest.mark.parametrize("name", ["k_plus", "k_minus", "nu"])
+def test_problem_coefficients_are_positive_reals(name):
+    # a complex value used to fail inside a comparison with a TypeError
+    fields = dict(curve=KITE, k_plus=8.0, k_minus=32.0, nu=1.0, incident=PlaneWave())
+    with pytest.raises(ValueError, match=f"{name} must be a finite positive real"):
+        TransmissionProblem(**{**fields, name: 8.0 + 0.5j})
+    typed = TransmissionProblem(**{**fields, name: 2.0 + 0j})
+    assert type(getattr(typed, name)) is float and getattr(typed, name) == 2.0
+
+
+class _Evanescent:
+    """A user-defined incident field: any object with value and gradient."""
+
+    def value(self, k, points):
+        return np.exp(-k * np.atleast_2d(points)[:, 1])
+
+    def gradient(self, k, points):
+        return np.array([0.0, -k]) * self.value(k, points)[:, None]
+
+
+class _ValueOnly:
+    value = _Evanescent.value
+
+
+@pytest.mark.parametrize("incident", ["plane", None, _ValueOnly()])
+def test_problem_rejects_an_incident_field_it_cannot_sample(incident):
+    # "plane" used to construct, and assemble then raised an AttributeError
+    with pytest.raises(ValueError, match="incident field needs callable value"):
+        TransmissionProblem(KITE, 8.0, 32.0, 1.0, incident)
+
+
+def test_user_defined_incident_field_is_sampled():
+    data = build_data(TransmissionProblem(KITE, 8.0, 32.0, 1.0, _Evanescent()), 16)
+    xb = KITE.point(grid(16))
+    assert np.array_equal(data.h, -np.exp(-8.0 * xb[:, 1]))
 
 
 # --------------------------------------------------------- matched media
@@ -234,8 +278,8 @@ def test_l2_leading_block_is_diagonal_in_fourier_basis():
     nu = 2.0
     prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
     N = 16
-    system = assemble_l2(prob, N)
-    fp, fm = _op_families(prob, N)
+    fp, fm = _cold_families(prob, N)
+    system = assemble_l2(prob, N, fp, fm, "tilde")
     kernels = np.block([
         [-(fm.k_tilde + fp.k_tilde),
          fp.r_tilde / nu + fm.r_tilde],
@@ -273,7 +317,7 @@ def test_l2_families_differ_but_converge_together():
 def test_l3_rejects_bad_kappa():
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     with pytest.raises(ValueError):
-        assemble_l3(prob, 16, kappa=8.0)
+        assemble("l3", prob, 16, kappa=8.0)
 
 
 def test_l3_factorized_identity_exact_with_tilde_blocks():
@@ -284,8 +328,8 @@ def test_l3_factorized_identity_exact_with_tilde_blocks():
     N = 48
     kappa = 8.0 + 0.5j
     l2 = assemble("l2", prob, N).matrix
-    l3 = assemble_l3(prob, N, kappa=kappa).matrix
     fp, fm = _op_families(prob, N)
+    l3 = assemble_l3(prob, N, fp, fm, kappa).matrix
     fk = OperatorFamily(KITE, kappa, N)
     lam, dld = lambda_matrix(N), dld_matrix(N)
     eye = np.eye(2 * N)
@@ -311,7 +355,7 @@ def test_l3_matches_plain_l1_composition_for_smooth_data():
     kappa = 2.0 + 0.5j
     l1 = assemble("l1", prob, N).matrix
     l2 = assemble("l2", prob, N).matrix
-    l3 = assemble_l3(prob, N, kappa=kappa).matrix
+    l3 = assemble("l3", prob, N, kappa=kappa).matrix
     fk = OperatorFamily(KITE, kappa, N)
     lam, dld = lambda_matrix(N), dld_matrix(N)
     zero = np.zeros((2 * N, 2 * N))
@@ -342,7 +386,7 @@ def test_l3_gmres_converges_faster_than_l2():
 def test_l4_rejects_zero_rho():
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     with pytest.raises(ValueError):
-        assemble_l4(prob, 16, rho=0.0)
+        assemble("l4", prob, 16, rho=0.0)
 
 
 def test_each_formulation_reads_only_its_own_keyword():
@@ -442,7 +486,7 @@ def test_incidence_sweep_assembles_and_factors_once(monkeypatch):
     monkeypatch.undo()
     # each far field is bit for bit that of a cold assembly and factorization
     for prob, res in zip(_sweep_problems(8), results):
-        cold = solve(assemble_l1(prob, 32))
+        cold = solve(assemble_l1(prob, 32, *_cold_families(prob, 32)))
         assert _exterior_far_field(prob, res).values.tobytes() == \
             _exterior_far_field(prob, cold).values.tobytes()
 
@@ -499,6 +543,63 @@ def test_any_key_change_rebuilds(changed):
     assert kept.matrix is other.matrix
 
 
+@pytest.mark.parametrize("bad", [16.0, 16.5, "16"])
+def test_grid_size_is_an_integer_at_least_min_n(bad):
+    # a cold float N failed deep in numpy, and the same call was a slot hit
+    prob = _sweep_problems(1)[0]
+    for form in ("l1", "l4"):
+        formulations.empty_slot()
+        with pytest.raises(ValueError, match="N must be an integer >= 8"):
+            assemble(form, prob, bad)
+        assemble(form, prob, 16)
+        with pytest.raises(ValueError, match=f"N must be an integer >= 8, got {bad!r}"):
+            assemble(form, prob, bad)
+    with pytest.raises(ValueError, match="N must be an integer >= 8"):
+        OperatorFamily(KITE, 8.0, bad)
+    hit = assemble("l4", prob, np.int64(16))
+    assert hit.N == 16 and type(hit.N) is int
+    assert OperatorFamily(KITE, 8.0, np.int64(16)).N == 16
+
+
+def test_builders_build_only_the_kappa_family(monkeypatch):
+    # the k+ and k- families are what a builder is given; l3 builds its own
+    # complex kappa family
+    prob = _sweep_problems(1)[0]
+    fp, fm = _cold_families(prob, 16)
+    built = _count_families(monkeypatch)
+    formulations.assemble_l1(prob, 16, fp, fm)
+    formulations.assemble_l2(prob, 16, fp, fm, "tilde")
+    formulations.assemble_l2(prob, 16, fp, fm, "plain")
+    formulations.assemble_l4(prob, 16, fp, fm, 3.0)
+    assert built == []
+    formulations.assemble_l3(prob, 16, fp, fm, 3.0 + 0.5j)
+    assert built == [(3.0 + 0.5j, 16)]
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif is_dataclass(value):
+        yield from _arrays([getattr(value, f.name) for f in dataclass_fields(value)])
+
+
+def test_l4_result_holds_no_operator_matrix():
+    # the result keeps its densities and terms, not the K'- and V- they were
+    # formed with, so a kept result pins no 2N x 2N matrix
+    prob = _sweep_problems(1)[0]
+    for method in ("lu", "gmres"):
+        result = solve(assemble("l4", prob, 16), method, tol=1e-12)
+        held = list(_arrays([getattr(result, f.name) for f in dataclass_fields(result)
+                             if f.name != "problem"]))
+        assert any(array is result.mu for array in held)
+        assert [array.shape for array in held if array.ndim != 1] == []
+
+
 def test_shared_arrays_are_read_only():
     probs = _sweep_problems(2)
     cold, hit = (assemble("l3", prob, 8) for prob in probs)
@@ -506,7 +607,7 @@ def test_shared_arrays_are_read_only():
     cold4, hit4 = (assemble("l4", prob, 8) for prob in probs)
     assert hit4.aux["kt_minus"] is cold4.aux["kt_minus"]
     shared = (cold.matrix, hit.matrix, hit.regularizer, hit4.matrix,
-              *hit4.aux.values(), *solve(hit4).aux.values())
+              *hit4.aux.values())
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
@@ -550,7 +651,8 @@ def test_nonfinite_block_is_named(monkeypatch):
 def test_slot_under_threads_never_returns_a_wrong_matrix():
     # two keys fought over by more threads than cores: every system must carry
     # its own key's matrix and LU, whichever thread built or factored them
-    cold = {N: assemble_l1(_sweep_problems(1)[0], N).matrix for N in (8, 10)}
+    prob = _sweep_problems(1)[0]
+    cold = {N: assemble_l1(prob, N, *_cold_families(prob, N)).matrix for N in (8, 10)}
     probs = _sweep_problems(6)
 
     def work(i):
@@ -754,7 +856,7 @@ def test_assemble_stage_times_the_call_that_returned_the_system():
     # a hit builds only the data and the right-hand side
     assert 0.0 < hit.seconds < cold.seconds
     assert solve(hit).diagnostics.stages["assemble"] == hit.seconds
-    direct = assemble_l1(first, 24)
+    direct = assemble_l1(first, 24, *_cold_families(first, 24))
     assert direct.seconds is None and "assemble" not in solve(direct).diagnostics.stages
 
 

@@ -79,10 +79,15 @@ def test_config_rejects_bad_values():
     ("kappa", "nan,0.5", "kappa must be finite with a positive imaginary part"),
     ("rho", "0", "rho must be a finite nonzero real number"),
     ("rho", "nan", "rho must be a finite nonzero real number"),
+    ("gmres_tol", "0", "GMRES tol must be finite and positive"),
+    ("gmres_tol", "-1", "GMRES tol must be finite and positive"),
+    ("gmres_tol", "nan", "GMRES tol must be finite and positive"),
+    ("gmres_tol", "inf", "GMRES tol must be finite and positive"),
 ])
 def test_config_rejects_what_assemble_would(tmp_path, capsys, key, value, message):
-    # the config check runs the resolvers of assemble, so a bad kappa or rho
-    # is a config error (exit 1), not a failed cell (exit 2)
+    # the config check runs the resolvers of assemble and the check of gmres,
+    # so a bad kappa, rho or gmres_tol is a config error (exit 1), not a
+    # failed cell (exit 2)
     with pytest.raises(ConfigError, match=message):
         StudyConfig.from_mapping({key: value})
     cfg = tmp_path / "bad.cfg"

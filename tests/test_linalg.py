@@ -127,6 +127,19 @@ def test_gmres_rejects_bad_tol():
         gmres(np.eye(2), np.ones(2), tol=0.0)
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"tol": np.inf}, "tol must be finite and positive"),
+    ({"tol": np.nan}, "tol must be finite and positive"),
+    ({"maxit": 0}, "maxit must be >= 1"),
+    ({"maxit": -3}, "maxit must be >= 1"),
+])
+def test_gmres_rejects_a_tol_or_cap_it_cannot_honour(kw, message):
+    # tol = inf returned after one iteration, nan ran every one and failed,
+    # and a negative maxit died inside numpy
+    with pytest.raises(ValueError, match=message):
+        gmres(np.eye(2), np.ones(2), **kw)
+
+
 def _product_gap(a, b, product):
     """|product - np.matmul(a, b)| against 4 n eps max|a| max|b|, n inner."""
     exact = np.matmul(a, b)
@@ -218,3 +231,22 @@ def test_gmres_runs_only_through_solve():
     found = {p.name: _calls_gmres(p) for p in paths}
     assert {name: calls for name, calls in found.items() if calls} == {}
     assert _calls_gmres(root / "formulations.py")  # the check sees solve's call
+
+
+def test_only_assemble_reaches_the_reuse_state():
+    """Inside ``formulations`` only ``assemble`` calls ``_op_families``, and
+    only ``assemble``, ``empty_slot`` and ``_op_families`` read or write the
+    slot and the kept families: the builders work on what they are given."""
+    path = pathlib.Path(helmbie.__file__).parent / "formulations.py"
+    callers, users = set(), set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_op_families":
+                callers.add(fn.name)
+            names = node.names if isinstance(node, ast.Global) else [getattr(node, "id", None)]
+            if {"_slot", "_families"} & set(names):
+                users.add(fn.name)
+    assert callers == {"assemble"}
+    assert users == {"assemble", "empty_slot", "_op_families"}
