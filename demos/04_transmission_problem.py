@@ -5,7 +5,8 @@ A plane wave hits the kite with exterior wavenumber 8, interior wavenumber
 
     l1  second-kind direct        (plain family)
     l2  first-kind direct         (tilde family)
-    l3  regularized combined field (tilde family, complex kappa)
+    l3  regularized combined field (tilde family, principal-symbol
+        regularizer at complex kappa, applied by FFTs)
     l4  single-density indirect   (plain-family compositions)
 
 must produce the same exterior far field; their pairwise gaps, the GMRES

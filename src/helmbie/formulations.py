@@ -11,7 +11,7 @@ matrix products.  Data vectors are
 Sign convention.  With the jump relations used here (trace DL = +-I/2 + K,
 conormal SL = -+I/2 + Kt, exterior Green formula u+ = -SL phi+ + DL a+), the
 solve of the direct systems with right-hand sides (h, nu eta), (h, eta),
-R_kappa (h, eta) returns the NEGATIVE of the total-wave Cauchy data:
+R_PS (h, eta) returns the NEGATIVE of the total-wave Cauchy data:
 
     a = -(u_t o x),   phi = -|x'| (d_n u_t) o x,  u_t = u+ + u_inc.
 
@@ -28,40 +28,55 @@ through (h, eta).  ``assemble`` therefore keeps the last system it built in
 one process-wide slot, keyed on the formulation, the curve's name and
 coefficients, k+, k-, nu, N and the resolved kappa/rho.  On a hit it builds
 only the data and the right-hand side (``FormulationSystem.rhs_for``) and
-returns a system that shares the read-only matrix, ``aux``, the two full
-blocks of the regularizer R_kappa and the LU factors, so a sweep over
-incidences assembles and factors once.  A miss empties the slot before it
-builds, so two systems are never held together and peak memory stays that
-of one system.  The slot holds its system until the next miss or
-``empty_slot()``, after every caller has dropped it: on the kite at N = 256
-that is 32 MiB for l1 and l2 (matrix and LU), 40 MiB for l3 (with the two
-blocks of R_kappa) and 16 MiB for l4 (with ``aux``), four times as much at
-N = 512.
+returns a system that shares the read-only matrix, ``aux`` and the LU
+factors, so a sweep over incidences assembles and factors once.  A miss
+empties the slot before it builds, so two systems are never held together
+and peak memory stays that of one system.  The slot holds its system until
+the next miss or ``empty_slot()``, after every caller has dropped it: on the
+kite at N = 256 that is 32 MiB for l1, l2 and l3 (matrix and LU) and 16 MiB
+for l4 (with ``aux``), four times as much at N = 512.
 
 Many formulations.  The five formulations are block combinations of the same
 Nystrom operators for k+ and k-, so next to the system the slot keeps the
 ``OperatorFamily`` objects of the last problem assembled, for one N: one
-family per distinct wavenumber, at most two.  l3 also needs V and H for the
-complex kappa; it builds that family itself and drops it once the two full
-blocks of R_kappa are formed, since no other build reads it.  Only
-``assemble`` reaches the kept families, and passes them with the resolved
-kappa or rho to the builders ``assemble_l1``-``assemble_l4``.  They are
-shared only with a later miss for another formulation of the same
-``TransmissionProblem`` object at the same N; a new problem object or a new N
-replaces them, even when its system is a hit and builds nothing, and a failed
-``assemble`` drops them.  A problem object is a unit of reuse: an
-equal problem built anew assembles its own families.  With every operator
-built once, the two families of the kite at N = 256 hold about 81 MiB
-(measured with tracemalloc, kernel factor sets included; Lambda and D Lambda
-D of the k+ family, which the first-kind blocks and R_kappa read, are part
-of it), four times as much at N = 512, until the next problem or
-``empty_slot()``.  A lock guards only the slot's reads and writes; two
-threads may race to build the same system or operator, which costs time but
-never returns a wrong matrix.
+family per distinct wavenumber, at most two; l3's regularizer needs no
+family of its own (see below).  Only ``assemble`` reaches the kept families,
+and passes them with the resolved kappa or rho to the builders
+``assemble_l1``-``assemble_l4``.  They are shared only with a later miss for
+another formulation of the same ``TransmissionProblem`` object at the same
+N; a new problem object or a new N replaces them, even when its system is a
+hit and builds nothing, and a failed ``assemble`` drops them.  A problem
+object is a unit of reuse: an equal problem built anew assembles its own
+families.  With every operator built once, the two families of the kite at
+N = 256 hold about 81 MiB (measured with tracemalloc, kernel factor sets
+included; Lambda and D Lambda D of the k+ family, which the first-kind
+blocks read, are part of it), four times as much at N = 512, until the next
+problem or ``empty_slot()``.  A lock guards only the slot's reads and
+writes; two threads may race to build the same system or operator, which
+costs time but never returns a wrong matrix.
+
+The l3 regularizer.  A regularizer only has to match the principal parts of
+V and H at the complex wavenumber kappa (Boubendir, Dominguez, Levadoux and
+Turc, SIAM J. Appl. Math. 75, 2015), so l3 uses
+R_PS = [I, 2 V_PS; -2 nu H_PS, nu I] / (nu + 1), where V_PS and H_PS are
+left-quantized Fourier multipliers with the symbols
+
+    sigma_V(t, n) = 1 / (2 sqrt(n^2 - kappa^2 s(t)^2)),
+    sigma_H(t, n) = -sqrt(n^2 - kappa^2 s(t)^2) / 2,    s = |x'| at the nodes,
+
+and numpy's principal square root, Re >= 0.  The branch matters: on the kite
+and the cavity at N = 128 (k+ = 8, k- = 32, GMRES to 1e-10), the symbols at
+conj(kappa) take 1.5 times the iterations, and the other root 6 times.
+Each operator is applied as sum_a diag(l_a(s)) C_a: C_a is the circulant of
+the symbol at the speed s_a, one of three Chebyshev nodes on
+[min s, max s], and l_a its Lagrange basis polynomial; a constant speed (the
+circle) takes one circulant.  R_PS L2 therefore costs one FFT and three
+scaled inverse FFTs per block row, O(N^2 log N), with no Bessel call and no
+dense product, and nothing of R_PS is kept: ``rhs_for`` applies it to
+(h, eta) the same way.
 
 Block algebra.  Every formulation writes its blocks into one preallocated
-matrix.  l3 forms R_kappa L2 by block rows, as 2 V_kappa times the lower
-block row of L2 and -2 nu H_kappa times the upper one, and l4 groups its
+matrix.  l3 applies R_PS to L2 by block rows, in place, and l4 groups its
 compositions into two products; both reassociate the floating-point sums of
 the full-matrix forms kept in the test oracles.  l1, l2 and l2plain keep the
 order of every sum, so their matrices are those of the full-matrix forms bit
@@ -79,11 +94,11 @@ import numpy as np
 
 from . import linalg, specfun
 from .fields import _positive_real
-# Lambda and D Lambda D come from the k+ family; the two imports stay because
-# perfbench/spans.py wraps lambda_matrix and dld_matrix in this module too
-from .fourier import dld_matrix, lambda_matrix
-from .geometry import FINE_SAMPLES, ParametricCurve, grid_geometry
-from .operators import OperatorFamily, _grid_size
+# Lambda and D Lambda D come from the k+ family; their two imports stay
+# because perfbench/spans.py wraps lambda_matrix and dld_matrix here too
+from .fourier import dld_matrix, fft_modes, lambda_matrix
+from .geometry import FINE_SAMPLES, ParametricCurve, _grid_size, grid_geometry
+from .operators import MIN_N, OperatorFamily
 
 __all__ = [
     "FORMULATIONS",
@@ -166,6 +181,8 @@ class TransmissionProblem:
     incident: object
 
     def __post_init__(self):
+        if not isinstance(self.curve, ParametricCurve):
+            raise ValueError(f"curve must be a ParametricCurve, got {self.curve!r}")
         for name in ("k_plus", "k_minus", "nu"):
             object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         # checked by duck type, so that user-defined incident fields work
@@ -216,9 +233,6 @@ class FormulationSystem:
     rho: Optional[float] = None
     # l4: K'- and V-, which ``solve`` applies to the density to form the terms
     aux: dict = field(default_factory=dict)
-    # l3: the off-diagonal blocks (r12, r21) of R_kappa as one (2, 2N, 2N)
-    # array; its diagonal blocks are I/(nu + 1) and nu I/(nu + 1)
-    regularizer: Optional[np.ndarray] = None
     # wall time of the ``assemble`` call that returned this system (on a slot
     # hit, of its data and right-hand side); None from an ``assemble_l*`` call
     seconds: Optional[float] = None
@@ -231,10 +245,12 @@ class FormulationSystem:
         if self.formulation == "l1":
             return np.concatenate([h, self.problem.nu * eta])
         if self.formulation == "l3":
-            nu = self.problem.nu
-            r12, r21 = self.regularizer
-            return np.concatenate([h / (nu + 1.0) + linalg.matmul(r12, eta),
-                                   linalg.matmul(r21, h) + (nu / (nu + 1.0)) * eta])
+            nu, n2 = self.problem.nu, 2 * self.N
+            v_ps, h_ps = _principal_symbols(self.problem, self.N, self.kappa)
+            rhs = np.concatenate([h / (nu + 1.0), (nu / (nu + 1.0)) * eta])
+            _add_multipliers(rhs[:n2], v_ps, np.fft.fft(eta))
+            _add_multipliers(rhs[n2:], h_ps, np.fft.fft(h))
+            return rhs
         if self.formulation == "l4":
             return eta - 1j * self.rho * h
         return np.concatenate([h, eta])
@@ -385,14 +401,44 @@ def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
     return _system("l2" if family == "tilde" else "l2plain", matrix, problem, N)
 
 
-def _regularizer(problem, N, fk, lam, dld):
-    """The off-diagonal blocks (r12, r21) of
-    R_kappa = [I, 2 V_kappa; -2 nu H_kappa, nu I] / (nu + 1)."""
+_PS_NODES = 3  # Chebyshev nodes in the speed range, for the symbols of R_PS
+
+
+def _principal_symbols(problem, N, kappa):
+    """The off-diagonal blocks 2 V_PS / (nu + 1) and -2 nu H_PS / (nu + 1) of
+    R_PS, each as a list of (l_a(s), sigma_a): the block is the sum over a of
+    diag(l_a(s)) times the Fourier multiplier with the FFT-layout symbol
+    sigma_a (see the module docstring)."""
     nu = problem.nu
-    reg = np.empty((2, 2 * N, 2 * N), dtype=complex)
-    np.divide(2.0 * (lam + fk.r_tilde), nu + 1.0, out=reg[0])
-    np.divide(-2.0 * nu * (dld + fk.t_op), nu + 1.0, out=reg[1])
-    return reg
+    _, _, m = grid_geometry(problem.curve, N)
+    speed = np.hypot(m[:, 0], m[:, 1])
+    lo, hi = speed.min(), speed.max()
+    if hi - lo <= 1e-12 * hi:
+        # constant speed (up to rounding, as on the circle): one circulant
+        nodes, weights = [hi], [np.ones_like(speed)]
+    else:
+        angles = (2 * np.arange(_PS_NODES) + 1) * np.pi / (2 * _PS_NODES)
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(angles)
+        # Lagrange basis polynomials of the nodes, at the speeds
+        weights = [np.prod([(speed - b) / (a - b) for b in nodes if b != a], axis=0)
+                   for a in nodes]
+    n2 = fft_modes(N).astype(float) ** 2
+    roots = [np.sqrt(n2 - (kappa * a) ** 2) for a in nodes]  # principal branch
+    v_ps = [(w, 1.0 / ((nu + 1.0) * root)) for w, root in zip(weights, roots)]
+    h_ps = [(w, (nu / (nu + 1.0)) * root) for w, root in zip(weights, roots)]
+    return v_ps, h_ps
+
+
+def _add_multipliers(out, terms, hat):
+    """out += sum over (l, sigma) in terms of diag(l) ifft(sigma hat), for the
+    FFT ``hat`` of a vector or of a block row's columns (axis 0)."""
+    column = (slice(None),) + (None,) * (hat.ndim - 1)
+    part = np.empty_like(hat)
+    for weight, symbol in terms:
+        np.multiply(hat, symbol[column], out=part)
+        np.fft.ifft(part, axis=0, out=part)
+        part *= weight[column]
+        out += part
 
 
 def _kappa(problem, kappa=None) -> complex:
@@ -415,25 +461,24 @@ def _rho(problem, rho=None) -> float:
 
 def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
                 kappa: complex) -> FormulationSystem:
-    """Regularized combined-field system R_kappa-preconditioned on top of the
+    """Regularized combined-field system R_PS L2 + ... on top of the
     tilde-family blocks, for a kappa with positive imaginary part.
-    Right-hand side R_kappa (h, eta).  The complex kappa family is built here
-    and dropped on return: only the two full blocks of R_kappa are kept."""
+    Right-hand side R_PS (h, eta)."""
     nu = problem.nu
     n2 = 2 * N
     lam, dld = fp.lambda_mat, fp.dld_mat
-    reg = _regularizer(problem, N, OperatorFamily(problem.curve, kappa, N), lam, dld)
-    reg.flags.writeable = False
-    l2t = _l2_matrix(problem, N, "tilde", fp, fm)
-    # R_kappa L2 by block rows: the diagonal blocks of R_kappa are multiples
-    # of I, so each of its two full blocks meets one block row of L2
-    r12, r21 = reg
-    matrix = np.empty_like(l2t)
-    linalg.matmul(r12, l2t[n2:], out=matrix[:n2])
-    linalg.matmul(r21, l2t[:n2], out=matrix[n2:])
-    l2t[:n2] *= 1.0 / (nu + 1.0)
-    l2t[n2:] *= nu / (nu + 1.0)
-    matrix += l2t
+    v_ps, h_ps = _principal_symbols(problem, N, kappa)
+    # R_PS L2 by block rows, in place of L2: the diagonal blocks of R_PS are
+    # multiples of I, so each of its two full blocks meets one block row of L2
+    matrix = _l2_matrix(problem, N, "tilde", fp, fm)
+    top, bottom = matrix[:n2], matrix[n2:]
+    hat_top, hat_bottom = (np.fft.fft(row, axis=0) for row in (top, bottom))
+    top *= 1.0 / (nu + 1.0)
+    bottom *= nu / (nu + 1.0)
+    _add_multipliers(top, v_ps, hat_bottom)
+    del hat_bottom  # each FFT is half a matrix; drop it once applied
+    _add_multipliers(bottom, h_ps, hat_top)
+    del hat_top
     # plus the leading blocks and those of k-
     eye = np.eye(n2)
     (a11, a12), (a21, a22) = _blocks(matrix)
@@ -441,7 +486,7 @@ def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
     a12 -= (lam + fm.r_tilde) / nu
     a21 += nu * (dld + fm.t_op)
     a22 += 0.5 * eye - fm.kt_tilde
-    return _system("l3", matrix, problem, N, kappa=kappa, regularizer=reg)
+    return _system("l3", matrix, problem, N, kappa=kappa)
 
 
 def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
@@ -498,7 +543,7 @@ def assemble(
         raise ValueError(
             f"unknown formulation {formulation!r}; choices {sorted(FORMULATIONS)}"
         )
-    N = _grid_size(N)
+    N = _grid_size(N, MIN_N)
     kappa = _kappa(problem, kappa) if formulation == "l3" else None
     rho = _rho(problem, rho) if formulation == "l4" else None
     curve = problem.curve

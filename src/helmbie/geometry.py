@@ -18,6 +18,7 @@ cavity       : dimpled limacon r(t) = 1.35 (1 - 0.7 cos t), i.e.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -141,16 +142,23 @@ class ParametricCurve:
         return np.sqrt(out)
 
 
+def _grid_size(N, least: int = 1) -> int:
+    """N as an int; raises unless it is an integer (numpy's too) >= least."""
+    if not (isinstance(N, numbers.Integral) and N >= least):
+        raise ValueError(f"N must be an integer >= {least}, got {N!r}")
+    return int(N)
+
+
 def grid(N: int) -> np.ndarray:
     """2N equispaced nodes t_j = j pi / N on [0, 2 pi)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _grid_size(N)
     return np.arange(2 * N) * (np.pi / N)
 
 
 def grid_geometry(curve: ParametricCurve, N: int):
     """Nodes t, x(t) and the unnormalized outward normal m(t) = (x2', -x1')
     on the 2N grid; |m| = |x'|.  Read-only, and sampled once while N repeats."""
+    N = _grid_size(N)
     found = curve._grid.get(N)
     if found is None:
         nodes = grid(N)

@@ -70,6 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun
+from .fields import _positive_real
 from .fourier import circulant, fft_modes
 from .geometry import ParametricCurve, grid
 
@@ -89,29 +90,17 @@ _FACTORS = ("A", "At", "B", "C", "D")
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Curve plus wavenumber; k real positive, or complex with Im k >= 0.
+    """Curve plus a finite positive real wavenumber k.
 
     Keeps the ``KernelFactors`` of the most recent grid it was sampled on.
     """
 
     curve: ParametricCurve
-    k: complex
+    k: float
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = complex(self.k) if np.iscomplexobj(self.k) else float(self.k)
-        if isinstance(k, complex) and k.imag == 0:
-            k = k.real
-        if isinstance(k, complex):
-            if not (np.isfinite(k) and k.imag > 0):
-                raise ValueError(f"complex wavenumber needs Im k > 0, got {k}")
-        elif not (np.isfinite(k) and k > 0):
-            raise ValueError(f"real wavenumber must be finite and positive, got {k}")
-        object.__setattr__(self, "k", k)
-
-    @property
-    def is_complex(self) -> bool:
-        return isinstance(self.k, complex)
+        object.__setattr__(self, "k", _positive_real(self.k))
 
     def factors(self, N: int) -> "KernelFactors":
         """The fused factor set on the 2N grid, reused while N repeats."""
@@ -170,7 +159,7 @@ class KernelFactors:
 
     def __init__(self, ctx: KernelContext, N: int):
         # not ctx itself: ctx holds this object, and a cycle outlives refcounting
-        self.k, self.is_complex = ctx.k, ctx.is_complex
+        self.k = ctx.k
         self.nodes = grid(N)
         n = self.nodes.size
         self.x = ctx.curve.point(self.nodes)
@@ -193,30 +182,21 @@ class KernelFactors:
         dm -= dy
         return dm
 
-    def _j(self, order):
-        fn = specfun.bessel_j_complex if self.is_complex else specfun.bessel_j
-        return fn(order, self.k * self.r)
-
-    def _h(self, order, j):
-        if self.is_complex:
-            return specfun.hankel1_complex(order, self.k * self.r)
-        return j + 1j * specfun.bessel_y(order, self.k * self.r)
-
     @cached_property
     def j0(self):
-        return self._j(0)
+        return specfun.bessel_j(0, self.k * self.r)
 
     @cached_property
     def j1(self):
-        return self._j(1)
+        return specfun.bessel_j(1, self.k * self.r)
 
     @cached_property
     def h0(self):
-        return self._h(0, self.j0)
+        return self.j0 + 1j * specfun.bessel_y(0, self.k * self.r)
 
     @cached_property
     def h1(self):
-        return self._h(1, self.j1)
+        return self.j1 + 1j * specfun.bessel_y(1, self.k * self.r)
 
     def _symmetric(self, upper):
         """Full matrix with ``upper`` on both triangles, zero diagonal."""

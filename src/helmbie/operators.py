@@ -31,13 +31,12 @@ factorization are fine.
 
 from __future__ import annotations
 
-import numbers
 from functools import cached_property
 
 import numpy as np
 
 from .fourier import conv_matrix, dld_matrix, lambda_matrix, weight_table
-from .geometry import ParametricCurve
+from .geometry import ParametricCurve, _grid_size
 from .kernels import KernelContext, ef_matrices, kernel_matrix, sin2_matrix
 
 __all__ = [
@@ -46,13 +45,6 @@ __all__ = [
 ]
 
 MIN_N = 8  # smallest grid the operators are assembled on
-
-
-def _grid_size(N) -> int:
-    """N as an int; raises unless it is an integer (numpy's too) >= MIN_N."""
-    if not (isinstance(N, numbers.Integral) and N >= MIN_N):
-        raise ValueError(f"N must be an integer >= {MIN_N}, got {N!r}")
-    return int(N)
 
 
 def _frozen(matrix):
@@ -73,7 +65,7 @@ class OperatorFamily:
     oversample = 1
 
     def __init__(self, curve: ParametricCurve, k, N: int):
-        self.N = N = _grid_size(N)
+        self.N = N = _grid_size(N, MIN_N)
         self.ctx = KernelContext(curve, k)
         self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
 

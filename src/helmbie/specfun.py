@@ -1,12 +1,13 @@
 """Bessel and Hankel function evaluations used by the kernels.
 
-Orders 0 and 1 only.  The main path takes real arguments (J on z >= 0, H on
-z > 0); the regularized combined-field formulation additionally needs complex
-wavenumbers with nonnegative imaginary part, served by the complex-argument
-entry points.  Evaluation is delegated to scipy.special (Cephes for real
-arguments, so a real Hankel value is J + iY; AMOS for complex); this module
-pins the domain checks and the accuracy contract, which the test suite
-verifies against a 25-digit mpmath table:
+Orders 0 and 1 only.  The kernels take real arguments (J on z >= 0, H on
+z > 0).  The complex-argument entry points (Im z >= 0) are used by no
+operator: the regularizer of l3 is a Fourier multiplier and calls no Bessel
+function.  They stay, with their accuracy tests, because perfbench/spans.py
+wraps both by name.  Evaluation is delegated to scipy.special (Cephes for
+real arguments, so a real Hankel value is J + iY; AMOS for complex); this
+module pins the domain checks and the accuracy contract, which the test
+suite verifies against a 25-digit mpmath table:
 
     J0, J1 : relative error <= 1e-14 on [0, 200] (absolute 1e-15 near zeros)
     H0, H1 : relative error <= 1e-13 on (1e-8, 200]
@@ -93,6 +94,7 @@ def _check_complex(z, allow_zero: bool):
     return z
 
 
+# no operator calls the two complex entry points; perfbench/spans.py wraps them
 def bessel_j_complex(order: int, z):
     """J_order(z) for complex z with Im z >= 0 (entire, so z = 0 is fine)."""
     _check_order(order)

@@ -20,10 +20,11 @@ and are the reference for the one-pass forms, which round differently.  The
 spectral differentiation matrix of the Maue route H = D V D + ... sits here
 too: the package needs no D of its own.
 
-The composition section holds l3 and l4 as the full-matrix sums and
-products they were first written as (one 4N x 4N product for R_kappa L2, five
-2N x 2N products for l4): the reference for the package's block algebra,
-which reassociates those sums.
+The composition section holds l3 and l4 as full-matrix sums and products
+(one 4N x 4N product for R_PS L2, five 2N x 2N products for l4), with V_PS
+and H_PS formed as dense matrices from their symbols: the reference for the
+package's block algebra, which reassociates those sums and applies R_PS by
+FFTs.
 
 The near-field section holds the blocked-norm curve distance and the
 difference-array layer potentials, with the real Hankel value formed as
@@ -264,13 +265,11 @@ def brute_weighted_conv(m, samples, psi_hat_fn):
 _DIAG_TOL = 1e-14  # |sin((s-t)/2)| below this counts as the diagonal
 
 
-def _j(ctx, order, z):
-    if ctx.is_complex:
-        return sp.jv(order, np.asarray(z, dtype=complex))
+def _j(order, z):
     return (sp.j0, sp.j1)[order](np.asarray(z, dtype=float))
 
 
-def _h(ctx, order, z):
+def _h(order, z):
     return sp.hankel1(order, z)
 
 
@@ -286,10 +285,10 @@ def _pair_geometry(ctx, s, t):
     return delta, r, sin2, diag
 
 
-def _one_minus_j0(ctx, z):
+def _one_minus_j0(z):
     """(1 - J0(z)) with a series branch killing the small-z cancellation."""
     z = np.asarray(z)
-    direct = 1.0 - _j(ctx, 0, np.where(np.abs(z) < 0.5, 1.0, z))
+    direct = 1.0 - _j(0, np.where(np.abs(z) < 0.5, 1.0, z))
     z2 = z * z
     series = 1.0 + z2 * (
         -1.0 / 16.0
@@ -308,7 +307,7 @@ def _one_minus_j0(ctx, z):
 def kernel_a(ctx, s, t):
     """Log-weight factor of the single-layer kernel; smooth, real for real k."""
     _, r, _, _ = _pair_geometry(ctx, s, t)
-    return -_j(ctx, 0, ctx.k * r) / (4.0 * np.pi)
+    return -_j(0, ctx.k * r) / (4.0 * np.pi)
 
 
 def kernel_b(ctx, s, t):
@@ -316,8 +315,8 @@ def kernel_b(ctx, s, t):
     _, r, sin2, diag = _pair_geometry(ctx, s, t)
     r_safe = np.where(diag, 1.0, r)
     sin2_safe = np.where(diag, 1.0, sin2)
-    h0 = _h(ctx, 0, ctx.k * r_safe)
-    j0 = _j(ctx, 0, ctx.k * r_safe)
+    h0 = _h(0, ctx.k * r_safe)
+    j0 = _j(0, ctx.k * r_safe)
     off = 0.25j * h0 + j0 * np.log(sin2_safe) / (4.0 * np.pi)
     return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["B"], off)
 
@@ -326,7 +325,7 @@ def kernel_a_tilde(ctx, s, t):
     """(1 - J0(k r)) / (4 pi sin^2((s-t)/2)) with its diagonal limit."""
     _, r, sin2, diag = _pair_geometry(ctx, s, t)
     sin2_safe = np.where(diag, 1.0, sin2)
-    off = _one_minus_j0(ctx, ctx.k * r) / (4.0 * np.pi * sin2_safe)
+    off = _one_minus_j0(ctx.k * r) / (4.0 * np.pi * sin2_safe)
     return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["At"], off)
 
 
@@ -344,7 +343,7 @@ def kernel_c(ctx, s, t):
     off = (
         -(ctx.k / (4.0 * np.pi))
         * dm
-        * _j(ctx, 1, ctx.k * r_safe)
+        * _j(1, ctx.k * r_safe)
         / (r_safe * sin2_safe)
     )
     return np.where(diag, diagonal_limits(ctx, np.asarray(s, dtype=float))["C"], off)
@@ -356,11 +355,11 @@ def kernel_d(ctx, s, t):
     dm = _delta_dot_m(ctx, s, t, delta)
     r_safe = np.where(diag, 1.0, r)
     sin2_safe = np.where(diag, 1.0, sin2)
-    full = 0.25j * ctx.k * _h(ctx, 1, ctx.k * r_safe) * dm / r_safe
+    full = 0.25j * ctx.k * _h(1, ctx.k * r_safe) * dm / r_safe
     csl = (
         -(ctx.k / (4.0 * np.pi))
         * dm
-        * _j(ctx, 1, ctx.k * r_safe)
+        * _j(1, ctx.k * r_safe)
         / r_safe
         * np.log(sin2_safe)
     )
@@ -488,9 +487,39 @@ def two_exponential_far_field(curve, terms, angles):
 # ----------------------------------------------------------------------
 
 
-def l3_full_matrix(problem, N, fp, fm, fk, l2):
-    """lead + mid + R_kappa L2 with R_kappa and the sums formed as 4N x 4N
-    matrices; fk is the kappa family and l2 the tilde l2 matrix."""
+def ps_operators(curve, N, kappa):
+    """V_PS and H_PS as dense 2N x 2N matrices, sum_a diag(l_a(s)) C_a: C_a
+    is the circulant of the symbol 1/(2 sqrt(n^2 - kappa^2 s_a^2)), or of
+    -sqrt(n^2 - kappa^2 s_a^2)/2, at the speed s_a, one of three Chebyshev
+    nodes on [min s, max s] with Lagrange basis l_a; one circulant where the
+    speed s = |x'| at the nodes is constant up to rounding."""
+    s = curve.speed(grid(N))
+    lo, hi = np.min(s), np.max(s)
+    if hi - lo <= 1e-12 * hi:
+        pairs = [(hi, np.ones_like(s))]
+    else:
+        nodes = [0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos((2 * a + 1) * np.pi / 6)
+                 for a in range(3)]
+        pairs = []
+        for a, node in enumerate(nodes):
+            basis = np.ones_like(s)
+            for b, other in enumerate(nodes):
+                if b != a:
+                    basis *= (s - other) / (node - other)
+            pairs.append((node, basis))
+    n = fft_modes(N).astype(float)
+    v_ps = np.zeros((2 * N, 2 * N), dtype=complex)
+    h_ps = np.zeros((2 * N, 2 * N), dtype=complex)
+    for node, basis in pairs:
+        root = np.sqrt(n * n - (kappa * node) ** 2)
+        v_ps += basis[:, None] * circulant_from_symbol(0.5 / root)
+        h_ps += basis[:, None] * circulant_from_symbol(-0.5 * root)
+    return v_ps, h_ps
+
+
+def l3_full_matrix(problem, N, fp, fm, kappa, l2):
+    """lead + mid + R_PS L2 with R_PS and the sums formed as 4N x 4N
+    matrices; l2 is the tilde l2 matrix."""
     nu = problem.nu
     lam, dld = lambda_matrix(N), dld_matrix(N)
     eye = np.eye(2 * N)
@@ -499,9 +528,8 @@ def l3_full_matrix(problem, N, fp, fm, fk, l2):
         [fm.k_tilde, -fm.r_tilde / nu],
         [nu * fm.t_op, -fm.kt_tilde],
     ])
-    v_kappa = lam + fk.r_tilde
-    h_kappa = dld + fk.t_op
-    reg = np.block([[eye, 2.0 * v_kappa], [-2.0 * nu * h_kappa, nu * eye]]) / (nu + 1.0)
+    v_ps, h_ps = ps_operators(problem.curve, N, kappa)
+    reg = np.block([[eye, 2.0 * v_ps], [-2.0 * nu * h_ps, nu * eye]]) / (nu + 1.0)
     return lead + mid + reg @ l2
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,7 @@ from dataclasses import is_dataclass, replace
 import numpy as np
 import pytest
 
-from helmbie import formulations, linalg, operators
+from helmbie import formulations, linalg, operators, specfun
 from helmbie.fields import (
     FieldEvaluator,
     far_field_constant,
@@ -28,11 +29,11 @@ from helmbie.formulations import (
     build_data,
     solve,
 )
-from helmbie.fourier import dld_matrix, lambda_matrix
-from helmbie.geometry import ParametricCurve, circle, ellipse, grid, kite, make_curve
+from helmbie.geometry import (ParametricCurve, circle, ellipse, grid, grid_geometry,
+                              kite, make_curve)
 from helmbie.linalg import gmres, lu_factor, lu_solve
 from helmbie.operators import OperatorFamily
-from oracles import l3_full_matrix, l4_full_matrix
+from oracles import l3_full_matrix, l4_full_matrix, ps_operators
 
 KITE = kite()
 ANGLES = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
@@ -139,6 +140,14 @@ def test_problem_rejects_an_incident_field_it_cannot_sample(incident):
     # "plane" used to construct, and assemble then raised an AttributeError
     with pytest.raises(ValueError, match="incident field needs callable value"):
         TransmissionProblem(KITE, 8.0, 32.0, 1.0, incident)
+
+
+@pytest.mark.parametrize("curve", ["kite", None, KITE.point])
+def test_problem_rejects_a_curve_that_is_not_parametric(curve):
+    # "kite" used to construct, and assemble then raised an AttributeError
+    with pytest.raises(ValueError,
+                       match=re.escape(f"curve must be a ParametricCurve, got {curve!r}")):
+        TransmissionProblem(curve, 8.0, 32.0, 1.0, PlaneWave())
 
 
 def test_user_defined_incident_field_is_sampled():
@@ -321,7 +330,7 @@ def test_l3_rejects_bad_kappa():
 
 
 def test_l3_factorized_identity_exact_with_tilde_blocks():
-    """L3 = (1/(nu+1)) L1~ + (2/(nu+1)) [0 Vk; -nu Hk 0] L2 holds at the
+    """L3 = (1/(nu+1)) L1~ + (2/(nu+1)) [0 V_PS; -nu H_PS 0] L2 holds at the
     matrix level when L1~ uses the tilde family (machine precision)."""
     nu = 1.0
     prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
@@ -330,8 +339,7 @@ def test_l3_factorized_identity_exact_with_tilde_blocks():
     l2 = assemble("l2", prob, N).matrix
     fp, fm = _op_families(prob, N)
     l3 = assemble_l3(prob, N, fp, fm, kappa).matrix
-    fk = OperatorFamily(KITE, kappa, N)
-    lam, dld = lambda_matrix(N), dld_matrix(N)
+    v_k, h_k = ps_operators(KITE, N, kappa)
     eye = np.eye(2 * N)
     l1_tilde = np.block([
         [(1 + nu) / 2 * eye + nu * fm.k_tilde - fp.k_tilde,
@@ -340,8 +348,6 @@ def test_l3_factorized_identity_exact_with_tilde_blocks():
          (1 + nu) / 2 * eye + nu * fp.kt_tilde - fm.kt_tilde],
     ])
     zero = np.zeros((2 * N, 2 * N))
-    v_k = lam + fk.r_tilde
-    h_k = dld + fk.t_op
     mid = np.block([[zero, v_k], [-nu * h_k, zero]])
     rhs = (l1_tilde + 2.0 * mid @ l2) / (nu + 1.0)
     assert np.max(np.abs(l3 - rhs)) <= 1e-8 * np.max(np.abs(l3))
@@ -356,11 +362,9 @@ def test_l3_matches_plain_l1_composition_for_smooth_data():
     l1 = assemble("l1", prob, N).matrix
     l2 = assemble("l2", prob, N).matrix
     l3 = assemble("l3", prob, N, kappa=kappa).matrix
-    fk = OperatorFamily(KITE, kappa, N)
-    lam, dld = lambda_matrix(N), dld_matrix(N)
+    v_k, h_k = ps_operators(KITE, N, kappa)
     zero = np.zeros((2 * N, 2 * N))
-    mid = np.block([[zero, lam + fk.r_tilde],
-                    [-(dld + fk.t_op), zero]])
+    mid = np.block([[zero, v_k], [-h_k, zero]])
     t = grid(N)
     smooth = np.exp(np.cos(t))
     v = np.concatenate([smooth, np.sin(t) * smooth])
@@ -561,9 +565,18 @@ def test_grid_size_is_an_integer_at_least_min_n(bad):
     assert OperatorFamily(KITE, 8.0, np.int64(16)).N == 16
 
 
+@pytest.mark.parametrize("bad", [16.0, 16.5, "16"])
+def test_data_grid_size_is_an_integer(bad):
+    # build_data(prob, 16.5) used to return data on 33 nodes
+    prob = _sweep_problems(1)[0]
+    with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {bad!r}"):
+        build_data(prob, bad)
+    assert build_data(prob, np.int64(16)).h.shape == (32,)
+
+
 def test_builders_build_only_the_kappa_family(monkeypatch):
-    # the k+ and k- families are what a builder is given; l3 builds its own
-    # complex kappa family
+    # the k+ and k- families are what a builder is given; l3's regularizer is
+    # a Fourier multiplier, so l3 builds no family for kappa either
     prob = _sweep_problems(1)[0]
     fp, fm = _cold_families(prob, 16)
     built = _count_families(monkeypatch)
@@ -573,7 +586,7 @@ def test_builders_build_only_the_kappa_family(monkeypatch):
     formulations.assemble_l4(prob, 16, fp, fm, 3.0)
     assert built == []
     formulations.assemble_l3(prob, 16, fp, fm, 3.0 + 0.5j)
-    assert built == [(3.0 + 0.5j, 16)]
+    assert built == []
 
 
 def _arrays(value):
@@ -603,30 +616,81 @@ def test_l4_result_holds_no_operator_matrix():
 def test_shared_arrays_are_read_only():
     probs = _sweep_problems(2)
     cold, hit = (assemble("l3", prob, 8) for prob in probs)
-    assert hit.matrix is cold.matrix and hit.regularizer is cold.regularizer
+    assert hit.matrix is cold.matrix
     cold4, hit4 = (assemble("l4", prob, 8) for prob in probs)
     assert hit4.aux["kt_minus"] is cold4.aux["kt_minus"]
-    shared = (cold.matrix, hit.matrix, hit.regularizer, hit4.matrix,
-              *hit4.aux.values())
+    shared = (cold.matrix, hit.matrix, hit4.matrix, *hit4.aux.values())
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
 
 
 def test_regularizer_keeps_only_its_two_full_blocks():
-    # R_kappa = [I, r12; r21, nu I] / (nu + 1) off its two full blocks
-    prob = TransmissionProblem(KITE, 3.0, 5.0, 2.0, PlaneWave((0.6, 0.8)))
+    # R_PS = [I, 2 V_PS; -2 nu H_PS, nu I] / (nu + 1) is applied by FFTs, so a
+    # system, kept or handed out by a hit, holds no 2N x 2N block of it
+    probs = [TransmissionProblem(KITE, 3.0, 5.0, 2.0, PlaneWave(d))
+             for d in ((0.6, 0.8), (0.8, 0.6))]
     N = 16
-    system = assemble("l3", prob, N)
-    assert system.regularizer.shape == (2, 2 * N, 2 * N)
-    r12, r21 = system.regularizer
+    for system in (assemble("l3", prob, N) for prob in probs):
+        held = list(_arrays([getattr(system, f.name) for f in dataclass_fields(system)
+                             if f.name != "problem"]))
+        assert [array.shape for array in held if array.ndim != 1] == [(4 * N, 4 * N)]
+    v_ps, h_ps = ps_operators(KITE, N, system.kappa)
     eye = np.eye(2 * N)
-    dense = np.block([[eye / 3.0, r12], [r21, (2.0 / 3.0) * eye]])
-    data = build_data(prob, N)
+    dense = np.block([[eye / 3.0, (2.0 / 3.0) * v_ps],
+                      [(-4.0 / 3.0) * h_ps, (2.0 / 3.0) * eye]])
+    data = build_data(probs[1], N)
     v = np.concatenate([data.h, data.eta])
     # within the rounding bound n eps |R| |v| of a matrix-vector product
     bound = dense.shape[0] * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
     assert np.all(np.abs(system.rhs - dense @ v) <= bound)
+
+
+def test_l3_assembly_calls_no_complex_bessel_function(monkeypatch):
+    calls = []
+    for name in ("bessel_j_complex", "hankel1_complex"):
+        def counted(order, z, _fn=getattr(specfun, name), _name=name):
+            calls.append(_name)
+            return _fn(order, z)
+        monkeypatch.setattr(specfun, name, counted)
+    formulations.empty_slot()
+    system = assemble("l3", _sweep_problems(1)[0], 16)
+    solve(system)
+    assert calls == []
+
+
+def test_principal_symbol_operator_on_the_circle_is_one_circulant():
+    # |x'| is constant on the circle up to rounding: one circulant, unit weight
+    N, kappa = 16, 4.0 + 0.5j
+    prob = TransmissionProblem(circle(1.7), 4.0, 6.0, 1.0, PlaneWave())
+    speed = np.linalg.norm(grid_geometry(prob.curve, N)[2], axis=-1)
+    assert np.ptp(speed) > 0.0
+    for terms in formulations._principal_symbols(prob, N, kappa):
+        assert len(terms) == 1
+        assert np.array_equal(terms[0][0], np.ones(2 * N))
+    for op in ps_operators(prob.curve, N, kappa):
+        assert np.array_equal(op, np.roll(np.roll(op, 1, axis=0), 1, axis=1))
+    # on the kite the speed varies and three circulants are weighted by it
+    for terms in formulations._principal_symbols(_sweep_problems(1)[0], N, kappa):
+        assert len(terms) == 3
+
+
+# measured on the dense regularizer R_kappa (AMOS V and H at kappa = k+ + i/2)
+# at tol 1e-10, plane wave (1, 0), k+ = 8, k- = 32; R_PS may not do worse
+_DENSE_L3_GMRES = {"kite": 77, "cavity": 78}
+_DENSE_L3_RCOND = {"kite": 6.32e-6, "cavity": 4.27e-6, "ellipse": 6.11e-6,
+                   "circle": 4.64e-5}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_L3_RCOND))
+def test_l3_is_no_worse_conditioned_than_with_the_dense_regularizer(name):
+    prob = TransmissionProblem(make_curve(name), 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
+    if name in _DENSE_L3_GMRES:
+        for N in (128, 256):
+            result = solve(assemble("l3", prob, N), "gmres", tol=1e-10, maxit=4 * N)
+            assert result.diagnostics.iterations <= _DENSE_L3_GMRES[name], N
+    rcond = solve(assemble("l3", prob, 256)).diagnostics.rcond
+    assert rcond >= _DENSE_L3_RCOND[name]
 
 
 def test_nonfinite_block_is_named(monkeypatch):
@@ -693,19 +757,18 @@ def test_five_formulations_build_three_families_and_keep_two(monkeypatch):
     prob = _sweep_problems(1)[0]
     for form in FORMULATIONS:
         assemble(form, prob, 16)
-    kappa = prob.k_plus + 0.5j
-    assert built == [(3.0, 16), (5.0, 16), (kappa, 16)]
-    # l3 drops its kappa family: only the k+ and k- families are kept
+    # l3 builds no family for kappa: the k+ and k- families serve all five
+    assert built == [(3.0, 16), (5.0, 16)]
     assert set(formulations._families[2]) == {3.0, 5.0}
     assemble("l3", prob, 16, kappa=2.0 + 1.0j)
-    assert built[3] == (2.0 + 1.0j, 16)
+    assert len(built) == 2
     assert set(formulations._families[2]) == {3.0, 5.0}
     # equal wavenumbers share one family; a new N builds afresh
     matched = TransmissionProblem(KITE, 3.0, 3.0, 1.0, PlaneWave((1.0, 0.0)))
     assemble("l1", matched, 16)
     assemble("l2", matched, 16)
     assemble("l2", matched, 20)
-    assert built[4:] == [(3.0, 16), (3.0, 20)]
+    assert built[2:] == [(3.0, 16), (3.0, 20)]
 
 
 def test_equal_problem_builds_its_own_families(monkeypatch):
@@ -812,8 +875,8 @@ def test_block_algebra_matches_the_full_matrix_oracle(case, form):
     system = assemble(form, prob, N)
     if form == "l3":
         fp, fm = _op_families(prob, N)
-        fk = OperatorFamily(curve, system.kappa, N)
-        oracle = l3_full_matrix(prob, N, fp, fm, fk, assemble("l2", prob, N).matrix)
+        oracle = l3_full_matrix(prob, N, fp, fm, system.kappa,
+                                assemble("l2", prob, N).matrix)
     else:
         fp, fm = _op_families(prob, N)
         oracle = l4_full_matrix(prob, N, system.rho, fp, fm)

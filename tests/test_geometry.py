@@ -197,6 +197,18 @@ def test_grid_rejects_zero():
         grid(0)
 
 
+@pytest.mark.parametrize("bad", [16.0, 16.5, "16"])
+def test_grid_size_is_an_integer(bad):
+    # grid(16.5) used to return 33 nodes spaced pi/16.5
+    curve = kite()
+    for make in (grid, lambda N: grid_geometry(curve, N)):
+        with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {bad!r}"):
+            make(bad)
+    assert np.array_equal(grid(np.int64(16)), grid(16))
+    t, x, m = grid_geometry(curve, np.int64(16))
+    assert t.shape == (32,) and grid_geometry(curve, 16)[0] is t
+
+
 @pytest.mark.parametrize("name, params", [
     ("circle", (0.0,)), ("ellipse", (2.0, 0.0)), ("ellipse", (0.0, 1.0)),
     ("circle", (np.nan,)), ("ellipse", (np.inf, 1.0)),

@@ -171,7 +171,7 @@ def test_assembler_functions_and_min_n():
         OperatorFamily(circle(), 2.0, 4)
 
 
-@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+@pytest.mark.parametrize("k", [8.0])
 def test_one_fused_kernel_pass_per_family(monkeypatch, k):
     # all nine operators evaluate each Bessel function once, on the strict
     # upper triangle, and sample the curve only on the 2N nodes
@@ -204,7 +204,7 @@ def test_one_fused_kernel_pass_per_family(monkeypatch, k):
     assert max(curve_points.values()) <= n
 
 
-@pytest.mark.parametrize("k", [8.0, 8.0 + 0.5j])
+@pytest.mark.parametrize("k", [8.0])
 def test_family_operators_match_their_first_assembled_forms(k):
     # K' is K^T, and T takes its grid factors as circulants: both round
     # differently from the forms kept in the oracles, within n eps max|A|
