@@ -4,6 +4,20 @@ Off the boundary both potentials have smooth periodic parameterized
 integrands, so the plain trapezoid rule is spectrally accurate; evaluation
 points closer to the curve than 5 h max|x'| (h = pi/N) are rejected.
 
+The potentials walk the points in blocks of rows = max(1, 2**16 // 2N)
+(128 at N = 256) and form p - x(t_j), its length, the Hankel kernel and
+the block's rows of the kernel-density product one block at a time, so
+their memory is O(rows 2N) whatever the number of points.  Every entry is
+formed by the same operations in the same order as over the whole batch,
+so the blocks change no output bit.
+
+The distance guard first takes a lower bound from the curve's coarse
+sample, every 16th of its fine nodes: the distance to the nearest coarse
+node less delta, the largest distance from a fine node to its nearest
+coarse node.  Only the points this bound cannot clear are measured against
+all fine nodes, and the nearest point of a failing batch is always among
+them, so the guard raises for the same batches with the same message.
+
 Far-field normalization: u(r x^) ~ e^{ikr}/sqrt(r) u_inf(x^) with
 
     u_inf = e^{i pi/4} / sqrt(8 pi k) *
@@ -28,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, specfun
-from .geometry import ParametricCurve, grid_geometry
+from .geometry import ParametricCurve, _as_points, grid_geometry
 
 __all__ = [
     "FarFieldPattern",
@@ -43,6 +57,12 @@ __all__ = [
 ]
 
 
+# kernel entries per block of evaluation points in the layer potentials: a
+# block's work arrays (three real, one complex) take about 3 MiB, whatever the
+# number of points
+_BLOCK_ENTRIES = 2**16
+
+
 def _positive_real(value, name: str = "wavenumber k") -> float:
     """value as a float; raises unless it is a finite positive real."""
     if np.imag(value) != 0.0 or not np.isfinite(value) or not np.real(value) > 0.0:
@@ -55,6 +75,16 @@ def far_field_constant(k: float) -> complex:
     return np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * _positive_real(k))
 
 
+def _term(k, density, prefix: str = ""):
+    """k as a float and density as a complex array; raises unless k is a
+    finite positive real and every density value is finite."""
+    k = _positive_real(k, f"{prefix}wavenumber k")
+    density = np.asarray(density, dtype=complex)
+    if not np.all(np.isfinite(density)):
+        raise ValueError(f"{prefix}density has non-finite values")
+    return k, density
+
+
 def _on_grid(curve: ParametricCurve, density):
     """Complex nodal density, its N, and x(t), m(t) on its 2N grid."""
     density = np.asarray(density, dtype=complex)
@@ -65,41 +95,58 @@ def _on_grid(curve: ParametricCurve, density):
     return density, N, xb, m
 
 
-def _offsets(points, xb):
-    """Components and length of p - x(t_j), each of shape (points, 2N)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, :1] - xb[:, 0]
-    dy = pts[:, 1:] - xb[:, 1]
-    r = dx * dx
-    r += dy * dy
-    return dx, dy, np.sqrt(r, out=r)
+def _blocks(pts, xb):
+    """Each block of at most max(1, _BLOCK_ENTRIES // 2N) points, as its
+    slice of ``pts`` and the components and length of p - x(t_j), each of
+    shape (block, 2N)."""
+    bx, by = np.ascontiguousarray(xb.T)
+    rows = max(1, _BLOCK_ENTRIES // bx.size)
+    for start in range(0, pts.shape[0], rows):
+        block = pts[start:start + rows]
+        dx = block[:, :1] - bx
+        dy = block[:, 1:] - by
+        r = dx * dx
+        r += dy * dy
+        yield slice(start, start + rows), dx, dy, np.sqrt(r, out=r)
 
 
 def single_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int Phi_k(p - x(t)) phi(t) dt off the curve."""
+    k, density = _term(k, density)
     density, N, xb, _ = _on_grid(curve, density)
-    _, _, r = _offsets(points, xb)
-    kern = specfun.hankel1(0, k * r)
-    kern *= 0.25j
-    return (np.pi / N) * linalg.matmul(kern, density)
+    pts = _as_points(points)
+    out = np.empty(pts.shape[0], dtype=complex)
+    for rows, _, _, r in _blocks(pts, xb):
+        kern = specfun.hankel1(0, k * r)
+        kern *= 0.25j
+        out[rows] = (np.pi / N) * linalg.matmul(kern, density)
+    return out
 
 
 def double_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int dPhi_k/dn(t) |x'(t)| g(t) dt off the curve."""
+    k, density = _term(k, density)
     density, N, xb, m = _on_grid(curve, density)
-    dx, dy, r = _offsets(points, xb)
-    dx *= m[:, 0]
-    dy *= m[:, 1]
-    dx += dy                                    # (p - x(t)) . m(t)
-    kern = specfun.hankel1(1, k * r)
-    kern *= 0.25j * k
-    kern *= dx
-    kern /= r
-    return (np.pi / N) * linalg.matmul(kern, density)
+    m1, m2 = np.ascontiguousarray(m.T)
+    pts = _as_points(points)
+    out = np.empty(pts.shape[0], dtype=complex)
+    for rows, dx, dy, r in _blocks(pts, xb):
+        dx *= m1
+        dy *= m2
+        dx += dy                                # (p - x(t)) . m(t)
+        kern = specfun.hankel1(1, k * r)
+        kern *= 0.25j * k
+        kern *= dx
+        kern /= r
+        out[rows] = (np.pi / N) * linalg.matmul(kern, density)
+    return out
 
 
 def _directions(angles):
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.ndim != 1:
+        raise ValueError(f"far-field angles must be a scalar or a 1-D array, "
+                         f"got shape {angles.shape}")
     if angles.size < 1:
         raise ValueError("need at least one direction")
     if not np.all(np.isfinite(angles)):
@@ -200,11 +247,7 @@ class FieldEvaluator:
         self.curve = curve
         self.terms = []
         for i, (kind, k, density) in enumerate(terms):
-            k = _positive_real(k, f"term {i} ({kind}): wavenumber k")
-            density = np.asarray(density, dtype=complex)
-            if not np.all(np.isfinite(density)):
-                raise ValueError(f"term {i} ({kind}): density has non-finite values")
-            self.terms.append((kind, k, density))
+            self.terms.append((kind, *_term(k, density, f"term {i} ({kind}): ")))
         self.N = sizes.pop() // 2
         self._max_speed = curve.max_speed()
 
@@ -213,10 +256,13 @@ class FieldEvaluator:
         return 5.0 * (np.pi / self.N) * self._max_speed
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _as_points(points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("evaluation points must be finite")
-        dist = self.curve.distance(pts)
+        # the exact distance only where the coarse bound cannot clear the
+        # guard; the nearest point, if it fails, is always among these
+        unclear = pts[self.curve.distance_bound(pts) <= self.min_distance]
+        dist = self.curve.distance(unclear)
         if np.any(dist <= self.min_distance):
             worst = float(dist.min())
             raise ValueError(

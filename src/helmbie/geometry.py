@@ -37,7 +37,36 @@ __all__ = [
 ]
 
 FINE_SAMPLES = 4096  # fine sample behind the speed check, max_speed and distance
-_DISTANCE_BLOCK = 64  # points per block in ParametricCurve.distance
+_DISTANCE_BLOCK = 64  # points per block of the (points, nodes) work arrays
+_COARSE_STRIDE = 16  # every 16th fine node makes the coarse sample of distance_bound
+# relative shrink of distance_bound: 64 ulps covers the rounding of the coarse
+# and fine distances and of delta (about 7 ulps), so the bound stays below the
+# rounded fine distance
+_BOUND_SLACK = 64 * np.finfo(float).eps
+
+
+def _as_points(points) -> np.ndarray:
+    """points as a float array of shape (n, 2); one point of shape (2,) gives n = 1."""
+    pts = np.asarray(points)
+    if np.iscomplexobj(pts) or pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError(f"evaluation points must be real values of shape (n, 2), "
+                         f"got {pts.dtype} values of shape {pts.shape}")
+    return np.atleast_2d(pts.astype(float, copy=False))
+
+
+def _nearest_squared(pts, bx, by):
+    """Squared distance from each point to the nearest node (bx, by); blocks
+    of points bound the (points, nodes) work arrays."""
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
+        block = pts[start:start + _DISTANCE_BLOCK]
+        dx = block[:, :1] - bx
+        dy = block[:, 1:] - by
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[start:start + block.shape[0]] = dx.min(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,26 +149,35 @@ class ParametricCurve:
     def max_speed(self) -> float:
         return float(np.max(self._fine_sample[1]))
 
+    @cached_property
+    def _coarse_sample(self):
+        """Every _COARSE_STRIDE-th fine node as coordinate rows, and delta,
+        the largest distance from a fine node to its nearest coarse node."""
+        fine = self._fine_sample[0]
+        coarse = np.ascontiguousarray(fine[:, ::_COARSE_STRIDE])
+        return coarse, float(np.sqrt(_nearest_squared(fine.T, *coarse).max()))
+
     def distance(self, points):
         """Distance from each point to the nearest of the FINE_SAMPLES nodes.
 
-        Blocks of points bound the (points, S) work arrays.  The minimum is
-        taken over squared distances and rooted once per point: sqrt is
-        monotone and correctly rounded, so the result is bit for bit the
-        minimum of the rooted distances.
+        ``points`` has shape (n, 2) or (2,).  The minimum is taken over
+        squared distances and rooted once per point: sqrt is monotone and
+        correctly rounded, so the result is bit for bit the minimum of the
+        rooted distances.
         """
-        bx, by = self._fine_sample[0]
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
-            block = pts[start:start + _DISTANCE_BLOCK]
-            dx = block[:, :1] - bx
-            dy = block[:, 1:] - by
-            dx *= dx
-            dy *= dy
-            dx += dy
-            out[start:start + block.shape[0]] = dx.min(axis=1)
-        return np.sqrt(out)
+        return np.sqrt(_nearest_squared(_as_points(points), *self._fine_sample[0]))
+
+    def distance_bound(self, points):
+        """A lower bound on ``distance`` at 1/_COARSE_STRIDE of its cost.
+
+        The nearest fine node of p lies within delta of a coarse node, so
+        distance(p) >= (distance to the nearest coarse node) - delta.  Both
+        terms are moved by _BOUND_SLACK, so the bound also holds for the
+        rounded values.
+        """
+        coarse, delta = self._coarse_sample
+        near = np.sqrt(_nearest_squared(_as_points(points), *coarse))
+        return near * (1.0 - _BOUND_SLACK) - delta * (1.0 + _BOUND_SLACK)
 
 
 def _grid_size(N, least: int = 1) -> int:

@@ -26,10 +26,12 @@ and H_PS formed as dense matrices from their symbols: the reference for the
 package's block algebra, which reassociates those sums and applies R_PS by
 FFTs.
 
-The near-field section holds the blocked-norm curve distance and the
-difference-array layer potentials, with the real Hankel value formed as
-J + iY from Cephes: the bit-for-bit reference for the package's distance
-guard, layer potentials and ``specfun.hankel1``.
+The near-field section holds the blocked-norm curve distance, the guard
+decided on the exact distance of every point, and the difference-array
+layer potentials over all points at once, with the real Hankel value formed
+as J + iY from Cephes: the bit-for-bit reference for the package's distance,
+its coarse-bound guard, its blocked layer potentials and
+``specfun.hankel1``.
 """
 
 from __future__ import annotations
@@ -573,6 +575,16 @@ def norm_distance(curve, points):
         d = np.linalg.norm(block[:, None, :] - bd[None, :, :], axis=-1)
         out[start:start + block.shape[0]] = d.min(axis=1)
     return out
+
+
+def exact_guard_message(curve, min_distance, points):
+    """The near-field guard's error message from the exact fine-sample
+    distance of every point, or None when every point clears it."""
+    dist = curve.distance(points)
+    if not np.any(dist <= min_distance):
+        return None
+    return (f"evaluation point at distance {float(dist.min()):.3e} from the curve; "
+            f"the quadrature guard requires > {min_distance:.3e}")
 
 
 def _diff_geometry(curve, density, points):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helmbie.fields import (
+    _BLOCK_ENTRIES,
     FarFieldPattern,
     FieldEvaluator,
     double_layer_far_field,
@@ -13,9 +16,14 @@ from helmbie.fields import (
     single_layer_potential,
 )
 from helmbie.formulations import PointSource
-from helmbie.geometry import cavity, grid, kite
+from helmbie.geometry import cavity, ellipse, grid, kite
 
-from oracles import diff_double_layer, diff_single_layer, two_exponential_far_field
+from oracles import (
+    diff_double_layer,
+    diff_single_layer,
+    exact_guard_message,
+    two_exponential_far_field,
+)
 
 KITE = kite()
 K = 8.0
@@ -202,19 +210,131 @@ def test_far_field_rejects_nonfinite_angles(green_evaluator):
         point_source_far_field(K, (0.0, 0.0), [np.inf])
 
 
+def _oracle_points(curve, n, count=None):
+    """Far, interior, just-past-the-guard and on-curve points for the 2n grid;
+    ``count`` cycles through them to that many points."""
+    t = grid(n) + 0.5 * np.pi / n                     # between the nodes
+    guard = 5.0 * (np.pi / n) * curve.max_speed()
+    past = curve.point(t) + (guard * (1.0 + 1e-9)) * curve.normal(t)
+    pts = np.concatenate([_ring(4.0, 37), _ring(0.3, 11), past[::5], curve.point(t[::7])])
+    return pts if count is None else np.resize(pts, (count, 2))
+
+
+def _assert_potentials_match_the_oracle(curve, n, pts, counts, rng):
+    """Each leading ``count`` points against the oracle's rows for all of
+    ``pts``: numpy takes a one-row product as a dot, not a gemv, so the
+    oracle runs on the whole set."""
+    dens = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+    for k in (K, 32.0):
+        sl = diff_single_layer(curve, k, dens[0], pts)
+        dl = diff_double_layer(curve, k, dens[1], pts)
+        for count in counts:
+            got = single_layer_potential(curve, k, dens[0], pts[:count])
+            assert got.tobytes() == sl[:count].tobytes()
+            got = double_layer_potential(curve, k, dens[1], pts[:count])
+            assert got.tobytes() == dl[:count].tobytes()
+
+
 @pytest.mark.parametrize("curve", [KITE, cavity()], ids=lambda c: c.name)
 def test_potentials_match_the_difference_array_oracle_bit_for_bit(curve):
     rng = np.random.default_rng(23)
-    dens = rng.standard_normal((2, 2 * N)) + 1j * rng.standard_normal((2, 2 * N))
-    t = grid(N) + 0.5 * np.pi / N                     # between the nodes
-    guard = 5.0 * (np.pi / N) * curve.max_speed()
-    past = curve.point(t) + (guard * (1.0 + 1e-9)) * curve.normal(t)
-    pts = np.concatenate([_ring(4.0, 37), _ring(0.3, 11), past[::5], curve.point(t[::7])])
-    for k in (K, 32.0):
-        sl = single_layer_potential(curve, k, dens[0], pts)
-        dl = double_layer_potential(curve, k, dens[1], pts)
-        assert sl.tobytes() == diff_single_layer(curve, k, dens[0], pts).tobytes()
-        assert dl.tobytes() == diff_double_layer(curve, k, dens[1], pts).tobytes()
+    pts = _oracle_points(curve, N)
+    _assert_potentials_match_the_oracle(curve, N, pts, [len(pts)], rng)
+    # point counts on both sides of the block boundaries: one row, a full
+    # block, a full block and one row, three blocks and a ragged one
+    for n in (16, 256):
+        rows = max(1, _BLOCK_ENTRIES // (2 * n))
+        counts = (1, rows, rows + 1, 3 * rows + 7)
+        pts = _oracle_points(curve, n, counts[-1])
+        _assert_potentials_match_the_oracle(curve, n, pts, counts, rng)
+
+
+@pytest.mark.parametrize("curve", [KITE, cavity(), ellipse()], ids=lambda c: c.name)
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_guard_decisions_match_the_exact_distance_oracle(curve, n):
+    """The coarse-bound guard raises for the same batches, with the same
+    message, as the exact distance of every point."""
+    rng = np.random.default_rng([n, 5])
+    ev = FieldEvaluator(curve, [("sl", K, np.zeros(2 * n))])
+    t = rng.uniform(0.0, 2.0 * np.pi, 40)
+    raised = []
+    for factor in (1.0 - 1e-9, 1.0 + 1e-9, 1.5, 3.0):
+        near = curve.point(t) + (factor * ev.min_distance) * curve.normal(t)
+        for pts in [near, *near[:5, None]]:
+            pts = np.concatenate([_ring(3.0 * curve.max_speed(), 7), pts])
+            expected = exact_guard_message(curve, ev.min_distance, pts)
+            raised.append(expected is not None)
+            if expected is None:
+                ev(pts)
+            else:
+                with pytest.raises(ValueError) as info:
+                    ev(pts)
+                assert str(info.value) == expected
+    assert any(raised) and not all(raised)
+
+
+def test_near_field_memory_is_bounded_by_the_block():
+    # the whole-batch arrays peaked at 479 MiB for these 20,000 points
+    n, count = 256, 20_000
+    rng = np.random.default_rng(2)
+    dens = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+    ev = FieldEvaluator(KITE, [("sl", K, dens[0]), ("dl", K, dens[1])])
+    angle = rng.uniform(0.0, 2.0 * np.pi, count)
+    pts = rng.uniform(2.5, 4.0, (count, 1)) * np.stack([np.cos(angle), np.sin(angle)], -1)
+    ev(pts[:1])                                # the curve's lazy samples
+    tracemalloc.start()
+    try:
+        ev(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(4),
+                                 np.zeros((2, 3, 2)), np.zeros((3, 2), dtype=complex)],
+                         ids=["n-by-3", "n-by-1", "flat-4", "3-D", "complex"])
+def test_malformed_points_are_rejected(green_evaluator, bad):
+    _, ev = green_evaluator
+    bad = bad + 3.0                            # clear of the guard
+    for call in (ev, KITE.distance, KITE.distance_bound,
+                 lambda p: single_layer_potential(KITE, K, np.ones(2 * N), p)):
+        with pytest.raises(ValueError, match=r"real values of shape \(n, 2\)"):
+            call(bad)
+
+
+def test_single_and_empty_point_sets(green_evaluator):
+    src, ev = green_evaluator
+    one = np.array([3.0, 0.5])
+    assert ev(one).shape == (1,)
+    assert ev(one).tobytes() == ev(one[None]).tobytes()
+    for call in (ev, lambda p: double_layer_potential(KITE, K, np.ones(2 * N), p)):
+        empty = call(np.empty((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == complex
+
+
+@pytest.mark.parametrize("potential", [single_layer_potential, double_layer_potential])
+def test_potentials_check_their_term_like_the_evaluator(potential):
+    dens = np.ones(2 * N, dtype=complex)
+    pts = _ring(3.0, 3)
+    bad = dens.copy()
+    bad[5] = np.nan
+    with pytest.raises(ValueError, match="^density has non-finite values$"):
+        potential(KITE, K, bad, pts)
+    for k in (-8.0, 0.0, 8.0 + 0.5j, np.inf):
+        with pytest.raises(ValueError, match="^wavenumber k must be a finite positive real"):
+            potential(KITE, k, dens, pts)
+
+
+def test_far_field_rejects_angles_that_are_not_1d(green_evaluator):
+    _, ev = green_evaluator
+    angles = np.zeros((2, 3))
+    for far_field in (ev.far_field,
+                      lambda a: single_layer_far_field(KITE, K, np.ones(2 * N), a),
+                      lambda a: point_source_far_field(K, (0.1, 0.2), a)):
+        with pytest.raises(ValueError, match=r"scalar or a 1-D array, got shape \(2, 3\)"):
+            far_field(angles)
+    assert ev.far_field(0.5).values.shape == (1,)
 
 
 # ------------------------------------------------------- one-pass far field

@@ -179,6 +179,18 @@ def test_distance_is_the_blocked_norm_bit_for_bit(curve):
     assert curve.distance(pts[0]).tobytes() == got[:1].tobytes()
 
 
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_distance_bound_is_a_lower_bound_within_twice_delta(curve):
+    rng = np.random.default_rng(29)
+    pts = _guard_test_points(curve, rng, 500)
+    exact, bound = curve.distance(pts), curve.distance_bound(pts)
+    delta = curve._coarse_sample[1]
+    assert np.all(bound <= exact)
+    # the coarse node nearest the nearest fine node is within delta of it
+    assert np.all(exact - bound <= 2.0 * delta * (1.0 + 1e-12))
+    assert delta < 0.05 * curve.max_speed()
+
+
 def test_circle_distance_within_the_chord_bound():
     R = 1.7
     curve = circle(R)
