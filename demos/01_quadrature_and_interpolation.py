@@ -6,15 +6,17 @@ coefficients are known in closed form,
 
     psi_0 = 1,  psi_1 = log sin^2(t/2),  psi_2 = sin^2(t/2) log sin^2(t/2),
 
-and on interpolation at the uniform 2N-point grid.  This script shows the
-geometric interpolation error decay and the diagonal action of the
-convolution operators built from the weights.
+and on interpolation at the uniform 2N-point grid.  Each weight enters the
+Nystrom matrices as one dense matrix W = conv_matrix(weight_table(m, N)),
+with (W g)_i = int psi_m(s_i - t) P_N[g](t) dt.  This script shows the
+geometric interpolation error decay and that W acts diagonally on Fourier
+modes.
 """
 
 import numpy as np
 
 from helmbie import TrigPolynomial, grid, psi_hat, weight_table
-from helmbie.fourier import dld_matrix, lambda_matrix, weighted_conv
+from helmbie.fourier import conv_matrix, dld_matrix, lambda_matrix
 
 print("weight coefficients (normalization: (1/2pi) int psi e_{-n})")
 print(f"  psihat_1(0) = {psi_hat(1, 0):+.12f}   (= -2 log 2)")
@@ -34,12 +36,12 @@ for N in (4, 8, 16, 32):
 print("\nproduct quadrature is diagonal on Fourier modes:")
 N = 16
 t = grid(N)
-out = weighted_conv(weight_table(1, N), np.exp(2j * t))
+out = conv_matrix(weight_table(1, N)) @ np.exp(2j * t)
 print("  int psi_1(s-t) e_2(t) dt / e_2(s) =",
       f"{(out[3] / np.exp(2j * t[3])).real:+.12f}",
       f"(= 2 pi psihat_1(2) = {2 * np.pi * psi_hat(1, 2):+.12f})")
 
-out0 = weighted_conv(weight_table(0, N), np.cos(t) ** 2)
+out0 = conv_matrix(weight_table(0, N)) @ np.cos(t) ** 2
 print("  psi_0 row sums reproduce the trapezoidal rule:",
       np.allclose(out0, (np.pi / N) * np.sum(np.cos(t) ** 2)))
 

@@ -13,13 +13,7 @@ from .geometry import (
     kite,
     make_curve,
 )
-from .fourier import (
-    TrigPolynomial,
-    psi_hat,
-    sobolev_norm,
-    weight_table,
-    weighted_conv,
-)
+from .fourier import TrigPolynomial, psi_hat, weight_table
 from .kernels import KernelContext
 from .operators import OperatorFamily
 from .linalg import gmres, lu_factor, lu_solve

@@ -52,7 +52,6 @@ __all__ = [
     "double_layer_potential",
     "single_layer_far_field",
     "double_layer_far_field",
-    "point_source_far_field",
     "far_field_linf_diff",
 ]
 
@@ -77,22 +76,16 @@ def far_field_constant(k: float) -> complex:
 
 def _term(k, density, prefix: str = ""):
     """k as a float and density as a complex array; raises unless k is a
-    finite positive real and every density value is finite."""
+    finite positive real and the density is 1-D, of even non-zero length,
+    with finite values.  Every potential and far field checks its terms here."""
     k = _positive_real(k, f"{prefix}wavenumber k")
     density = np.asarray(density, dtype=complex)
+    if density.ndim != 1 or density.size == 0 or density.size % 2 != 0:
+        raise ValueError(f"{prefix}density must be a 1-D array of an even, non-zero "
+                         f"number of nodal values, got shape {density.shape}")
     if not np.all(np.isfinite(density)):
         raise ValueError(f"{prefix}density has non-finite values")
     return k, density
-
-
-def _on_grid(curve: ParametricCurve, density):
-    """Complex nodal density, its N, and x(t), m(t) on its 2N grid."""
-    density = np.asarray(density, dtype=complex)
-    if density.size % 2 != 0:
-        raise ValueError("density must have an even number of nodal values")
-    N = density.size // 2
-    _, xb, m = grid_geometry(curve, N)
-    return density, N, xb, m
 
 
 def _blocks(pts, xb):
@@ -113,7 +106,8 @@ def _blocks(pts, xb):
 def single_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int Phi_k(p - x(t)) phi(t) dt off the curve."""
     k, density = _term(k, density)
-    density, N, xb, _ = _on_grid(curve, density)
+    N = density.size // 2
+    _, xb, _ = grid_geometry(curve, N)
     pts = _as_points(points)
     out = np.empty(pts.shape[0], dtype=complex)
     for rows, _, _, r in _blocks(pts, xb):
@@ -126,7 +120,8 @@ def single_layer_potential(curve, k, density, points):
 def double_layer_potential(curve, k, density, points):
     """Trapezoid evaluation of int dPhi_k/dn(t) |x'(t)| g(t) dt off the curve."""
     k, density = _term(k, density)
-    density, N, xb, m = _on_grid(curve, density)
+    N = density.size // 2
+    _, xb, m = grid_geometry(curve, N)
     m1, m2 = np.ascontiguousarray(m.T)
     pts = _as_points(points)
     out = np.empty(pts.shape[0], dtype=complex)
@@ -142,7 +137,9 @@ def double_layer_potential(curve, k, density, points):
     return out
 
 
-def _directions(angles):
+def _angles(angles):
+    """angles as a 1-D float array; raises unless they are a scalar or a
+    1-D array, finite and non-empty."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.ndim != 1:
         raise ValueError(f"far-field angles must be a scalar or a 1-D array, "
@@ -151,6 +148,11 @@ def _directions(angles):
         raise ValueError("need at least one direction")
     if not np.all(np.isfinite(angles)):
         raise ValueError("far-field angles must be finite")
+    return angles
+
+
+def _directions(angles):
+    angles = _angles(angles)
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
@@ -168,9 +170,10 @@ def _far_field(curve, k, sl_density, dl_density, angles):
     meets phi, m1 g and m2 g in one product; the DL term is then
     -ik (x^1 sum e m1 g + x^2 sum e m2 g).
     """
-    k = _positive_real(k)
-    sl, N, xb, m = _on_grid(curve, sl_density)
-    dl = np.asarray(dl_density, dtype=complex)
+    k, sl = _term(k, sl_density)
+    _, dl = _term(k, dl_density)
+    N = sl.size // 2
+    _, xb, m = grid_geometry(curve, N)
     xhat = _directions(angles)
     p = xhat.shape[0]
     cols = np.stack([sl, m[:, 0] * dl, m[:, 1] * dl], axis=1)
@@ -193,13 +196,6 @@ def double_layer_far_field(curve, k, density, angles):
     return _far_field(curve, k, np.zeros(np.shape(density)), density, angles)
 
 
-def point_source_far_field(k, location, angles):
-    """Far field of Phi_k(. - y0): const * e^{-ik x^.y0}."""
-    xhat = _directions(angles)
-    y0 = np.asarray(location, dtype=float)
-    return far_field_constant(k) * np.exp(-1j * k * (xhat @ y0))
-
-
 @dataclass(frozen=True)
 class FarFieldPattern:
     """Angular amplitude sampled at unit directions given by angles."""
@@ -208,10 +204,11 @@ class FarFieldPattern:
     values: np.ndarray
 
     def __post_init__(self):
-        angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
+        angles = _angles(self.angles)
         values = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if angles.size < 1 or angles.size != values.size:
-            raise ValueError("angles and values must match and be nonempty")
+        if values.shape != angles.shape:
+            raise ValueError(f"far-field values must match the angles' shape "
+                             f"{angles.shape}, got shape {values.shape}")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
 
@@ -238,16 +235,15 @@ class FieldEvaluator:
     def __init__(self, curve: ParametricCurve, terms):
         if not terms:
             raise ValueError("need at least one potential term")
-        sizes = {len(np.asarray(d)) for _, _, d in terms}
-        if len(sizes) != 1:
-            raise ValueError("all densities must share one grid")
         unknown = {kind for kind, _, _ in terms} - {"sl", "dl"}
         if unknown:
             raise ValueError(f"unknown potential kinds {sorted(unknown)}")
         self.curve = curve
-        self.terms = []
-        for i, (kind, k, density) in enumerate(terms):
-            self.terms.append((kind, *_term(k, density, f"term {i} ({kind}): ")))
+        self.terms = [(kind, *_term(k, density, f"term {i} ({kind}): "))
+                      for i, (kind, k, density) in enumerate(terms)]
+        sizes = {density.size for _, _, density in self.terms}
+        if len(sizes) != 1:
+            raise ValueError("all densities must share one grid")
         self.N = sizes.pop() // 2
         self._max_speed = curve.max_speed()
 

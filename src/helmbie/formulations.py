@@ -234,8 +234,8 @@ class FormulationSystem:
     # l4: K'- and V-, which ``solve`` applies to the density to form the terms
     aux: dict = field(default_factory=dict)
     # wall time of the ``assemble`` call that returned this system (on a slot
-    # hit, of its data and right-hand side); None from an ``assemble_l*`` call
-    seconds: Optional[float] = None
+    # hit, of its data and right-hand side)
+    seconds: float = 0.0
     # [(matrix, LUFactors)] once factored; the list is shared with the slot
     _lu: list = field(default_factory=list, repr=False)
 
@@ -275,8 +275,8 @@ class SolverDiagnostics:
     rcond: Optional[float] = None  # LAPACK 1-norm estimate; None for GMRES
     # seconds per stage: LU "factor" (0 when the factors were reused), "solve"
     # (the triangular solves) and "residual"; GMRES has the one stage "gmres".
-    # Systems from ``assemble`` add "assemble" (``FormulationSystem.seconds``),
-    # which ``seconds`` leaves out
+    # Each also has "assemble" (``FormulationSystem.seconds``), which
+    # ``seconds`` leaves out
     stages: dict = field(default_factory=dict)
 
 
@@ -325,8 +325,9 @@ def _blocks(matrix):
     return (top[:, :n], top[:, n:]), (bottom[:, :n], bottom[:, n:])
 
 
-def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
-    """Check a built matrix block by block, freeze it and add the data."""
+def _system(formulation, matrix, problem, N, kappa, rho, aux) -> FormulationSystem:
+    """Check a built matrix block by block, freeze it and add the data and
+    right-hand side."""
     n2 = 2 * N
     blocks = matrix.shape[0] // n2
     for i in range(blocks):
@@ -337,17 +338,20 @@ def _system(formulation, matrix, problem, N, **parts) -> FormulationSystem:
                     f"{formulation}: non-finite entries in block a{i + 1}{j + 1}"
                 )
     # shared by every system the slot hands out
-    for array in (matrix, *parts.get("aux", {}).values()):
+    for array in (matrix, *aux.values()):
         array.flags.writeable = False
     data = build_data(problem, N)
-    system = FormulationSystem(formulation, matrix, None, N, problem, data, **parts)
+    system = FormulationSystem(formulation, matrix, None, N, problem, data,
+                               kappa=kappa, rho=rho, aux=aux)
     system.rhs = system.rhs_for(data)
     return system
 
 
-# The builders are not exported (``assemble`` is the one builder); they stay
-# module-level functions because perfbench/spans.py wraps them by name.
-def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> FormulationSystem:
+# The builders return the matrix of one formulation from the families fp (k+)
+# and fm (k-); ``assemble`` alone makes, checks, times and keeps the system.
+# They are not exported, and stay module-level functions because
+# perfbench/spans.py wraps them by name.
+def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> np.ndarray:
     """Second-kind direct system from the plain operator family.
 
     Blocks: (1+nu)/2 I + [nu K- - K+,  V+ - V- ; nu (T- - T+),  nu Kt+ - Kt-]
@@ -367,15 +371,19 @@ def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> FormulationSyst
     np.multiply(nu, fm.t_op - fp.t_op, out=a21)
     np.add(half * eye, nu * fp.kt_plain, out=a22)
     a22 -= fm.kt_plain
-    return _system("l1", matrix, problem, N)
+    return matrix
 
 
-def _l2_matrix(problem, N, family, fp, fm):
+def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
+                formulation: str) -> np.ndarray:
+    """First-kind direct system; 'l2' is the accurate tilde-family
+    discretization, 'l2plain' the unanalyzed plain single-layer variant run
+    only for comparison.  Right-hand side (h, eta)."""
     nu = problem.nu
     lam, dld = fp.lambda_mat, fp.dld_mat
     matrix = np.empty((4 * N, 4 * N), dtype=complex)
     (a11, a12), (a21, a22) = _blocks(matrix)
-    if family == "tilde":
+    if formulation == "l2":
         # leading part plus kernel blocks; the 0.0 of the leading part's zero
         # blocks is added too, so that each entry keeps the sign of its zeros
         lead = 1.0 + 1.0 / nu
@@ -390,15 +398,6 @@ def _l2_matrix(problem, N, family, fp, fm):
     np.subtract(-(1.0 + nu) * dld, fm.t_op + nu * fp.t_op, out=a21)
     np.add(fp.kt_plain, fm.kt_plain, out=a22)
     return matrix
-
-
-def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
-                family: str) -> FormulationSystem:
-    """First-kind direct system; 'tilde' is the accurate discretization
-    ('l2'), 'plain' the unanalyzed single-layer variant ('l2plain') run only
-    for comparison.  Right-hand side (h, eta)."""
-    matrix = _l2_matrix(problem, N, family, fp, fm)
-    return _system("l2" if family == "tilde" else "l2plain", matrix, problem, N)
 
 
 _PS_NODES = 3  # Chebyshev nodes in the speed range, for the symbols of R_PS
@@ -460,7 +459,7 @@ def _rho(problem, rho=None) -> float:
 
 
 def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
-                kappa: complex) -> FormulationSystem:
+                kappa: complex) -> np.ndarray:
     """Regularized combined-field system R_PS L2 + ... on top of the
     tilde-family blocks, for a kappa with positive imaginary part.
     Right-hand side R_PS (h, eta)."""
@@ -470,7 +469,7 @@ def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
     v_ps, h_ps = _principal_symbols(problem, N, kappa)
     # R_PS L2 by block rows, in place of L2: the diagonal blocks of R_PS are
     # multiples of I, so each of its two full blocks meets one block row of L2
-    matrix = _l2_matrix(problem, N, "tilde", fp, fm)
+    matrix = assemble_l2(problem, N, fp, fm, "l2")
     top, bottom = matrix[:n2], matrix[n2:]
     hat_top, hat_bottom = (np.fft.fft(row, axis=0) for row in (top, bottom))
     top *= 1.0 / (nu + 1.0)
@@ -486,11 +485,11 @@ def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
     a12 -= (lam + fm.r_tilde) / nu
     a21 += nu * (dld + fm.t_op)
     a22 += 0.5 * eye - fm.kt_tilde
-    return _system("l3", matrix, problem, N, kappa=kappa)
+    return matrix
 
 
 def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
-                rho: float) -> FormulationSystem:
+                rho: float) -> np.ndarray:
     """Single-density indirect system from plain-family compositions, for a
     finite nonzero real rho.  Right-hand side eta - i rho h."""
     nu = problem.nu
@@ -508,8 +507,7 @@ def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
     matrix += linalg.matmul(2.0 * (fp.t_op - fm.t_op)
                             + 1j * rho * (eye - 2.0 * k_p), v_m)
     matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
-    return _system("l4", matrix, problem, N, rho=rho,
-                   aux={"kt_minus": kt_m, "v_minus": v_m})
+    return matrix
 
 
 _slot_lock = threading.Lock()
@@ -562,15 +560,17 @@ def assemble(
         return system
     try:
         fp, fm = _op_families(problem, N)
+        aux = {}
         if formulation == "l1":
-            system = assemble_l1(problem, N, fp, fm)
+            matrix = assemble_l1(problem, N, fp, fm)
         elif formulation == "l3":
-            system = assemble_l3(problem, N, fp, fm, kappa)
+            matrix = assemble_l3(problem, N, fp, fm, kappa)
         elif formulation == "l4":
-            system = assemble_l4(problem, N, fp, fm, rho)
+            matrix = assemble_l4(problem, N, fp, fm, rho)
+            aux = {"kt_minus": fm.kt_plain, "v_minus": fm.v_plain}
         else:
-            family = "tilde" if formulation == "l2" else "plain"
-            system = assemble_l2(problem, N, fp, fm, family)
+            matrix = assemble_l2(problem, N, fp, fm, formulation)
+        system = _system(formulation, matrix, problem, N, kappa, rho, aux)
     except BaseException:
         with _slot_lock:
             _families = None  # they may hold what made the build fail
@@ -609,8 +609,7 @@ def solve(
                                  seconds, history=history, stages={"gmres": seconds})
     else:
         raise ValueError("method must be 'lu' or 'gmres'")
-    if system.seconds is not None:
-        diag.stages = {"assemble": system.seconds, **diag.stages}
+    diag.stages = {"assemble": system.seconds, **diag.stages}
 
     k_plus, k_minus, nu = system.problem.k_plus, system.problem.k_minus, system.problem.nu
     if system.formulation == "l4":

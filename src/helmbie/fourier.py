@@ -38,14 +38,12 @@ __all__ = [
     "fft_modes",
     "psi_hat",
     "weight_table",
-    "weighted_conv",
     "conv_matrix",
     "circulant",
     "circulant_from_symbol",
     "lambda_symbol",
     "lambda_matrix",
     "dld_matrix",
-    "sobolev_norm",
 ]
 
 
@@ -124,20 +122,6 @@ def weight_table(m: int, N: int) -> np.ndarray:
     return psi_hat(m, fft_modes(N))
 
 
-def weighted_conv(table: np.ndarray, product_samples) -> np.ndarray:
-    """Nodal values of s -> int psi_m(s-t) P_N[g](t) dt for nodal g.
-
-    Diagonal in the Fourier basis: multiply the interpolant's coefficients by
-    2 pi psihat_m(n); forward FFT, multiply, inverse FFT.
-    """
-    samples = np.asarray(product_samples, dtype=complex)
-    if samples.size != table.size:
-        raise ValueError(
-            f"sample count {samples.size} does not match table size {table.size}"
-        )
-    return np.fft.ifft(np.fft.fft(samples) * (2.0 * np.pi * table))
-
-
 def circulant_from_symbol(symbol) -> np.ndarray:
     """Dense matrix of the Fourier multiplier with the given FFT-layout symbol.
 
@@ -157,7 +141,8 @@ def circulant(column) -> np.ndarray:
 
 
 def conv_matrix(table: np.ndarray) -> np.ndarray:
-    """Dense quadrature-weight matrix W with W @ g = weighted_conv(table, g)."""
+    """Dense quadrature-weight matrix W of the symbol 2 pi psihat_m(n):
+    (W g)_i = int psi_m(s_i - t) P_N[g](t) dt for nodal values g."""
     return circulant_from_symbol(2.0 * np.pi * table)
 
 
@@ -178,10 +163,3 @@ def dld_symbol(N: int) -> np.ndarray:
 
 def dld_matrix(N: int) -> np.ndarray:
     return circulant_from_symbol(dld_symbol(N))
-
-
-def sobolev_norm(g: TrigPolynomial, p: float) -> float:
-    """Periodic Sobolev norm (|c_0|^2 + sum_{n != 0} |n|^{2p} |c_n|^2)^(1/2)."""
-    n = np.abs(g.modes)
-    weights = np.where(n == 0, 1.0, np.maximum(n, 1).astype(float) ** (2.0 * p))
-    return float(np.sqrt(np.sum(weights * np.abs(g.spectral) ** 2)))

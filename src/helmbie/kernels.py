@@ -77,7 +77,6 @@ from .geometry import ParametricCurve, grid
 __all__ = [
     "KernelContext",
     "KernelFactors",
-    "diagonal_limits",
     "kernel_matrix",
     "sin2_matrix",
     "ef_matrices",
@@ -142,11 +141,6 @@ def _diagonal_limits(k, d1, d2):
         "C": -(k * k) * curv / (4.0 * np.pi),
         "D": curv / (4.0 * np.pi * speed * speed),
     }
-
-
-def diagonal_limits(ctx, s):
-    """Diagonal limits {"A", "B", "At", "C", "D"} at the parameters ``s``."""
-    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))
 
 
 class KernelFactors:

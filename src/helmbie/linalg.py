@@ -65,29 +65,22 @@ class LUFactors:
         return self.lu.shape
 
 
-def matmul(a, b, out=None):
+def matmul(a, b):
     """a @ b for a matrix ``a`` and a matrix or vector ``b``, through scipy's
     BLAS (see the module docstring).
 
     The column-major BLAS call works on the transposes, b.T a.T = (a b).T, so
     C-contiguous operands are passed without a copy and the result is
-    C-contiguous.  ``out``, a C-contiguous matrix of the result's dtype, is
-    written in place and returned; it is not supported with a vector ``b``.
+    C-contiguous.
     """
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     dtype = np.dtype(float if real else complex)
     a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
-    if b.ndim == 1 and out is None:
+    if b.ndim == 1:
         gemv = scipy.linalg.blas.dgemv if real else scipy.linalg.blas.zgemv
         return gemv(1.0, a.T, b, trans=1)
     gemm = scipy.linalg.blas.dgemm if real else scipy.linalg.blas.zgemm
-    if out is None:
-        return gemm(1.0, b.T, a.T).T
-    if b.ndim != 2 or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {dtype} matrix "
-                         f"and b a matrix")
-    gemm(1.0, b.T, a.T, c=out.T, overwrite_c=True)
-    return out
+    return gemm(1.0, b.T, a.T).T
 
 
 def lu_factor(matrix) -> LUFactors:

@@ -5,12 +5,14 @@ summation), deliberately sharing no code with the package internals: Bessel
 values, weight-function Fourier coefficients by singular quadrature, circle
 operator eigenvalues by separation of variables, kernel diagonal limits by
 Richardson extrapolation of the off-diagonal formulas in 50-digit
-arithmetic, and O(N^2) discrete transforms.
+arithmetic, and O(N^2) discrete transforms.  The periodic Sobolev norm
+``sobolev_norm`` sits with the transforms.
 
 The pointwise section holds the float64 kernel factors, evaluated pair by
 pair on meshgrids: the reference the fused kernel pass is checked against.
 They call scipy.special directly (AMOS for every Hankel value) and take only
-the analytic diagonal limits and the spectral derivative from the package.
+the closed-form diagonal limits (``diagonal_limits``, on the package's
+``_diagonal_limits``) and the spectral derivative from the package.
 
 The operator section holds the formulas the family operators and the far
 field were first assembled with: K' from the transposed factor matrices,
@@ -18,7 +20,9 @@ the E/F grid factors sampled pair by pair, and the far field as one complex
 exponential per layer term.  They take the kernel factors from the package
 and are the reference for the one-pass forms, which round differently.  The
 spectral differentiation matrix of the Maue route H = D V D + ... sits here
-too: the package needs no D of its own.
+too: the package needs no D of its own; so does the closed-form far field
+of a point source, ``point_source_far_field``, the target of the
+point-source tests.
 
 The composition section holds l3 and l4 as full-matrix sums and products
 (one 4N x 4N product for R_PS L2, five 2N x 2N products for l4), with V_PS
@@ -50,7 +54,7 @@ from helmbie.fourier import (
     weight_table,
 )
 from helmbie.geometry import FINE_SAMPLES, grid, grid_geometry
-from helmbie.kernels import _spectral_derivative, diagonal_limits, kernel_matrix
+from helmbie.kernels import _diagonal_limits, _spectral_derivative, kernel_matrix
 
 # ----------------------------------------------------------------------
 # curves in mpmath (mirrors of the package's built-in shapes)
@@ -260,11 +264,25 @@ def brute_weighted_conv(m, samples, psi_hat_fn):
     return out
 
 
+def sobolev_norm(g, p):
+    """Periodic Sobolev norm (|c_0|^2 + sum_{n != 0} |n|^{2p} |c_n|^2)^(1/2)
+    of a ``TrigPolynomial``."""
+    n = np.abs(g.modes)
+    weights = np.where(n == 0, 1.0, np.maximum(n, 1).astype(float) ** (2.0 * p))
+    return float(np.sqrt(np.sum(weights * np.abs(g.spectral) ** 2)))
+
+
 # ----------------------------------------------------------------------
 # pointwise float64 kernel factors (reference for the fused pass)
 # ----------------------------------------------------------------------
 
 _DIAG_TOL = 1e-14  # |sin((s-t)/2)| below this counts as the diagonal
+
+
+def diagonal_limits(ctx, s):
+    """Diagonal limits {"A", "B", "At", "C", "D"} at the parameters ``s``,
+    from the package's closed forms."""
+    return _diagonal_limits(ctx.k, ctx.curve.d1(s), ctx.curve.d2(s))
 
 
 def _j(order, z):
@@ -482,6 +500,14 @@ def two_exponential_far_field(curve, terms, angles):
             phase = -1j * k * (xhat @ m.T) * phase
         out += far_field_constant(k) * (np.pi / N) * (phase @ density)
     return out
+
+
+def point_source_far_field(k, location, angles):
+    """Far field of Phi_k(. - y0): far_field_constant(k) e^{-ik x^.y0}."""
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    y0 = np.asarray(location, dtype=float)
+    return far_field_constant(k) * np.exp(-1j * k * (xhat @ y0))
 
 
 # ----------------------------------------------------------------------

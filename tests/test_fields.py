@@ -11,7 +11,6 @@ from helmbie.fields import (
     double_layer_potential,
     far_field_constant,
     far_field_linf_diff,
-    point_source_far_field,
     single_layer_far_field,
     single_layer_potential,
 )
@@ -22,6 +21,7 @@ from oracles import (
     diff_double_layer,
     diff_single_layer,
     exact_guard_message,
+    point_source_far_field,
     two_exponential_far_field,
 )
 
@@ -131,8 +131,7 @@ def test_field_wavenumbers_are_positive_reals(k):
         FieldEvaluator(KITE, [("dl", K, dens), ("sl", k, dens)])
     for far_field in (lambda: far_field_constant(k),
                       lambda: single_layer_far_field(KITE, k, dens, [0.0]),
-                      lambda: double_layer_far_field(KITE, k, dens, [0.0]),
-                      lambda: point_source_far_field(k, (0.1, 0.2), [0.0])):
+                      lambda: double_layer_far_field(KITE, k, dens, [0.0])):
         with pytest.raises(ValueError, match="finite positive real"):
             far_field()
 
@@ -158,6 +157,8 @@ def test_far_field_linf_metric():
 def test_far_field_pattern_validation():
     with pytest.raises(ValueError):
         FarFieldPattern(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match=r"angles' shape \(6,\), got shape \(2, 3\)"):
+        FarFieldPattern(np.zeros(6), np.ones((2, 3)))
     p = FarFieldPattern(np.array([0.0, np.pi / 2]), np.array([1.0, 2.0]))
     assert np.allclose(p.directions, [[1, 0], [0, 1]], atol=1e-15)
 
@@ -206,8 +207,6 @@ def test_far_field_rejects_nonfinite_angles(green_evaluator):
     _, ev = green_evaluator
     with pytest.raises(ValueError, match="angles must be finite"):
         ev.far_field([0.0, np.nan])
-    with pytest.raises(ValueError, match="angles must be finite"):
-        point_source_far_field(K, (0.0, 0.0), [np.inf])
 
 
 def _oracle_points(curve, n, count=None):
@@ -326,12 +325,48 @@ def test_potentials_check_their_term_like_the_evaluator(potential):
             potential(KITE, k, dens, pts)
 
 
+@pytest.mark.parametrize("shape", [(2, 2 * N), (2 * N + 1,), (0,)],
+                         ids=["2-d", "odd", "empty"])
+def test_densities_that_are_not_1d_nodal_values_are_rejected(shape):
+    # a (2, 2N) density took N = 1 in the evaluator, whose guard then
+    # rejected a far point, and failed inside BLAS in the potentials
+    dens = np.ones(shape, dtype=complex)
+    pts = _ring(3.0, 3)
+    message = rf"density must be a 1-D array .* got shape \({shape[0]},"
+    with pytest.raises(ValueError, match=r"term 0 \(sl\): " + message):
+        FieldEvaluator(KITE, [("sl", K, dens)])
+    for call in (lambda: single_layer_potential(KITE, K, dens, pts),
+                 lambda: double_layer_potential(KITE, K, dens, pts),
+                 lambda: single_layer_far_field(KITE, K, dens, [0.0]),
+                 lambda: double_layer_far_field(KITE, K, dens, [0.0])):
+        with pytest.raises(ValueError, match="^" + message):
+            call()
+
+
+@pytest.mark.parametrize("far_field", [single_layer_far_field, double_layer_far_field])
+def test_far_fields_reject_nonfinite_densities(far_field):
+    # both returned nan+nanj
+    dens = np.ones(2 * N, dtype=complex)
+    dens[7] = np.nan
+    with pytest.raises(ValueError, match="^density has non-finite values$"):
+        far_field(KITE, K, dens, [0.0])
+
+
+@pytest.mark.parametrize("angles, message", [
+    (np.zeros((2, 3)), r"scalar or a 1-D array, got shape \(2, 3\)"),
+    ([0.0, np.nan], "angles must be finite"),
+], ids=["2-d", "nan"])
+def test_far_field_pattern_checks_its_angles(angles, message):
+    # a 2-D or NaN angle array constructed, and only ``directions`` raised
+    with pytest.raises(ValueError, match=message):
+        FarFieldPattern(angles, np.ones(np.size(angles)))
+
+
 def test_far_field_rejects_angles_that_are_not_1d(green_evaluator):
     _, ev = green_evaluator
     angles = np.zeros((2, 3))
     for far_field in (ev.far_field,
-                      lambda a: single_layer_far_field(KITE, K, np.ones(2 * N), a),
-                      lambda a: point_source_far_field(K, (0.1, 0.2), a)):
+                      lambda a: single_layer_far_field(KITE, K, np.ones(2 * N), a)):
         with pytest.raises(ValueError, match=r"scalar or a 1-D array, got shape \(2, 3\)"):
             far_field(angles)
     assert ev.far_field(0.5).values.shape == (1,)

@@ -8,13 +8,11 @@ from helmbie.fourier import (
     fft_modes,
     lambda_matrix,
     psi_hat,
-    sobolev_norm,
     weight_table,
-    weighted_conv,
 )
 from helmbie.geometry import grid
 
-from oracles import brute_dft, brute_weighted_conv, diff_matrix, mp_psi_hat
+from oracles import brute_dft, brute_weighted_conv, diff_matrix, mp_psi_hat, sobolev_norm
 
 
 def _basis(N, n):
@@ -133,23 +131,25 @@ def test_psi2_relation_to_psi1():
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
-# -------------------------------------------------------------- weighted_conv
+# ------------------------------------------------------- weighted convolution
+# s -> int psi_m(s - t) P_N[g](t) dt at the nodes, applied as W g with the
+# weight matrix W = conv_matrix(weight_table(m, N)) that every operator uses
 
 
 def test_weighted_conv_m0_is_trapezoid():
     N = 8
     rng = np.random.default_rng(2)
     g = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-    out = weighted_conv(weight_table(0, N), g)
+    out = conv_matrix(weight_table(0, N)) @ g
     assert np.max(np.abs(out - (np.pi / N) * g.sum())) <= 1e-13
 
 
 def test_weighted_conv_eigenfunctions():
     N = 16
     t = grid(N)
-    out1 = weighted_conv(weight_table(1, N), np.exp(2j * t))
+    out1 = conv_matrix(weight_table(1, N)) @ np.exp(2j * t)
     assert np.max(np.abs(out1 - 2 * np.pi * (-0.5) * np.exp(2j * t))) <= 1e-12
-    out2 = weighted_conv(weight_table(2, N), np.ones(2 * N))
+    out2 = conv_matrix(weight_table(2, N)) @ np.ones(2 * N)
     target = 2 * np.pi * (0.5 - np.log(2.0))
     assert np.max(np.abs(out2 - target)) <= 1e-12
 
@@ -159,24 +159,9 @@ def test_weighted_conv_eigenfunctions():
 def test_weighted_conv_against_brute_force(m, N):
     rng = np.random.default_rng(100 * m + N)
     g = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-    fast = weighted_conv(weight_table(m, N), g)
+    fast = conv_matrix(weight_table(m, N)) @ g
     slow = brute_weighted_conv(m, g, psi_hat)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
-
-
-def test_weighted_conv_size_mismatch():
-    with pytest.raises(ValueError):
-        weighted_conv(weight_table(1, 8), np.ones(10))
-
-
-def test_conv_matrix_matches_apply():
-    N = 16
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-    for m in (0, 1, 2):
-        table = weight_table(m, N)
-        assert np.max(np.abs(conv_matrix(table) @ g
-                             - weighted_conv(table, g))) <= 1e-12
 
 
 # ---------------------------------------------------- diagonal spectral ops

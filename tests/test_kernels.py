@@ -7,7 +7,6 @@ from helmbie.geometry import cavity, circle, grid, kite
 from helmbie.kernels import (
     KernelContext,
     KernelFactors,
-    diagonal_limits,
     ef_matrices,
     kernel_matrix,
     sin2_matrix,
@@ -15,6 +14,7 @@ from helmbie.kernels import (
 from helmbie.specfun import bessel_j, hankel1
 
 from oracles import (
+    diagonal_limits,
     kernel_a,
     kernel_a_tilde,
     kernel_b,

@@ -176,23 +176,8 @@ def test_matmul_non_contiguous_operands():
     assert _product_gap(b.T, a.T, matmul(b.T, a.T)) <= 1.0
 
 
-def test_matmul_out_writes_row_block_in_place():
-    rng = np.random.default_rng(7)
-    a = _random(rng, 24, 24)
-    b = _random(rng, 24, 48)
-    big = np.full((48, 48), np.nan, dtype=complex)  # beta = 0 ignores the NaN
-    block = big[:24]
-    assert matmul(a, b, out=block) is block
-    assert _product_gap(a, b, big[:24]) <= 1.0
-    assert np.all(np.isnan(big[24:]))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        matmul(a, b[:, :24], out=big[:24, :24])  # not C-contiguous
-    with pytest.raises(ValueError, match="C-contiguous"):
-        matmul(a.real, b.real, out=big[24:])     # float product into complex
-
-
 # Products with a 2-vector run on the calling thread in either BLAS
-_NUMPY_PRODUCTS = {"formulations.py": {"pts @ d"}, "fields.py": {"xhat @ y0"}}
+_NUMPY_PRODUCTS = {"formulations.py": {"pts @ d"}}
 
 
 @pytest.mark.parametrize("module", ["formulations.py", "fields.py", "linalg.py"])
@@ -234,19 +219,20 @@ def test_gmres_runs_only_through_solve():
 
 
 def test_only_assemble_reaches_the_reuse_state():
-    """Inside ``formulations`` only ``assemble`` calls ``_op_families``, and
-    only ``assemble``, ``empty_slot`` and ``_op_families`` read or write the
-    slot and the kept families: the builders work on what they are given."""
+    """Inside ``formulations`` only ``assemble`` calls ``_op_families`` and
+    ``_system``, and only ``assemble``, ``empty_slot`` and ``_op_families``
+    read or write the slot and the kept families: the builders work on what
+    they are given and return a matrix."""
     path = pathlib.Path(helmbie.__file__).parent / "formulations.py"
-    callers, users = set(), set()
+    callers, users = {"_op_families": set(), "_system": set()}, set()
     for fn in ast.walk(ast.parse(path.read_text())):
         if not isinstance(fn, ast.FunctionDef):
             continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_op_families":
-                callers.add(fn.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(fn.name)
             names = node.names if isinstance(node, ast.Global) else [getattr(node, "id", None)]
             if {"_slot", "_families"} & set(names):
                 users.add(fn.name)
-    assert callers == {"assemble"}
+    assert callers == {"_op_families": {"assemble"}, "_system": {"assemble"}}
     assert users == {"assemble", "empty_slot", "_op_families"}
