@@ -23,6 +23,7 @@ from .harness import (
     StudyConfig,
     VERIFICATION_SUITES,
     cell_fields,
+    environment,
     run_convergence,
     run_verification,
     solve_cell,
@@ -57,6 +58,7 @@ def _cmd_solve(args) -> int:
         **cell_fields(form, n, result.diagnostics, seconds),
         "farfield_csv": str(write_far_field(cfg.out_dir, form, n, ff)),
         "max_farfield_amplitude": float(np.max(np.abs(ff.values))),
+        "environment": environment(),
     }
     (cfg.out_dir / f"solve_{form}_N{n}.json").write_text(
         json.dumps(summary, indent=2)

@@ -47,11 +47,11 @@ another formulation of the same ``TransmissionProblem`` object at the same
 N; a new problem object or a new N replaces them, even when its system is a
 hit and builds nothing, and a failed ``assemble`` drops them.  A problem
 object is a unit of reuse: an equal problem built anew assembles its own
-families.  With every operator built once, the two families of the kite at
-N = 256 hold about 81 MiB (measured with tracemalloc, kernel factor sets
-included; Lambda and D Lambda D of the k+ family, which the first-kind
-blocks read, are part of it), four times as much at N = 512, until the next
-problem or ``empty_slot()``.  A lock guards only the slot's reads and
+families.  Once all five formulations are built, the two families of the
+kite at N = 256 hold about 60 MiB (measured with tracemalloc; Lambda and
+D Lambda D of the k+ family, which the first-kind blocks read, are part of
+it, and no kernel factor set is), four times as much at N = 512, until the
+next problem or ``empty_slot()``.  A lock guards only the slot's reads and
 writes; two threads may race to build the same system or operator, which
 costs time but never returns a wrong matrix.
 
@@ -117,6 +117,17 @@ __all__ = [
 FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
 
 
+def _real_array(value):
+    """``value`` as a float array, or None when it holds anything but real
+    numbers (a complex entry included); the shape is the caller's check."""
+    try:
+        if not np.iscomplexobj(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class PlaneWave:
     """Incident plane wave e^{i k d.x} with |d| = 1."""
@@ -124,9 +135,9 @@ class PlaneWave:
     direction: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if direction.shape != (2,) or not (np.isfinite(norm) and norm > 0):
+        direction = _real_array(self.direction)
+        if (direction is None or direction.shape != (2,)
+                or not 0 < np.linalg.norm(direction) < np.inf):
             raise ValueError(f"plane-wave direction must be two finite coordinates, "
                              f"not both zero, got {self.direction}")
 
@@ -149,8 +160,9 @@ class PointSource:
     location: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        location = np.asarray(self.location, dtype=float)
-        if location.shape != (2,) or not np.all(np.isfinite(location)):
+        location = _real_array(self.location)
+        if (location is None or location.shape != (2,)
+                or not np.all(np.isfinite(location))):
             raise ValueError(f"point-source location must be two finite "
                              f"coordinates, got {self.location}")
 

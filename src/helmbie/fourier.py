@@ -40,7 +40,6 @@ __all__ = [
     "weight_table",
     "conv_matrix",
     "circulant",
-    "circulant_from_symbol",
     "lambda_symbol",
     "lambda_matrix",
     "dld_matrix",
@@ -122,15 +121,6 @@ def weight_table(m: int, N: int) -> np.ndarray:
     return psi_hat(m, fft_modes(N))
 
 
-def circulant_from_symbol(symbol) -> np.ndarray:
-    """Dense matrix of the Fourier multiplier with the given FFT-layout symbol.
-
-    M[i, j] = (1/2N) sum_n sigma(n) exp(i n (t_i - t_j)); applying M to nodal
-    values equals ifft(symbol * fft(values)).
-    """
-    return circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)))
-
-
 def circulant(column) -> np.ndarray:
     """Dense circulant matrix M[i, j] = column[(i - j) % n]."""
     column = np.asarray(column)
@@ -140,10 +130,19 @@ def circulant(column) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(ext, n)[:n, ::-1])
 
 
+def _real_circulant(symbol) -> np.ndarray:
+    """Dense matrix of the Fourier multiplier with a real, even FFT-layout
+    symbol: M[i, j] = (1/2N) sum_n sigma(n) exp(i n (t_i - t_j)), so that
+    M g = ifft(symbol * fft(g)).  M is real, and kept as float64: the
+    imaginary part of the inverse FFT is rounding only."""
+    return circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)).real)
+
+
 def conv_matrix(table: np.ndarray) -> np.ndarray:
     """Dense quadrature-weight matrix W of the symbol 2 pi psihat_m(n):
-    (W g)_i = int psi_m(s_i - t) P_N[g](t) dt for nodal values g."""
-    return circulant_from_symbol(2.0 * np.pi * table)
+    (W g)_i = int psi_m(s_i - t) P_N[g](t) dt for nodal values g.  The
+    symbol is real and even, so W is real."""
+    return _real_circulant(2.0 * np.pi * table)
 
 
 def lambda_symbol(N: int) -> np.ndarray:
@@ -153,7 +152,7 @@ def lambda_symbol(N: int) -> np.ndarray:
 
 
 def lambda_matrix(N: int) -> np.ndarray:
-    return circulant_from_symbol(lambda_symbol(N))
+    return _real_circulant(lambda_symbol(N))
 
 
 def dld_symbol(N: int) -> np.ndarray:
@@ -162,4 +161,4 @@ def dld_symbol(N: int) -> np.ndarray:
 
 
 def dld_matrix(N: int) -> np.ndarray:
-    return circulant_from_symbol(dld_symbol(N))
+    return _real_circulant(dld_symbol(N))

@@ -17,11 +17,14 @@ acceptance criteria of the test suite assert on the same reports.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import special as _sp
 
 from .fields import FieldEvaluator, far_field_linf_diff
@@ -47,6 +50,7 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "cell_fields",
+    "environment",
     "run_convergence",
     "run_verification",
     "solve_cell",
@@ -184,6 +188,28 @@ class StudyConfig:
         return TransmissionProblem(curve, self.k_plus, self.k_minus, self.nu, incident)
 
 
+# the thread-count variables of the BLAS and OpenMP runtimes numpy and scipy
+# may load; each one read at the start of a run sets its pool size
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def environment() -> dict:
+    """The JSON block that says where a run ran: the python, numpy, scipy
+    and helmbie versions, the cores this process may use, and each thread
+    variable (null when unset)."""
+    from . import __version__
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "helmbie": __version__,
+        "cores": len(os.sched_getaffinity(0)),
+        "thread_variables": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
 def cell_fields(formulation: str, N: int, diagnostics: SolverDiagnostics | None,
                 seconds: float) -> dict:
     """The JSON fields of one cell: how it was solved and how well.
@@ -236,6 +262,7 @@ class StudyReport:
             "k_minus": self.config.k_minus,
             "nu": self.config.nu,
             "reference": self.reference_label,
+            "environment": environment(),
             "rows": [
                 {
                     **cell_fields(r.formulation, r.N, r.diagnostics, r.seconds),

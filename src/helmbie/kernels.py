@@ -52,10 +52,14 @@ compact vector over the strict upper triangle (r and sin^2 are symmetric).
 A, B, A~ are symmetric and C, D are (delta . m) times a symmetric function;
 full matrices, with the diagonal limits written by index, and E, F are
 formed from these vectors on request, C and D together from one delta . m.
-A ``KernelContext`` keeps the factor set of its last grid, so one operator
-family shares a single pass.  The grid functions sin(s-t), cos(s-t) and
-sin^2((s-t)/2) of E, F and the plain K depend only on i - j: they are
-circulants built from 2N values, and k^2 x'(s).x'(t) is two outer products.
+A ``KernelContext`` keeps the factor set of its last grid until
+``drop_factors``; ``ef`` keeps its expansions of A, B and A~, read-only, on
+that set, so ``matrix`` hands them out again without another scatter.  An
+operator family builds all its kernel operators in one pass over one set
+and drops it after (see ``helmbie.operators``).  The grid functions
+sin(s-t), cos(s-t) and sin^2((s-t)/2) of E, F and the plain K depend only on
+i - j: they are circulants built from 2N values, and k^2 x'(s).x'(t) is two
+outer products.
 
 Direct formulas are numerically safe down to node separation pi/1024; the
 only guarded cancellation, 1 - J0(k r), switches to its power series for
@@ -109,6 +113,10 @@ class KernelContext:
             found = self._last[N] = KernelFactors(self, N)
         return found
 
+    def drop_factors(self):
+        """Forget the kept factor set; the next request samples afresh."""
+        self._last.clear()
+
 
 def _one_minus_j0(z, j0):
     """1 - J0(z) from J0(z), with a series branch killing the small-z cancellation."""
@@ -148,7 +156,8 @@ class KernelFactors:
 
     Holds x and x' on the 2N nodes, the diagonal limits, and r and sin^2
     as compact vectors over the pairs i < j; J0, J1, H0 and H1 of k r are
-    evaluated once each, on first use.  The rest is recomputed per request.
+    evaluated once each, on first use.  The rest is recomputed per request,
+    except the A, B and A~ matrices ``ef`` expands, which it keeps.
     """
 
     def __init__(self, ctx: KernelContext, N: int):
@@ -165,6 +174,7 @@ class KernelFactors:
         self.r = np.sqrt(dx * dx + dy * dy)  # the 2-norm, bit for bit
         half = np.sin(0.5 * (self.nodes[i] - self.nodes[j]))
         self.sin2 = half * half
+        self._expanded = {}  # read-only A, B, A~ matrices kept by ef
 
     def _dm(self):
         """delta . m(t) on the full grid; zero on the diagonal."""
@@ -213,6 +223,8 @@ class KernelFactors:
             raise ValueError(f"unknown kernel {which!r}; choices {list(_FACTORS)}")
         if which in ("C", "D"):
             return self.cd()[which == "D"]
+        if which in self._expanded:
+            return self._expanded[which]
         k, four_pi = self.k, 4.0 * np.pi
         if which == "A":
             upper = -self.j0 / four_pi
@@ -234,10 +246,12 @@ class KernelFactors:
         return self._finish("C", c_mat), self._finish("D", d_mat)
 
     def ef(self):
-        """Grid matrices (E, F) of the hypersingular remainder kernel."""
-        a_mat = self.matrix("A")
-        b_mat = self.matrix("B")
-        at_mat = self.matrix("At")
+        """Grid matrices (E, F) of the hypersingular remainder kernel; the A,
+        B and A~ matrices it expands stay on this set, read-only."""
+        for which in ("A", "B", "At"):
+            kept = self._expanded[which] = self.matrix(which)
+            kept.flags.writeable = False
+        a_mat, b_mat, at_mat = (self._expanded[w] for w in ("A", "B", "At"))
 
         # A~ and B are exactly symmetric, so each derivative in s is the
         # transpose of the one in t, which runs along the contiguous axis

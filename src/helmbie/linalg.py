@@ -76,6 +76,10 @@ def matmul(a, b):
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     dtype = np.dtype(float if real else complex)
     a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul needs a matrix and a matrix or vector with as "
+                         f"many rows as it has columns, got shapes {a.shape} "
+                         f"and {b.shape}")
     if b.ndim == 1:
         gemv = scipy.linalg.blas.dgemv if real else scipy.linalg.blas.zgemv
         return gemv(1.0, a.T, b, trans=1)
@@ -83,11 +87,19 @@ def matmul(a, b):
     return gemm(1.0, b.T, a.T).T
 
 
-def lu_factor(matrix) -> LUFactors:
-    """Factor a dense complex matrix by partial-pivot LU with a pivot guard."""
+def _square(matrix) -> np.ndarray:
+    """The matrix as a complex array; raise unless it is square and not empty."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("matrix must not be empty")
+    return a
+
+
+def lu_factor(matrix) -> LUFactors:
+    """Factor a dense complex matrix by partial-pivot LU with a pivot guard."""
+    a = _square(matrix)
     # zgecon needs the 1-norm, which is NaN or inf exactly when an entry is
     # (or when the column sums overflow), so it doubles as the finite check
     anorm = np.linalg.norm(a, 1)
@@ -134,9 +146,12 @@ def gmres(matrix, b, tol: float = 1e-10, maxit: int | None = None):
     with the history otherwise.
     """
     _check_gmres(tol, maxit)
-    mat = np.asarray(matrix, dtype=complex)
+    mat = _square(matrix)
     b = np.asarray(b, dtype=complex)
-    n = b.size
+    n = mat.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side must be a vector of length {n}, "
+                         f"got shape {b.shape}")
     if maxit is None:
         maxit = n
     maxit = min(maxit, n)

@@ -10,11 +10,14 @@ product W_m * K with K the sampled smooth kernel factor.  Families:
     T  = W1*E + W0*F,   H = D Lambda D + T
 
 psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
-is applied as that scalar; W1 and W2 have real even symbols and are formed as
-real matrices on each use, not kept.  All factors of one family come from
-one fused kernel pass (see ``helmbie.kernels``), which the family's context
-keeps.  The tilde single layer is stored via its smooth remainder
-R~ = W2*At + W0*B so the formulations can use Lambda and R~ separately.
+is applied as that scalar; W1, W2, Lambda and D Lambda D have real even
+symbols and are real matrices.  The five kernel operators V, R~, K, K~ and
+T come from one pass: the first access to any of them samples one fused
+factor set (see ``helmbie.kernels``), forms W1 and W2 once, expands each of
+A, B, A~, C and D once, builds all five and drops the factor set, whether
+the pass succeeds or raises.  The tilde single layer is stored via its
+smooth remainder R~ = W2*At + W0*B so the formulations can use Lambda and
+R~ separately.
 
 K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
 symmetric grid the weights are even circulants, so the Nystrom matrix of K'
@@ -69,14 +72,6 @@ class OperatorFamily:
         self.ctx = KernelContext(curve, k)
         self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
 
-    def _kernel(self, which):
-        return kernel_matrix(self.ctx, which, self.N)
-
-    def _w(self, m):
-        """W_m as a real matrix, formed on each use (0.8 ms at N = 256)
-        rather than kept (2 MiB per weight and family at N = 256)."""
-        return conv_matrix(weight_table(m, self.N)).real
-
     @cached_property
     def lambda_mat(self):
         return _frozen(lambda_matrix(self.N))
@@ -86,30 +81,51 @@ class OperatorFamily:
         return _frozen(dld_matrix(self.N))
 
     @cached_property
+    def _kernel_ops(self):
+        """{name: operator} for V, R~, K, K~ and T, from one pass over one
+        factor set of the context, which the pass drops however it ends.
+
+        Each weight is formed once.  K and K~ come first, from one sampling
+        of C and D; then T, whose ``ef`` expands A, B and A~ and keeps them
+        on the factor set; V and R~ come last, from those expansions, so
+        that neither is held while ``ef`` runs (the order of lowest peak
+        memory).
+        """
+        ctx, N, w0 = self.ctx, self.N, self._w0
+        w1, w2 = (conv_matrix(weight_table(m, N)) for m in (1, 2))
+        try:
+            c_mat, d_mat = kernel_matrix(ctx, ("C", "D"), N)
+            w0_d = w0 * d_mat
+            ops = {"k_plain": w1 * (c_mat * sin2_matrix(N)) + w0_d,
+                   "k_tilde": w2 * c_mat + w0_d}
+            del c_mat, d_mat, w0_d
+            e_mat, f_mat = ef_matrices(ctx, N)
+            ops["t_op"] = w1 * e_mat + w0 * f_mat
+            del e_mat, f_mat
+            a_mat, b_mat, at_mat = (kernel_matrix(ctx, which, N)
+                                    for which in ("A", "B", "At"))
+            w0_b = w0 * b_mat
+            ops["v_plain"] = w1 * a_mat + w0_b
+            ops["r_tilde"] = w2 * at_mat + w0_b
+        finally:
+            ctx.drop_factors()
+        return {name: _frozen(op) for name, op in ops.items()}
+
+    @cached_property
     def v_plain(self):
-        return _frozen(self._w(1) * self._kernel("A")
-                       + self._w0 * self._kernel("B"))
+        return self._kernel_ops["v_plain"]
 
     @cached_property
     def r_tilde(self):
-        return _frozen(self._w(2) * self._kernel("At") + self._w0 * self._kernel("B"))
+        return self._kernel_ops["r_tilde"]
 
     @cached_property
     def v_tilde(self):
         return _frozen(self.lambda_mat + self.r_tilde)
 
     @cached_property
-    def _k_pair(self):
-        """(K, K~) from one sampling of C and D: a family that builds one
-        double layer builds the other with it."""
-        c_mat, d_mat = self._kernel(("C", "D"))
-        w0_d = self._w0 * d_mat
-        return (_frozen(self._w(1) * (c_mat * sin2_matrix(self.N)) + w0_d),
-                _frozen(self._w(2) * c_mat + w0_d))
-
-    @cached_property
     def k_plain(self):
-        return self._k_pair[0]
+        return self._kernel_ops["k_plain"]
 
     @cached_property
     def kt_plain(self):
@@ -118,7 +134,7 @@ class OperatorFamily:
 
     @cached_property
     def k_tilde(self):
-        return self._k_pair[1]
+        return self._kernel_ops["k_tilde"]
 
     @cached_property
     def kt_tilde(self):
@@ -127,8 +143,7 @@ class OperatorFamily:
 
     @cached_property
     def t_op(self):
-        e_mat, f_mat = ef_matrices(self.ctx, self.N)
-        return _frozen(self._w(1) * e_mat + self._w0 * f_mat)
+        return self._kernel_ops["t_op"]
 
     @cached_property
     def h_op(self):

@@ -46,7 +46,7 @@ from scipy import special as sp
 
 from helmbie.fields import far_field_constant
 from helmbie.fourier import (
-    circulant_from_symbol,
+    circulant,
     conv_matrix,
     dld_matrix,
     fft_modes,
@@ -262,6 +262,13 @@ def brute_weighted_conv(m, samples, psi_hat_fn):
     for n, c in coeffs.items():
         out += 2.0 * np.pi * psi_hat_fn(m, n) * c * np.exp(1j * n * tj)
     return out
+
+
+def circulant_from_symbol(symbol):
+    """Dense complex matrix of the Fourier multiplier with the given
+    FFT-layout symbol: M[i, j] = (1/2N) sum_n sigma(n) exp(i n (t_i - t_j)),
+    so that M g = ifft(symbol * fft(g))."""
+    return circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)))
 
 
 def sobolev_norm(g, p):

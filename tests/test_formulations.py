@@ -65,11 +65,21 @@ def test_build_data_point_source():
 
 
 @pytest.mark.parametrize(
-    "location", [(np.nan, 0.0), (0.1, np.inf), (0.1,), (0.1, 0.2, 0.3)]
+    "location", [(np.nan, 0.0), (0.1, np.inf), (0.1,), (0.1, 0.2, 0.3), (1j, 0.0),
+                 np.array([0.1 + 0j, 0.2]), ("x", 0.0), ((0.1,), 0.2)]
 )
 def test_point_source_rejects_a_bad_location(location):
     with pytest.raises(ValueError, match="two finite coordinates"):
         PointSource(location)
+
+
+@pytest.mark.parametrize(
+    "direction", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1.0,), (1j, 0.0),
+                  np.array([1.0 + 0j, 0.0]), ("x", 0.0)]
+)
+def test_plane_wave_rejects_a_bad_direction(direction):
+    with pytest.raises(ValueError, match="two finite coordinates"):
+        PlaneWave(direction)
 
 
 def test_build_data_eta_carries_speed_factor():

@@ -1,11 +1,15 @@
 import ast
 import dataclasses
 import json
+import os
 import pathlib
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import helmbie
 from helmbie import cli, formulations, harness, operators
 from helmbie.cli import main
 from helmbie.harness import (
@@ -319,8 +323,29 @@ def test_solve_json_and_one_cell_study_row_agree(tmp_path, capsys, solver):
     else:
         assert len(solved["history"]) == solved["iterations"] + 1 > 1
     cell = set(harness.cell_fields("l1", 32, None, 0.0))
-    assert set(solved) == cell | {"farfield_csv", "max_farfield_amplitude"}
+    assert set(solved) == cell | {"farfield_csv", "max_farfield_amplitude",
+                                  "environment"}
     assert set(row) == cell | {"error_linf", "failure"}
+
+
+def test_solve_and_study_json_carry_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(FAST_STUDY.replace("n_ladder = 24,32", "n_ladder = 32"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "solve"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "study"]) == 0
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for name in ("solve_l1_N32.json", "study.json"):
+        env = json.loads((tmp_path / name).read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["helmbie"] == helmbie.__version__
+        assert env["cores"] == len(os.sched_getaffinity(0)) >= 1
+        assert set(env["thread_variables"]) == set(threads)
+        assert env["thread_variables"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert env["thread_variables"]["MKL_NUM_THREADS"] is None
 
 
 def test_cli_imports_no_private_harness_name():

@@ -77,6 +77,25 @@ def test_lu_solve_accepts_factors():
         lu_factor(np.ones((2, 3)))
 
 
+def test_lu_factor_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="must not be empty"):
+        lu_factor(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (0, 0)])
+def test_gmres_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="must be square|must not be empty"):
+        gmres(np.ones(shape), np.ones(shape[0]))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_gmres_rejects_a_rhs_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match="vector of length 3"):
+        gmres(np.eye(3), np.ones(size))
+    with pytest.raises(ValueError, match="vector of length 3"):
+        gmres(np.eye(3), np.ones((3, 1)))
+
+
 def test_gmres_identity_one_iteration():
     b = np.arange(1.0, 6.0) + 0j
     x, history = gmres(np.eye(5), b, tol=1e-12)
@@ -174,6 +193,13 @@ def test_matmul_non_contiguous_operands():
     assert _product_gap(a, b, matmul(a, b)) <= 1.0
     assert _product_gap(a, v, matmul(a, v)) <= 1.0
     assert _product_gap(b.T, a.T, matmul(b.T, a.T)) <= 1.0
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 2), (3,)), ((2, 3), (2, 4)),
+                                              ((3,), (3,)), ((2, 2), (2, 2, 1))])
+def test_matmul_rejects_operands_that_do_not_align(a_shape, b_shape):
+    with pytest.raises(ValueError, match="matmul needs"):
+        matmul(np.ones(a_shape), np.ones(b_shape))
 
 
 # Products with a 2-vector run on the calling thread in either BLAS

@@ -3,13 +3,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helmbie import specfun
-from helmbie.fourier import conv_matrix, weight_table
+from helmbie import operators, specfun
+from helmbie.fourier import conv_matrix, dld_symbol, lambda_symbol, weight_table
 from helmbie.geometry import ParametricCurve, circle, grid, kite
 from helmbie.kernels import KernelFactors, kernel_matrix
 from helmbie.operators import OperatorFamily
 
-from oracles import diff_matrix, k_kt_from_factors, mp_circle_eigs, t_from_pairwise_grid
+from oracles import (
+    circulant_from_symbol,
+    diff_matrix,
+    k_kt_from_factors,
+    mp_circle_eigs,
+    t_from_pairwise_grid,
+)
 
 
 def _circle_eig_table(data_dir):
@@ -244,3 +250,67 @@ def test_each_k_build_takes_one_double_layer_pass(monkeypatch):
     fam.kt_tilde, fam.k_tilde
     assert len(passes) == 1
 
+
+_KERNEL_OPS = ("v_plain", "r_tilde", "k_plain", "k_tilde", "t_op")
+
+
+def _count_pass(monkeypatch):
+    """Counter of the _symmetric scatters and the real Bessel calls."""
+    calls = Counter()
+    symmetric = KernelFactors._symmetric
+
+    def counted_symmetric(self, upper):
+        calls["_symmetric"] += 1
+        return symmetric(self, upper)
+
+    monkeypatch.setattr(KernelFactors, "_symmetric", counted_symmetric)
+    for name in ("bessel_j", "bessel_y"):
+        def counted(order, z, _fn=getattr(specfun, name), _name=name):
+            calls[_name] += 1
+            return _fn(order, z)
+        monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", _KERNEL_OPS)
+def test_one_access_runs_the_whole_kernel_pass(monkeypatch, name):
+    # each smooth factor is expanded once, and the factor set is dropped after
+    calls = _count_pass(monkeypatch)
+    fam = OperatorFamily(kite(), 8.0, 16)
+    getattr(fam, name)
+    assert set(fam.__dict__["_kernel_ops"]) == set(_KERNEL_OPS)
+    assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
+    assert fam.ctx._last == {}
+    for other in _KERNEL_OPS:
+        assert getattr(fam, other) is fam._kernel_ops[other]
+        assert not getattr(fam, other).flags.writeable
+    assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
+
+
+def test_a_failed_pass_keeps_no_factor_set_and_the_next_access_rebuilds(monkeypatch):
+    def broken(ctx, N):
+        ctx.factors(N).ef()  # the pass has expanded A, B and A~ by now
+        raise FloatingPointError("poisoned")
+
+    fam = OperatorFamily(kite(), 8.0, 16)
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "ef_matrices", broken)
+        with pytest.raises(FloatingPointError, match="poisoned"):
+            fam.v_plain
+    assert fam.ctx._last == {}
+    assert "_kernel_ops" not in fam.__dict__
+    calls = _count_pass(monkeypatch)
+    rebuilt = [getattr(fam, name) for name in _KERNEL_OPS]
+    assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
+    assert fam.ctx._last == {}
+    cold = OperatorFamily(kite(), 8.0, 16)
+    for name, op in zip(_KERNEL_OPS, rebuilt):
+        assert op.tobytes() == getattr(cold, name).tobytes(), name
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_lambda_and_dld_are_real_parts_of_their_circulants(N):
+    fam = OperatorFamily(circle(), 2.0, N)
+    for got, symbol in ((fam.lambda_mat, lambda_symbol(N)), (fam.dld_mat, dld_symbol(N))):
+        assert got.dtype == np.float64
+        assert got.tobytes() == circulant_from_symbol(symbol).real.tobytes()
