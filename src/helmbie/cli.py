@@ -43,6 +43,12 @@ def _load_config(args) -> StudyConfig:
         cfg = StudyConfig.from_file(args.config)
     if args.out is not None:
         cfg.out_dir = Path(args.out)
+    # made before the first cell is solved, so that an output path that
+    # cannot be a directory fails the run before any work is done
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}") from exc
     return cfg
 
 
@@ -70,7 +76,6 @@ def _cmd_solve(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load_config(args)
     report = run_convergence(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "study.csv").write_text(report.to_csv())
     (cfg.out_dir / "study.json").write_text(report.to_json())
     print(report.to_csv(), end="")

@@ -33,8 +33,9 @@ factors, so a sweep over incidences assembles and factors once.  A miss
 empties the slot before it builds, so two systems are never held together
 and peak memory stays that of one system.  The slot holds its system until
 the next miss or ``empty_slot()``, after every caller has dropped it: on the
-kite at N = 256 that is 32 MiB for l1, l2 and l3 (matrix and LU) and 16 MiB
-for l4 (with ``aux``), four times as much at N = 512.
+kite at N = 256 that is 32 MiB for l1, l2 and l3 (matrix and LU) and 12 MiB
+for l4 (matrix, LU and the K'- of ``aux``, a contiguous copy of its own; the
+V- of ``aux`` is the k- family's), four times as much at N = 512.
 
 Many formulations.  The five formulations are block combinations of the same
 Nystrom operators for k+ and k-, so next to the system the slot keeps the
@@ -47,13 +48,17 @@ another formulation of the same ``TransmissionProblem`` object at the same
 N; a new problem object or a new N replaces them, even when its system is a
 hit and builds nothing, and a failed ``assemble`` drops them.  A problem
 object is a unit of reuse: an equal problem built anew assembles its own
-families.  Once all five formulations are built, the two families of the
-kite at N = 256 hold about 60 MiB (measured with tracemalloc; Lambda and
-D Lambda D of the k+ family, which the first-kind blocks read, are part of
-it, and no kernel factor set is), four times as much at N = 512, until the
-next problem or ``empty_slot()``.  A lock guards only the slot's reads and
-writes; two threads may race to build the same system or operator, which
-costs time but never returns a wrong matrix.
+families.  Both families run their kernel passes before a builder allocates
+anything, so no output is held while a pass runs.  Once all five
+formulations are built, the two families of the kite at N = 256 hold 44 MiB
+(measured with tracemalloc: five kernel operators each, K' and K~' being
+views, and Lambda and D Lambda D of the k+ family, which the first-kind
+blocks read; no kernel factor set), four times as much at N = 512, until
+the next problem or ``empty_slot()``.  With the kept system, a cold pass of
+all five formulations and their LU solves peaks at 76 MiB there (304 MiB at
+N = 512).  A lock guards only the slot's reads and writes; two threads may
+race to build the same system or operator, which costs time but never
+returns a wrong matrix.
 
 The l3 regularizer.  A regularizer only has to match the principal parts of
 V and H at the complex wavenumber kappa (Boubendir, Dominguez, Levadoux and
@@ -76,7 +81,8 @@ dense product, and nothing of R_PS is kept: ``rhs_for`` applies it to
 (h, eta) the same way.
 
 Block algebra.  Every formulation writes its blocks into one preallocated
-matrix.  l3 applies R_PS to L2 by block rows, in place, and l4 groups its
+matrix.  l3 applies R_PS to L2 in place, in chunks of columns (R_PS acts on
+the row index only, so a chunk's FFTs are all it holds), and l4 groups its
 compositions into two products; both reassociate the floating-point sums of
 the full-matrix forms kept in the test oracles.  l1, l2 and l2plain keep the
 order of every sum, so their matrices are those of the full-matrix forms bit
@@ -318,7 +324,7 @@ class SolveResult:
 def _op_families(problem, N):
     """The k+ and k- operator families of the problem at N, shared through
     the slot with every build for the same problem object at the same N (see
-    the module docstring)."""
+    the module docstring), each with its kernel operators built."""
     global _families
     with _slot_lock:
         if _families is None or _families[0] is not problem or _families[1] != N:
@@ -327,7 +333,12 @@ def _op_families(problem, N):
         for k in (problem.k_plus, problem.k_minus):
             if k not in kept:
                 kept[k] = OperatorFamily(problem.curve, k, N)
-        return kept[problem.k_plus], kept[problem.k_minus]
+        families = kept[problem.k_plus], kept[problem.k_minus]
+    # both kernel passes run here, outside the lock, so that no builder holds
+    # its output (or anything else) while a pass runs
+    for family in families:
+        family._kernel_ops
+    return families
 
 
 def _blocks(matrix):
@@ -360,7 +371,12 @@ def _system(formulation, matrix, problem, N, kappa, rho, aux) -> FormulationSyst
 
 
 # The builders return the matrix of one formulation from the families fp (k+)
-# and fm (k-); ``assemble`` alone makes, checks, times and keeps the system.
+# and fm (k-), l4's with its ``aux``; ``assemble`` alone makes, checks, times
+# and keeps the system.  A family's K' is a transposed view of its K, and an
+# elementwise pass over a transposed operand costs about twice a transposing
+# copy, so l1-l3 sum the block a22 = f(K'+, K'-) as its transpose f(K+, K-)
+# (I is symmetric; the same sums, entry for entry) and write it with one
+# transposing copy.
 # They are not exported, and stay module-level functions because
 # perfbench/spans.py wraps them by name.
 def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> np.ndarray:
@@ -381,8 +397,10 @@ def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> np.ndarray:
     a11 -= fp.k_plain
     np.subtract(fp.v_plain, fm.v_plain, out=a12)
     np.multiply(nu, fm.t_op - fp.t_op, out=a21)
-    np.add(half * eye, nu * fp.kt_plain, out=a22)
-    a22 -= fm.kt_plain
+    # a22 is summed as its transpose, from K (see the comment above the builders)
+    a22_t = half * eye + nu * fp.k_plain
+    a22_t -= fm.k_plain
+    a22[...] = a22_t.T
     return matrix
 
 
@@ -402,17 +420,18 @@ def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
         np.add(0.0, -(fm.k_tilde + fp.k_tilde), out=a11)
         np.add(lead * lam, fp.r_tilde / nu + fm.r_tilde, out=a12)
         np.add(lead * (-nu * dld), -(fm.t_op + nu * fp.t_op), out=a21)
-        np.add(0.0, fp.kt_tilde + fm.kt_tilde, out=a22)
+        a22[...] = np.add(0.0, fp.k_tilde + fm.k_tilde).T
         return matrix
     # unanalyzed plain-V variant, kept for the accuracy comparison
     np.negative(fm.k_plain + fp.k_plain, out=a11)
     np.add(fp.v_plain / nu, fm.v_plain, out=a12)
     np.subtract(-(1.0 + nu) * dld, fm.t_op + nu * fp.t_op, out=a21)
-    np.add(fp.kt_plain, fm.kt_plain, out=a22)
+    a22[...] = (fp.k_plain + fm.k_plain).T
     return matrix
 
 
 _PS_NODES = 3  # Chebyshev nodes in the speed range, for the symbols of R_PS
+_PS_COLUMNS = 128  # columns of L2 that assemble_l3 passes through R_PS at once
 
 
 def _principal_symbols(problem, N, kappa):
@@ -479,34 +498,41 @@ def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
     n2 = 2 * N
     lam, dld = fp.lambda_mat, fp.dld_mat
     v_ps, h_ps = _principal_symbols(problem, N, kappa)
-    # R_PS L2 by block rows, in place of L2: the diagonal blocks of R_PS are
-    # multiples of I, so each of its two full blocks meets one block row of L2
+    # R_PS L2 in place of L2: the diagonal blocks of R_PS are multiples of I,
+    # so each of its two full blocks meets one block row of L2.  R_PS acts on
+    # the row index only, so it is applied to _PS_COLUMNS columns at a time,
+    # and its FFTs hold two block-row chunks, not two block rows
     matrix = assemble_l2(problem, N, fp, fm, "l2")
-    top, bottom = matrix[:n2], matrix[n2:]
-    hat_top, hat_bottom = (np.fft.fft(row, axis=0) for row in (top, bottom))
-    top *= 1.0 / (nu + 1.0)
-    bottom *= nu / (nu + 1.0)
-    _add_multipliers(top, v_ps, hat_bottom)
-    del hat_bottom  # each FFT is half a matrix; drop it once applied
-    _add_multipliers(bottom, h_ps, hat_top)
-    del hat_top
+    for start in range(0, matrix.shape[1], _PS_COLUMNS):
+        cols = slice(start, start + _PS_COLUMNS)
+        top, bottom = matrix[:n2, cols], matrix[n2:, cols]
+        hat_top, hat_bottom = (np.fft.fft(rows, axis=0) for rows in (top, bottom))
+        top *= 1.0 / (nu + 1.0)
+        bottom *= nu / (nu + 1.0)
+        _add_multipliers(top, v_ps, hat_bottom)
+        _add_multipliers(bottom, h_ps, hat_top)
     # plus the leading blocks and those of k-
     eye = np.eye(n2)
     (a11, a12), (a21, a22) = _blocks(matrix)
     a11 += 0.5 * eye + fm.k_tilde
     a12 -= (lam + fm.r_tilde) / nu
     a21 += nu * (dld + fm.t_op)
-    a22 += 0.5 * eye - fm.kt_tilde
+    a22 += np.ascontiguousarray((0.5 * eye - fm.k_tilde).T)
     return matrix
 
 
 def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
-                rho: float) -> np.ndarray:
+                rho: float) -> tuple:
     """Single-density indirect system from plain-family compositions, for a
-    finite nonzero real rho.  Right-hand side eta - i rho h."""
+    finite nonzero real rho.  Right-hand side eta - i rho h.
+
+    Returns the matrix and the system's ``aux``: K'- as a C-contiguous copy
+    of the family's transposed view, which both products here and every
+    ``solve`` hand to BLAS without another copy, and V-.
+    """
     nu = problem.nu
     eye = np.eye(2 * N)
-    kt_m = fm.kt_plain
+    kt_m = np.ascontiguousarray(fm.kt_plain)
     v_m = fm.v_plain
     k_p = fp.k_plain
     # -(nu+1)/2 I + big_K - i rho big_V with
@@ -519,7 +545,7 @@ def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
     matrix += linalg.matmul(2.0 * (fp.t_op - fm.t_op)
                             + 1j * rho * (eye - 2.0 * k_p), v_m)
     matrix -= nu * kt_m + p_plus + 0.5 * (nu + 1.0) * eye
-    return matrix
+    return matrix, {"kt_minus": kt_m, "v_minus": v_m}
 
 
 _slot_lock = threading.Lock()
@@ -578,8 +604,7 @@ def assemble(
         elif formulation == "l3":
             matrix = assemble_l3(problem, N, fp, fm, kappa)
         elif formulation == "l4":
-            matrix = assemble_l4(problem, N, fp, fm, rho)
-            aux = {"kt_minus": fm.kt_plain, "v_minus": fm.v_plain}
+            matrix, aux = assemble_l4(problem, N, fp, fm, rho)
         else:
             matrix = assemble_l2(problem, N, fp, fm, formulation)
         system = _system(formulation, matrix, problem, N, kappa, rho, aux)

@@ -205,7 +205,9 @@ def environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "helmbie": __version__,
-        "cores": len(os.sched_getaffinity(0)),
+        # macOS and Windows have no affinity call: there, the machine's count
+        "cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
         "thread_variables": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
     }
 
@@ -490,6 +492,9 @@ def verify_circle() -> VerificationReport:
         "H": (fam.h_op, 3, 1e-8),
     }
     for label, (op, idx, tol) in groups.items():
+        # applied from C order, so that a residual depends on the operator's
+        # entries and not on its layout (each K' is a transposed view)
+        op = np.ascontiguousarray(op)
         worst = 0.0
         for n in range(-n_max, n_max + 1):
             lam = _circle_eig_scipy(k, n)[idx]

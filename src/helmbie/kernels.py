@@ -260,6 +260,7 @@ class KernelFactors:
         at_st = _spectral_derivative(at_s, axis=1)
         b_s = np.ascontiguousarray(_spectral_derivative(b_mat, axis=1).T)
         b_st = _spectral_derivative(b_s, axis=1)
+        del b_s  # each derivative is dropped after its last use
 
         N = self.nodes.size // 2
         sin_d, cos_d, sin2 = (circulant(col) for col in _trig_columns(N))
@@ -269,6 +270,7 @@ class KernelFactors:
 
         # E and F summed in place, term by term in the order of the module docstring
         skew = np.subtract(at_s, at_t, out=at_s)
+        del at_t
         skew *= 0.5
         skew *= sin_d
         e_mat = np.negative(at_st, out=at_st)

@@ -22,9 +22,11 @@ R~ separately.
 K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
 symmetric grid the weights are even circulants, so the Nystrom matrix of K'
 is the transpose of K's: K and K~ are built together from one sampling of
-C and D, and each K' is a contiguous copy of the transpose.  W1 and W2 are
-symmetric only up to rounding, so this K' differs from W*(C^T sin^2) + W0*D^T
-(the form kept in the test oracles) by at most eps max|K|.
+C and D, and each K' is a read-only view of the transpose (Fortran-ordered,
+holding no memory of its own; a caller that hands it to BLAS makes its own
+C-contiguous copy, as l4 does).  W1 and W2 are symmetric only up to
+rounding, so this K' differs from W*(C^T sin^2) + W0*D^T (the form kept in
+the test oracles) by at most eps max|K|.
 
 Each operator is a plain read-only ndarray, built on first access and
 returned as the same object on every later one.  Matrices assemble in
@@ -130,7 +132,7 @@ class OperatorFamily:
     @cached_property
     def kt_plain(self):
         """K', the transpose of K (see the module docstring)."""
-        return _frozen(np.ascontiguousarray(self.k_plain.T))
+        return _frozen(self.k_plain.T)
 
     @cached_property
     def k_tilde(self):
@@ -139,7 +141,7 @@ class OperatorFamily:
     @cached_property
     def kt_tilde(self):
         """K~', the transpose of K~ (see the module docstring)."""
-        return _frozen(np.ascontiguousarray(self.k_tilde.T))
+        return _frozen(self.k_tilde.T)
 
     @cached_property
     def t_op(self):

@@ -1,6 +1,7 @@
 import re
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
@@ -629,6 +630,36 @@ def test_shared_arrays_are_read_only():
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
+
+
+def test_l4_keeps_its_own_contiguous_kt_minus():
+    # the family's K'- is a transposed view; l4 hands K'- to BLAS in its two
+    # products and in every solve, so its aux holds a C-contiguous copy
+    prob = _sweep_problems(1)[0]
+    system = assemble("l4", prob, 16)
+    kt_m = system.aux["kt_minus"]
+    fm = _op_families(prob, 16)[1]  # the families the build kept
+    assert kt_m.flags.c_contiguous and not kt_m.flags.writeable
+    assert kt_m is not fm.kt_plain
+    assert kt_m.tobytes() == np.ascontiguousarray(fm.kt_plain).tobytes()
+
+
+def test_a_cold_pass_of_all_five_formulations_fits_its_memory_bound():
+    # kite, k+ = 8, k- = 32, N = 128.  What stays held is the two families'
+    # kernel operators (10 MiB), Lambda and D Lambda D (1 MiB) and the slot's
+    # system with its LU factors (8 MiB); the bound leaves 3 MiB above that
+    # for the largest transient (a kernel pass, a builder's temporaries)
+    formulations.empty_slot()
+    prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
+    tracemalloc.start()
+    try:
+        for formulation in FORMULATIONS:
+            solve(assemble(formulation, prob, 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        formulations.empty_slot()
+    assert peak <= 22 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_regularizer_keeps_only_its_two_full_blocks():

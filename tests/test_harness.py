@@ -348,6 +348,43 @@ def test_solve_and_study_json_carry_the_environment(tmp_path, capsys, monkeypatc
         assert env["thread_variables"]["MKL_NUM_THREADS"] is None
 
 
+def test_environment_without_an_affinity_call(tmp_path, capsys, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the machine's count
+    # stands in, and the study still writes its JSON
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.environment()["cores"] == os.cpu_count()
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(FAST_STUDY.replace("n_ladder = 24,32", "n_ladder = 24"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "study"]) == 0
+    env = json.loads((tmp_path / "study.json").read_text())["environment"]
+    assert env["cores"] == os.cpu_count()
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_cli_out_naming_a_file_fails_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # the output directory is made before the first cell is solved, and an
+    # --out that cannot be one is a config error
+    solved, solve_cell = [], harness.solve_cell
+
+    def recorded(config, form, N):
+        solved.append((form, N))
+        return solve_cell(config, form, N)
+
+    monkeypatch.setattr(harness, "solve_cell", recorded)
+    monkeypatch.setattr(cli, "solve_cell", recorded)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_STUDY)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--config", str(cfg), "--out", str(taken), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(taken) in err
+    assert err.count("\n") == 1
+    assert solved == []
+    assert taken.read_text() == ""
+
+
 def test_cli_imports_no_private_harness_name():
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     private = [alias.name for node in ast.walk(tree)

@@ -234,6 +234,14 @@ def test_family_operators_match_their_first_assembled_forms(k):
     assert fam.r_tilde.tobytes() == (w2 * at_mat + w0 * b_mat).tobytes()
 
 
+def test_each_k_prime_is_a_view_of_its_k():
+    # K' and K~' hold no memory of their own
+    fam = OperatorFamily(kite(), 8.0, 16)
+    for k_op, kt_op in ((fam.k_plain, fam.kt_plain), (fam.k_tilde, fam.kt_tilde)):
+        assert np.shares_memory(kt_op, k_op)
+        assert kt_op.tobytes() == k_op.T.tobytes()
+
+
 def test_each_k_build_takes_one_double_layer_pass(monkeypatch):
     # K and K~ of one family share one sampling of C and D, from one delta . m
     passes = []
