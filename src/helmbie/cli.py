@@ -5,7 +5,8 @@
     helmbie verify SUITE [SUITE ...]          verification batteries
 
 ``verify`` prints the reports the acceptance criteria of the test suite check.
-Exit codes: 0 ok, 1 config error, 2 solver failure, 3 verification failure.
+Exit codes: 0 ok, 1 config error (a usage error included), 2 solver failure,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, the solver-failure code
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _add_common(parser, suppress: bool):
     # the flags are accepted both before and after the subcommand; the
     # subparser copies use SUPPRESS so an absent flag keeps the outer value
@@ -107,7 +114,7 @@ def _add_common(parser, suppress: bool):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="helmbie",
         description="Spectral boundary-integral solver for 2D Helmholtz "
         "transmission problems",
@@ -129,10 +136,10 @@ def main(argv=None) -> int:
     )
     p_verify.set_defaults(fn=_cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

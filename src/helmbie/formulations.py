@@ -22,43 +22,31 @@ sign flip.  Both facts are pinned by the matched-media null-scattering test
 and an energy-flux balance test, and make all four formulations mutually
 consistent.
 
-Many incidences.  A formulation's matrix depends on the curve, k+, k-, nu, N
-and kappa (l3) or rho (l4), never on the incident field, which enters only
-through (h, eta).  ``assemble`` therefore keeps the last system it built in
-one process-wide slot, keyed on the formulation, the curve's name and
-coefficients, k+, k-, nu, N and the resolved kappa/rho.  On a hit it builds
-only the data and the right-hand side (``FormulationSystem.rhs_for``) and
-returns a system that shares the read-only matrix, ``aux`` and the LU
-factors, so a sweep over incidences assembles and factors once.  A miss
-empties the slot before it builds, so two systems are never held together
-and peak memory stays that of one system.  The slot holds its system until
-the next miss or ``empty_slot()``, after every caller has dropped it: on the
-kite at N = 256 that is 32 MiB for l1, l2 and l3 (matrix and LU) and 12 MiB
-for l4 (matrix, LU and the K'- of ``aux``, a contiguous copy of its own; the
-V- of ``aux`` is the k- family's), four times as much at N = 512.
-
-Many formulations.  The five formulations are block combinations of the same
-Nystrom operators for k+ and k-, so next to the system the slot keeps the
-``OperatorFamily`` objects of the last problem assembled, for one N: one
-family per distinct wavenumber, at most two; l3's regularizer needs no
-family of its own (see below).  Only ``assemble`` reaches the kept families,
-and passes them with the resolved kappa or rho to the builders
-``assemble_l1``-``assemble_l4``.  They are shared only with a later miss for
-another formulation of the same ``TransmissionProblem`` object at the same
-N; a new problem object or a new N replaces them, even when its system is a
-hit and builds nothing, and a failed ``assemble`` drops them.  A problem
-object is a unit of reuse: an equal problem built anew assembles its own
-families.  Both families run their kernel passes before a builder allocates
-anything, so no output is held while a pass runs.  Once all five
-formulations are built, the two families of the kite at N = 256 hold 44 MiB
-(measured with tracemalloc: five kernel operators each, K' and K~' being
-views, and Lambda and D Lambda D of the k+ family, which the first-kind
-blocks read; no kernel factor set), four times as much at N = 512, until
-the next problem or ``empty_slot()``.  With the kept system, a cold pass of
-all five formulations and their LU solves peaks at 76 MiB there (304 MiB at
-N = 512).  A lock guards only the slot's reads and writes; two threads may
-race to build the same system or operator, which costs time but never
-returns a wrong matrix.
+Reuse.  A formulation's matrix depends on the curve, k+, k-, nu, N and kappa
+(l3) or rho (l4), never on the incident field, and the five formulations are
+block combinations of the same Nystrom operators for k+ and k-.  So
+``assemble`` keeps one record: the last system it built, its key (the
+formulation, the curve's name and coefficients, k+, k-, nu, N and the
+resolved kappa/rho) and the k+ and k- ``OperatorFamily`` objects it was built
+from (one when k+ = k-; l3's regularizer needs none, see below).  A hit on
+the key builds only the data and the right-hand side and shares the
+read-only matrix, ``aux`` and the LU factors, so a sweep over incidences
+assembles and factors once.  A miss empties the record before it builds, so
+two systems are never held together and a failed build leaves nothing; it
+reuses the families only for the same ``TransmissionProblem`` object at the
+same N (an equal problem built anew builds its own).  A hit for another
+problem object drops the families, and ``empty_slot()`` drops everything.
+Until then, and until every caller has dropped them, on the kite at N = 256
+the system holds 32 MiB for l1, l2 and l3 (matrix and LU) and 12 MiB for l4
+(matrix, LU and a contiguous copy of K'- in ``aux``; its V- is the k-
+family's), and the two families 44 MiB once all five formulations are built
+(tracemalloc: five kernel operators each, K' and K~' being views, and Lambda
+and D Lambda D of the k+ family; no kernel factor set); four times as much
+at N = 512.  Both families run their kernel passes before a builder
+allocates, so a cold pass of all five formulations and their LU solves peaks
+at 76 MiB there (304 MiB at N = 512).  ``assemble`` reads the record once and
+replaces it whole, so threads need no lock: a race costs a second build,
+never a wrong matrix.
 
 The l3 regularizer.  A regularizer only has to match the principal parts of
 V and H at the complex wavenumber kappa (Boubendir, Dominguez, Levadoux and
@@ -91,7 +79,6 @@ for bit.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -322,23 +309,14 @@ class SolveResult:
 
 
 def _op_families(problem, N):
-    """The k+ and k- operator families of the problem at N, shared through
-    the slot with every build for the same problem object at the same N (see
-    the module docstring), each with its kernel operators built."""
-    global _families
-    with _slot_lock:
-        if _families is None or _families[0] is not problem or _families[1] != N:
-            _families = (problem, N, {})
-        kept = _families[2]
-        for k in (problem.k_plus, problem.k_minus):
-            if k not in kept:
-                kept[k] = OperatorFamily(problem.curve, k, N)
-        families = kept[problem.k_plus], kept[problem.k_minus]
-    # both kernel passes run here, outside the lock, so that no builder holds
-    # its output (or anything else) while a pass runs
-    for family in families:
+    """New k+ and k- families of the problem at N (one when k+ = k-), their
+    kernel passes run here so that no builder holds anything while one runs."""
+    fp = OperatorFamily(problem.curve, problem.k_plus, N)
+    fm = (fp if problem.k_minus == problem.k_plus
+          else OperatorFamily(problem.curve, problem.k_minus, N))
+    for family in (fp, fm):
         family._kernel_ops
-    return families
+    return fp, fm
 
 
 def _blocks(matrix):
@@ -548,18 +526,14 @@ def assemble_l4(problem: TransmissionProblem, N: int, fp, fm,
     return matrix, {"kt_minus": kt_m, "v_minus": v_m}
 
 
-_slot_lock = threading.Lock()
-_slot: Optional[tuple] = None  # (key, system) of the last system built
-# (problem, N, {k: OperatorFamily}) of the last problem assembled
-_families: Optional[tuple] = None
+_slot: Optional[tuple] = None  # (key, system, (fp, fm) or None), see "Reuse"
 
 
 def empty_slot():
     """Drop the kept system and operator families: their memory is freed once
     no caller holds them, and the next ``assemble`` builds from scratch."""
-    global _slot, _families
-    with _slot_lock:
-        _slot = _families = None
+    global _slot
+    _slot = None
 
 
 def assemble(
@@ -569,11 +543,10 @@ def assemble(
     kappa: Optional[complex] = None,
     rho: Optional[float] = None,
 ) -> FormulationSystem:
-    """Assemble one of ``FORMULATIONS``, reusing the last system built when
-    only the incident field differs, and the operator families of the last
-    problem object (see the module docstring).  l3 reads ``kappa`` and l4
-    reads ``rho``; every other formulation ignores both."""
-    global _slot, _families
+    """Assemble one of ``FORMULATIONS``, reusing the kept system or its
+    operator families where "Reuse" in the module docstring allows.  l3 reads
+    ``kappa`` and l4 reads ``rho``; every other formulation ignores both."""
+    global _slot
     t0 = time.perf_counter()
     if formulation not in FORMULATIONS:
         raise ValueError(
@@ -585,36 +558,33 @@ def assemble(
     curve = problem.curve
     key = (formulation, curve.name, curve.cos_coef.tobytes(), curve.sin_coef.tobytes(),
            problem.k_plus, problem.k_minus, problem.nu, N, kappa, rho)
-    with _slot_lock:
-        shared = _slot[1] if _slot is not None and _slot[0] == key else None
-        if shared is None:
-            _slot = None  # let the old system go before the new one is built
-        elif _families is not None and _families[0] is not problem:
-            _families = None  # no build can share them any more
-    if shared is not None:
+    kept = _slot
+    if kept is not None and kept[0] == key:
+        shared = kept[1]
+        if kept[2] is not None and shared.problem is not problem:
+            _slot = (key, shared, None)  # no build can share the families any more
         data = build_data(problem, N)
         system = replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
         system.seconds = time.perf_counter() - t0
         return system
-    try:
-        fp, fm = _op_families(problem, N)
-        aux = {}
-        if formulation == "l1":
-            matrix = assemble_l1(problem, N, fp, fm)
-        elif formulation == "l3":
-            matrix = assemble_l3(problem, N, fp, fm, kappa)
-        elif formulation == "l4":
-            matrix, aux = assemble_l4(problem, N, fp, fm, rho)
-        else:
-            matrix = assemble_l2(problem, N, fp, fm, formulation)
-        system = _system(formulation, matrix, problem, N, kappa, rho, aux)
-    except BaseException:
-        with _slot_lock:
-            _families = None  # they may hold what made the build fail
-        raise
+    families = (kept[2] if kept is not None and kept[1].problem is problem
+                and kept[1].N == N else None)
+    # let the old system go before the new one is built; a failed build
+    # leaves nothing to reuse
+    kept = _slot = None
+    fp, fm = families or _op_families(problem, N)
+    aux = {}
+    if formulation == "l1":
+        matrix = assemble_l1(problem, N, fp, fm)
+    elif formulation == "l3":
+        matrix = assemble_l3(problem, N, fp, fm, kappa)
+    elif formulation == "l4":
+        matrix, aux = assemble_l4(problem, N, fp, fm, rho)
+    else:
+        matrix = assemble_l2(problem, N, fp, fm, formulation)
+    system = _system(formulation, matrix, problem, N, kappa, rho, aux)
     system.seconds = time.perf_counter() - t0
-    with _slot_lock:
-        _slot = (key, system)
+    _slot = (key, system, (fp, fm))
     return system
 
 

@@ -130,8 +130,13 @@ class StudyConfig:
 
     @classmethod
     def from_file(cls, path) -> "StudyConfig":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read the config file {path}: {reason}") from exc
         raw = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -313,8 +318,8 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     """Solve the ladder, measure far-field errors against the reference.
 
     Each reference and each cell builds its own problem in ``solve_cell``,
-    so none of them reuses the operator families ``assemble`` keeps for
-    another's problem.
+    and ``assemble`` shares operator families only within one problem
+    object, so each cell pays for its own families in its seconds.
     """
     report = StudyReport(config)
 

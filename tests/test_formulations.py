@@ -39,12 +39,6 @@ def _exterior_far_field(problem, result, angles=ANGLES):
     return FieldEvaluator(problem.curve, result.exterior_terms()).far_field(angles)
 
 
-def _cold_families(problem, N):
-    """New k+ and k- families for a builder: no slot, nothing shared."""
-    return tuple(OperatorFamily(problem.curve, k, N)
-                 for k in (problem.k_plus, problem.k_minus))
-
-
 # ------------------------------------------------------------------ build_data
 
 
@@ -293,7 +287,7 @@ def test_l2_leading_block_is_diagonal_in_fourier_basis():
     nu = 2.0
     prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
     N = 16
-    fp, fm = _cold_families(prob, N)
+    fp, fm = _op_families(prob, N)
     matrix = assemble_l2(prob, N, fp, fm, "l2")
     kernels = np.block([
         [-(fm.k_tilde + fp.k_tilde),
@@ -550,7 +544,7 @@ def test_any_key_change_rebuilds(changed):
     other = _assemble_case(form or base_form, {**base_fields, **fields},
                            N or base_n, kw, (0.0, 1.0))
     assert other.matrix is not base.matrix
-    _, kept = formulations._slot
+    _, kept, _ = formulations._slot
     assert kept.matrix is other.matrix
 
 
@@ -585,7 +579,7 @@ def test_builders_build_only_the_kappa_family(monkeypatch):
     # the k+ and k- families are what a builder is given; l3's regularizer is
     # a Fourier multiplier, so l3 builds no family for kappa either
     prob = _sweep_problems(1)[0]
-    fp, fm = _cold_families(prob, 16)
+    fp, fm = _op_families(prob, 16)
     built = _count_families(monkeypatch)
     formulations.assemble_l1(prob, 16, fp, fm)
     formulations.assemble_l2(prob, 16, fp, fm, "l2")
@@ -638,7 +632,7 @@ def test_l4_keeps_its_own_contiguous_kt_minus():
     prob = _sweep_problems(1)[0]
     system = assemble("l4", prob, 16)
     kt_m = system.aux["kt_minus"]
-    fm = _op_families(prob, 16)[1]  # the families the build kept
+    fm = formulations._slot[2][1]  # the families the build kept
     assert kt_m.flags.c_contiguous and not kt_m.flags.writeable
     assert kt_m is not fm.kt_plain
     assert kt_m.tobytes() == np.ascontiguousarray(fm.kt_plain).tobytes()
@@ -753,7 +747,7 @@ def test_slot_under_threads_never_returns_a_wrong_matrix():
     # two keys fought over by more threads than cores: every system must carry
     # its own key's matrix and LU, whichever thread built or factored them
     prob = _sweep_problems(1)[0]
-    cold = {N: assemble_l1(prob, N, *_cold_families(prob, N)) for N in (8, 10)}
+    cold = {N: assemble_l1(prob, N, *_op_families(prob, N)) for N in (8, 10)}
     probs = _sweep_problems(6)
 
     def work(i):
@@ -796,14 +790,16 @@ def test_five_formulations_build_three_families_and_keep_two(monkeypatch):
         assemble(form, prob, 16)
     # l3 builds no family for kappa: the k+ and k- families serve all five
     assert built == [(3.0, 16), (5.0, 16)]
-    assert set(formulations._families[2]) == {3.0, 5.0}
+    assert [f.ctx.k for f in formulations._slot[2]] == [3.0, 5.0]
     assemble("l3", prob, 16, kappa=2.0 + 1.0j)
     assert len(built) == 2
-    assert set(formulations._families[2]) == {3.0, 5.0}
+    assert [f.ctx.k for f in formulations._slot[2]] == [3.0, 5.0]
     # equal wavenumbers share one family; a new N builds afresh
     matched = TransmissionProblem(KITE, 3.0, 3.0, 1.0, PlaneWave((1.0, 0.0)))
     assemble("l1", matched, 16)
     assemble("l2", matched, 16)
+    fp, fm = formulations._slot[2]
+    assert fp is fm
     assemble("l2", matched, 20)
     assert built[2:] == [(3.0, 16), (3.0, 20)]
 
@@ -816,7 +812,8 @@ def test_equal_problem_builds_its_own_families(monkeypatch):
     assemble("l1", first, 16)
     assemble("l2", again, 16)
     assert len(built) == 4
-    assert formulations._families[0] is again
+    _, kept, families = formulations._slot
+    assert kept.problem is again and families is not None
 
 
 def test_hit_for_another_problem_drops_the_families(monkeypatch):
@@ -824,10 +821,12 @@ def test_hit_for_another_problem_drops_the_families(monkeypatch):
     built = _count_families(monkeypatch)
     first, again = _sweep_problems(2)
     assemble("l1", first, 16)
-    assert formulations._families[0] is first
+    assert formulations._slot[1].problem is first
+    assert formulations._slot[2] is not None
     hit = assemble("l1", again, 16)
-    assert hit.matrix is formulations._slot[1].matrix
-    assert formulations._families is None
+    _, kept, families = formulations._slot
+    assert hit.matrix is kept.matrix and kept.problem is first
+    assert families is None
     assemble("l2", first, 16)
     assert len(built) == 4
 
@@ -837,7 +836,7 @@ def test_empty_slot_drops_the_families(monkeypatch):
     prob = _sweep_problems(1)[0]
     assemble("l1", prob, 16)
     formulations.empty_slot()
-    assert formulations._families is None
+    assert formulations._slot is None
     assemble("l2", prob, 16)
     assert len(built) == 4
 
@@ -859,7 +858,7 @@ def test_failed_build_keeps_no_families(monkeypatch):
         patch.setattr(operators, "ef_matrices", poisoned)
         with pytest.raises(ValueError, match="l4: non-finite entries in block a11"):
             assemble("l4", prob, 12)
-    assert formulations._slot is None and formulations._families is None
+    assert formulations._slot is None
     for form in FORMULATIONS:
         assert np.all(np.isfinite(assemble(form, prob, 12).matrix))
 

@@ -406,6 +406,39 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg"), "study"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["verify", "bogus"], [], ["solve", "--bogus"]])
+def test_cli_usage_error_is_a_config_error(capsys, argv):
+    # argparse exits with 2 on a usage error, which is the solver-failure code
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: helmbie")
+    assert err.splitlines()[-1].startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: helmbie")
+
+
+@pytest.mark.parametrize("content", [None, b"curve = kite\n\xff\xfe\n"],
+                         ids=["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, command, content):
+    path = tmp_path / "study.cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read the config file {path}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "study"])
 def test_cli_point_source_on_boundary_exit_code(tmp_path, capsys, command):
     # the kite passes through (1, 0) at t = 0

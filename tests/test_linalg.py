@@ -1,10 +1,13 @@
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import helmbie
+from helmbie import linalg
 from helmbie.linalg import (
     GmresError,
     SingularMatrixError,
@@ -50,6 +53,42 @@ def test_lu_rejects_nonfinite():
             lu_solve(lu_factor(a), np.ones(2))
         with pytest.raises(ValueError, match="non-finite"):
             lu_factor(a)
+
+
+def test_lu_rejects_a_nonfinite_entry_past_the_first_norm_block():
+    # the 1-norm sums |a| a block of rows at a time; a bad entry in a later
+    # block still makes it non-finite
+    for bad in (np.inf, np.nan, complex(np.nan, 1.0)):
+        a = np.eye(150, dtype=complex)
+        a[149, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(a)
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 200, 256, 512, 1024])
+def test_lu_factor_norm_is_bit_equal_to_the_full_reduction(n):
+    # the blocked 1-norm sums each column in the order of np.linalg.norm, so
+    # the rcond zgecon estimates from it does not move
+    rng = np.random.default_rng(n)
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+        * 10.0 ** rng.uniform(-6.0, 6.0, (n, n)) + n * np.eye(n)
+    assert linalg._norm1(a) == np.linalg.norm(a, 1)
+    factors = lu_factor(a)
+    rcond, _ = scipy.linalg.lapack.zgecon(factors.lu, np.linalg.norm(a, 1), norm="1")
+    assert factors.rcond == float(rcond)
+
+
+def test_lu_factor_norm_allocates_no_matrix():
+    # np.linalg.norm(a, 1) holds |a|, 8 MiB at n = 1024
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        linalg._norm1(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_lu_factor_rcond_matches_condition_number():
@@ -246,9 +285,10 @@ def test_gmres_runs_only_through_solve():
 
 def test_only_assemble_reaches_the_reuse_state():
     """Inside ``formulations`` only ``assemble`` calls ``_op_families`` and
-    ``_system``, and only ``assemble``, ``empty_slot`` and ``_op_families``
-    read or write the slot and the kept families: the builders work on what
-    they are given and return a matrix."""
+    ``_system``, and only ``assemble`` and ``empty_slot`` read or write the
+    record of the kept system and its families: ``_op_families`` builds new
+    families, and the builders work on what they are given and return a
+    matrix."""
     path = pathlib.Path(helmbie.__file__).parent / "formulations.py"
     callers, users = {"_op_families": set(), "_system": set()}, set()
     for fn in ast.walk(ast.parse(path.read_text())):
@@ -258,7 +298,7 @@ def test_only_assemble_reaches_the_reuse_state():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
                 callers[node.func.id].add(fn.name)
             names = node.names if isinstance(node, ast.Global) else [getattr(node, "id", None)]
-            if {"_slot", "_families"} & set(names):
+            if "_slot" in names:
                 users.add(fn.name)
     assert callers == {"_op_families": {"assemble"}, "_system": {"assemble"}}
-    assert users == {"assemble", "empty_slot", "_op_families"}
+    assert users == {"assemble", "empty_slot"}

@@ -60,23 +60,25 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"helmbie.{name}.__all__ names missing {missing}"
 
 
-def _library_reads(path, skip=None):
-    """Names and attributes the module at ``path`` loads, outside the body
-    of a definition named ``skip`` (imports, assignments and the strings of
-    ``__all__`` are not reads)."""
-    reads = set()
+def _library_reads(path):
+    """{name: set of frozensets}: for each name or attribute the module at
+    ``path`` loads, the names of the definitions around each load (imports,
+    assignments and the strings of ``__all__`` are not reads).  A load sits
+    inside a definition when the definition's node holds it, decorators,
+    defaults and bases included."""
+    reads = {}
 
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
-            return
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
+            reads.setdefault(node.id, set()).add(enclosing)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.add(node.attr)
+            reads.setdefault(node.attr, set()).add(enclosing)
         for child in ast.iter_child_nodes(node):
-            visit(child)
+            visit(child, enclosing)
 
-    visit(ast.parse(path.read_text()))
+    visit(ast.parse(path.read_text()), frozenset())
     return reads
 
 
@@ -93,7 +95,8 @@ def test_every_exported_name_is_read_outside_the_tests():
     unread = []
     for path in modules:
         for name in getattr(importlib.import_module(f"helmbie.{path.stem}"), "__all__", ()):
-            library = (name in _library_reads(path, skip=name)
+            # read outside the body of every definition named ``name``
+            library = (any(name not in enclosing for enclosing in reads[path].get(name, ()))
                        or any(name in reads[other] for other in modules if other != path))
             outside = any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
             if not (library or outside):
