@@ -88,6 +88,9 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the suites read no config and write no file, so neither flag would act
+    if args.config is not None or args.out is not None:
+        raise ConfigError("verify takes neither --config nor --out")
     failed = False
     for suite in args.suites:
         report = run_verification(suite)

@@ -35,18 +35,11 @@ assembles and factors once.  A miss empties the record before it builds, so
 two systems are never held together and a failed build leaves nothing; it
 reuses the families only for the same ``TransmissionProblem`` object at the
 same N (an equal problem built anew builds its own).  A hit for another
-problem object drops the families, and ``empty_slot()`` drops everything.
-Until then, and until every caller has dropped them, on the kite at N = 256
-the system holds 32 MiB for l1, l2 and l3 (matrix and LU) and 12 MiB for l4
-(matrix, LU and a contiguous copy of K'- in ``aux``; its V- is the k-
-family's), and the two families 44 MiB once all five formulations are built
-(tracemalloc: five kernel operators each, K' and K~' being views, and Lambda
-and D Lambda D of the k+ family; no kernel factor set); four times as much
-at N = 512.  Both families run their kernel passes before a builder
-allocates, so a cold pass of all five formulations and their LU solves peaks
-at 76 MiB there (304 MiB at N = 512).  ``assemble`` reads the record once and
-replaces it whole, so threads need no lock: a race costs a second build,
-never a wrong matrix.
+problem object drops the families, and ``empty_slot()`` drops everything;
+README gives the memory the record holds until then.  Both families run
+their kernel passes before a builder allocates.  ``assemble`` reads the
+record once and replaces it whole, so threads need no lock: a race costs a
+second build, never a wrong matrix.
 
 The l3 regularizer.  A regularizer only has to match the principal parts of
 V and H at the complex wavenumber kappa (Boubendir, Dominguez, Levadoux and
@@ -177,7 +170,14 @@ class PointSource:
 
 @dataclass(frozen=True)
 class TransmissionProblem:
-    """Curve, exterior/interior wavenumbers, impedance ratio, incident field."""
+    """Curve, wavenumbers k+ (outside) and k- (inside), nu, incident field.
+
+    The radiating scattered field u+ and the interior field u- meet
+    u- = u+ + u_inc and nu d_n u- = d_n (u+ + u_inc) on the curve.  Every
+    formulation takes u_inc to solve the k+ equation inside the curve, so
+    incident fields come from outside: a ``PointSource`` on or inside the
+    curve is rejected.
+    """
 
     curve: ParametricCurve
     k_plus: float
@@ -201,6 +201,8 @@ class TransmissionProblem:
             # indistinguishable from a point on the curve
             if dist <= 2.0 * np.pi * curve.max_speed() / FINE_SAMPLES:
                 raise ValueError("point source sits on the boundary")
+            if curve.winding_number(self.incident.location):
+                raise ValueError("point source lies inside the curve")
 
 
 @dataclass(frozen=True)
@@ -250,11 +252,9 @@ class FormulationSystem:
         if self.formulation == "l1":
             return np.concatenate([h, self.problem.nu * eta])
         if self.formulation == "l3":
-            nu, n2 = self.problem.nu, 2 * self.N
-            v_ps, h_ps = _principal_symbols(self.problem, self.N, self.kappa)
-            rhs = np.concatenate([h / (nu + 1.0), (nu / (nu + 1.0)) * eta])
-            _add_multipliers(rhs[:n2], v_ps, np.fft.fft(eta))
-            _add_multipliers(rhs[n2:], h_ps, np.fft.fft(h))
+            rhs = np.concatenate([h, eta])
+            _apply_regularizer(rhs, self.problem.nu,
+                               *_principal_symbols(self.problem, self.N, self.kappa))
             return rhs
         if self.formulation == "l4":
             return eta - 1j * self.rho * h
@@ -384,27 +384,28 @@ def assemble_l1(problem: TransmissionProblem, N: int, fp, fm) -> np.ndarray:
 
 def assemble_l2(problem: TransmissionProblem, N: int, fp, fm,
                 formulation: str) -> np.ndarray:
-    """First-kind direct system; 'l2' is the accurate tilde-family
-    discretization, 'l2plain' the unanalyzed plain single-layer variant run
-    only for comparison.  Right-hand side (h, eta)."""
+    """First-kind direct system with right-hand side (h, eta),
+
+        [-(K+ + K-), V+ + V-/nu; -(1 + nu) D Lambda D - (T+ + nu T-), K'+ + K'-].
+
+    'l2' is the accurate tilde family, V~ = Lambda + R~ with (1 + 1/nu) Lambda
+    added last; 'l2plain' the unanalyzed plain variant, run only for
+    comparison.  The 0.0 added to a11 and a22 keeps the sign of zeros that
+    l2's zero leading blocks give."""
     nu = problem.nu
-    lam, dld = fp.lambda_mat, fp.dld_mat
+    if formulation == "l2":
+        k_p, k_m, v_p, v_m = fp.k_tilde, fm.k_tilde, fp.r_tilde, fm.r_tilde
+    else:
+        k_p, k_m, v_p, v_m = fp.k_plain, fm.k_plain, fp.v_plain, fm.v_plain
     matrix = np.empty((4 * N, 4 * N), dtype=complex)
     (a11, a12), (a21, a22) = _blocks(matrix)
+    np.subtract(0.0, k_p + k_m, out=a11)
+    np.add(v_p, v_m / nu, out=a12)
+    np.subtract(-(1.0 + nu) * fp.dld_mat, fp.t_op + nu * fm.t_op, out=a21)
+    # a22 is summed as its transpose, from K (see the comment above the builders)
+    a22[...] = np.add(0.0, k_p + k_m).T
     if formulation == "l2":
-        # leading part plus kernel blocks; the 0.0 of the leading part's zero
-        # blocks is added too, so that each entry keeps the sign of its zeros
-        lead = 1.0 + 1.0 / nu
-        np.add(0.0, -(fm.k_tilde + fp.k_tilde), out=a11)
-        np.add(lead * lam, fp.r_tilde / nu + fm.r_tilde, out=a12)
-        np.add(lead * (-nu * dld), -(fm.t_op + nu * fp.t_op), out=a21)
-        a22[...] = np.add(0.0, fp.k_tilde + fm.k_tilde).T
-        return matrix
-    # unanalyzed plain-V variant, kept for the accuracy comparison
-    np.negative(fm.k_plain + fp.k_plain, out=a11)
-    np.add(fp.v_plain / nu, fm.v_plain, out=a12)
-    np.subtract(-(1.0 + nu) * dld, fm.t_op + nu * fp.t_op, out=a21)
-    a22[...] = (fp.k_plain + fm.k_plain).T
+        a12 += (1.0 + 1.0 / nu) * fp.lambda_mat
     return matrix
 
 
@@ -437,16 +438,22 @@ def _principal_symbols(problem, N, kappa):
     return v_ps, h_ps
 
 
-def _add_multipliers(out, terms, hat):
-    """out += sum over (l, sigma) in terms of diag(l) ifft(sigma hat), for the
-    FFT ``hat`` of a vector or of a block row's columns (axis 0)."""
-    column = (slice(None),) + (None,) * (hat.ndim - 1)
-    part = np.empty_like(hat)
-    for weight, symbol in terms:
-        np.multiply(hat, symbol[column], out=part)
-        np.fft.ifft(part, axis=0, out=part)
-        part *= weight[column]
-        out += part
+def _apply_regularizer(x, nu, v_ps, h_ps):
+    """Apply R_PS in place to x, a 4N vector or a 4N x m block of columns: a
+    multiple of each half plus sum_a diag(l_a) ifft(sigma_a fft(other half))."""
+    n2 = x.shape[0] // 2
+    top, bottom = x[:n2], x[n2:]
+    hat_top, hat_bottom = (np.fft.fft(rows, axis=0) for rows in (top, bottom))
+    top *= 1.0 / (nu + 1.0)
+    bottom *= nu / (nu + 1.0)
+    column = (slice(None),) + (None,) * (x.ndim - 1)
+    part = np.empty_like(hat_top)
+    for rows, terms, hat in ((top, v_ps, hat_bottom), (bottom, h_ps, hat_top)):
+        for weight, symbol in terms:
+            np.multiply(hat, symbol[column], out=part)
+            np.fft.ifft(part, axis=0, out=part)
+            part *= weight[column]
+            rows += part
 
 
 def _kappa(problem, kappa=None) -> complex:
@@ -473,28 +480,18 @@ def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,
     tilde-family blocks, for a kappa with positive imaginary part.
     Right-hand side R_PS (h, eta)."""
     nu = problem.nu
-    n2 = 2 * N
-    lam, dld = fp.lambda_mat, fp.dld_mat
     v_ps, h_ps = _principal_symbols(problem, N, kappa)
-    # R_PS L2 in place of L2: the diagonal blocks of R_PS are multiples of I,
-    # so each of its two full blocks meets one block row of L2.  R_PS acts on
-    # the row index only, so it is applied to _PS_COLUMNS columns at a time,
-    # and its FFTs hold two block-row chunks, not two block rows
+    # R_PS L2 in place of L2.  R_PS acts on the row index only, so it is
+    # applied to _PS_COLUMNS columns at a time: its FFTs hold chunks, not rows
     matrix = assemble_l2(problem, N, fp, fm, "l2")
     for start in range(0, matrix.shape[1], _PS_COLUMNS):
-        cols = slice(start, start + _PS_COLUMNS)
-        top, bottom = matrix[:n2, cols], matrix[n2:, cols]
-        hat_top, hat_bottom = (np.fft.fft(rows, axis=0) for rows in (top, bottom))
-        top *= 1.0 / (nu + 1.0)
-        bottom *= nu / (nu + 1.0)
-        _add_multipliers(top, v_ps, hat_bottom)
-        _add_multipliers(bottom, h_ps, hat_top)
+        _apply_regularizer(matrix[:, start:start + _PS_COLUMNS], nu, v_ps, h_ps)
     # plus the leading blocks and those of k-
-    eye = np.eye(n2)
+    eye = np.eye(2 * N)
     (a11, a12), (a21, a22) = _blocks(matrix)
     a11 += 0.5 * eye + fm.k_tilde
-    a12 -= (lam + fm.r_tilde) / nu
-    a21 += nu * (dld + fm.t_op)
+    a12 -= (fp.lambda_mat + fm.r_tilde) / nu
+    a21 += nu * (fp.dld_mat + fm.t_op)
     a22 += np.ascontiguousarray((0.5 * eye - fm.k_tilde).T)
     return matrix
 

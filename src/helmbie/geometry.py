@@ -157,6 +157,15 @@ class ParametricCurve:
         coarse = np.ascontiguousarray(fine[:, ::_COARSE_STRIDE])
         return coarse, float(np.sqrt(_nearest_squared(fine.T, *coarse).max()))
 
+    def winding_number(self, point) -> int:
+        """How often the polygon of the FINE_SAMPLES nodes winds around a
+        point off the curve: 1 inside a counterclockwise curve, 0 outside."""
+        x1, x2 = self._fine_sample[0]
+        angle = np.arctan2(x2 - point[1], x1 - point[0])
+        # each step's turn, wrapped into [-pi, pi)
+        turn = (np.diff(angle, append=angle[:1]) + np.pi) % (2.0 * np.pi) - np.pi
+        return int(round(turn.sum() / (2.0 * np.pi)))
+
     def distance(self, points):
         """Distance from each point to the nearest of the FINE_SAMPLES nodes.
 

@@ -22,7 +22,9 @@ and are the reference for the one-pass forms, which round differently.  The
 spectral differentiation matrix of the Maue route H = D V D + ... sits here
 too: the package needs no D of its own; so does the closed-form far field
 of a point source, ``point_source_far_field``, the target of the
-point-source tests.
+point-source tests, and ``circle_transmission_far_field``, the exact far
+field of the transmission problem on a circle by separation of variables,
+the target every formulation is gated on.
 
 The composition section holds l3 and l4 as full-matrix sums and products
 (one 4N x 4N product for R_PS L2, five 2N x 2N products for l4), with V_PS
@@ -515,6 +517,41 @@ def point_source_far_field(k, location, angles):
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     y0 = np.asarray(location, dtype=float)
     return far_field_constant(k) * np.exp(-1j * k * (xhat @ y0))
+
+
+def circle_transmission_far_field(radius, k_plus, k_minus, nu, angles,
+                                  direction=None, source=None):
+    """Far field of u+ on the circle |x| = radius, for the incident plane wave
+    e^{i k+ d.x} (``direction`` d) or Phi_{k+}(. - y0) (``source`` y0, outside
+    the circle), with u- = u+ + u_inc and nu d_n u- = d_n (u+ + u_inc).
+
+    Mode by mode, u_inc = c_n J_n(k+ r) e^{in theta}, u+ = a_n H_n(k+ r)
+    e^{in theta} and u- = b_n J_n(k- r) e^{in theta} meet the two conditions
+    at r = radius, one 2 x 2 system in (b_n, a_n); the far field of
+    H_n(k r) e^{in theta} is sqrt(2/(pi k)) e^{-i pi/4} (-i)^n e^{in theta}.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if source is None:
+        d = np.asarray(direction, dtype=float)
+        theta_d, reach = np.arctan2(d[1], d[0]), radius
+    else:
+        theta_d, reach = np.arctan2(source[1], source[0]), np.hypot(*source)
+    # the modes beyond a few dozen past the largest k r have decayed
+    n_max = int(np.ceil(max(k_plus, k_minus) * max(radius, reach))) + 40
+    n = np.arange(-n_max, n_max + 1)
+    if source is None:  # Jacobi-Anger
+        c = 1j ** n * np.exp(-1j * n * theta_d)
+    else:  # Graf's addition theorem, for r < |y0|
+        c = 0.25j * sp.hankel1(n, k_plus * reach) * np.exp(-1j * n * theta_d)
+    zp, zm = k_plus * radius, k_minus * radius
+    jp, djp = sp.jv(n, zp), k_plus * sp.jvp(n, zp)
+    hp, dhp = sp.hankel1(n, zp), k_plus * sp.h1vp(n, zp)
+    jm, djm = sp.jv(n, zm), nu * k_minus * sp.jvp(n, zm)
+    # [jm, -hp; djm, -dhp] (b, a) = c (jp, djp), by Cramer's rule
+    a = c * (jm * djp - djm * jp) / (hp * djm - jm * dhp)
+    modes = np.exp(1j * np.outer(angles, n))
+    return (np.sqrt(2.0 / (np.pi * k_plus)) * np.exp(-0.25j * np.pi)
+            * (modes @ ((-1j) ** n * a)))
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,8 @@ from helmbie.geometry import (ParametricCurve, circle, ellipse, grid, grid_geome
                               kite, make_curve)
 from helmbie.linalg import gmres, lu_factor, lu_solve
 from helmbie.operators import OperatorFamily
-from oracles import l3_full_matrix, l4_full_matrix, point_source_far_field, ps_operators
+from oracles import (circle_transmission_far_field, l3_full_matrix, l4_full_matrix,
+                     ps_operators)
 
 KITE = kite()
 ANGLES = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
@@ -51,7 +52,7 @@ def test_build_data_plane_wave():
 
 
 def test_build_data_point_source():
-    src = PointSource((0.1, 0.2))
+    src = PointSource((2.0, 1.5))
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, src)
     data = build_data(prob, 32)
     t = grid(32)
@@ -93,6 +94,25 @@ def test_point_source_on_boundary_rejected():
     src = PointSource(tuple(KITE.point(0.3)))
     with pytest.raises(ValueError, match="boundary"):
         TransmissionProblem(KITE, 8.0, 32.0, 1.0, src)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "kite", "cavity"])
+def test_point_source_inside_the_curve_rejected(name):
+    # the formulations assume that u_inc solves the k+ equation inside the
+    # curve; (0.1, 0.2) is inside every built-in curve, (2, 1.5) outside all
+    curve = make_curve(name)
+    with pytest.raises(ValueError, match="inside the curve"):
+        TransmissionProblem(curve, 8.0, 32.0, 1.0, PointSource((0.1, 0.2)))
+    TransmissionProblem(curve, 8.0, 32.0, 1.0, PointSource((2.0, 1.5)))
+
+
+def test_point_source_in_the_cavity_dimple_is_outside():
+    # the cavity's dimple is re-entrant: it meets the positive x axis only at
+    # (0.405, 0), so (0.6, 0), in the dimple, lies outside and (0.2, 0) inside
+    curve = make_curve("cavity")
+    TransmissionProblem(curve, 8.0, 32.0, 1.0, PointSource((0.6, 0.0)))
+    with pytest.raises(ValueError, match="inside the curve"):
+        TransmissionProblem(curve, 8.0, 32.0, 1.0, PointSource((0.2, 0.0)))
 
 
 def test_problem_validation():
@@ -182,22 +202,6 @@ def test_matched_media_l1_solution_equals_rhs():
     assert np.max(np.abs(result.phi - system.data.eta)) <= 1e-10
 
 
-def test_interior_source_matched_media_reconstruction():
-    """A point source inside the obstacle with matched media: the outgoing
-    exterior wave is the source field itself, and the representation theorem
-    assigns all of it to the incident part.  The reconstructed scattered
-    far field therefore vanishes and the total exterior far field equals the
-    analytic far field of Phi_{k+}(. - y0)."""
-    y0 = (0.1, 0.2)
-    prob = TransmissionProblem(KITE, 8.0, 8.0, 1.0, PointSource(y0))
-    result = solve(assemble("l1", prob, 128))
-    ff = _exterior_far_field(prob, result)
-    source_ff = point_source_far_field(8.0, y0, ANGLES)
-    total = ff.values + source_ff
-    assert np.max(np.abs(total - source_ff)) <= 1e-9 * np.max(np.abs(source_ff))
-    assert np.max(np.abs(ff.values)) <= 1e-9 * np.max(np.abs(source_ff))
-
-
 # -------------------------------------------------- cross formulation checks
 
 
@@ -279,6 +283,38 @@ def test_lu_and_gmres_agree_on_every_formulation():
         )
 
 
+# ------------------------------------------- exact solution on the circle
+
+CIRCLE_ANGLES = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
+
+
+@pytest.mark.parametrize("incident", ["plane", "point"])
+@pytest.mark.parametrize("k_plus,k_minus", [(3.0, 5.0), (12.0, 3.0)])
+@pytest.mark.parametrize("nu", [0.5, 2.0])
+def test_every_formulation_matches_the_exact_circle_far_field(nu, k_plus, k_minus,
+                                                               incident):
+    """Separation of variables on the unit circle: each far field at N = 64
+    within 1e-12 of the exact one, relative to its largest value."""
+    curve = circle()
+    if incident == "plane":
+        direction = (0.6, -0.8)
+        wave, where = PlaneWave(direction), {"direction": direction}
+    else:
+        source = (2.0, 1.5)
+        wave, where = PointSource(source), {"source": source}
+    prob = TransmissionProblem(curve, k_plus, k_minus, nu, wave)
+    exact = circle_transmission_far_field(1.0, k_plus, k_minus, nu, CIRCLE_ANGLES,
+                                          **where)
+    scale = np.max(np.abs(exact))
+    # every formulation, and l3 and l4 at a kappa and a rho of their own
+    for form, kw in [("l1", {}), ("l2", {}), ("l2plain", {}), ("l3", {}), ("l4", {}),
+                     ("l3", {"kappa": k_plus + 2j}), ("l4", {"rho": -k_plus})]:
+        result = solve(assemble(form, prob, 64, **kw))
+        ff = _exterior_far_field(prob, result, CIRCLE_ANGLES)
+        gap = np.max(np.abs(ff.values - exact)) / scale
+        assert gap <= 1e-12, (form, kw, gap)
+
+
 # -------------------------------------------------------------- L2 specifics
 
 
@@ -290,9 +326,9 @@ def test_l2_leading_block_is_diagonal_in_fourier_basis():
     fp, fm = _op_families(prob, N)
     matrix = assemble_l2(prob, N, fp, fm, "l2")
     kernels = np.block([
-        [-(fm.k_tilde + fp.k_tilde),
-         fp.r_tilde / nu + fm.r_tilde],
-        [-(fm.t_op + nu * fp.t_op),
+        [-(fp.k_tilde + fm.k_tilde),
+         fp.r_tilde + fm.r_tilde / nu],
+        [-(fp.t_op + nu * fm.t_op),
          fp.kt_tilde + fm.kt_tilde],
     ])
     lead = matrix - kernels
@@ -331,26 +367,27 @@ def test_l3_rejects_bad_kappa():
 
 def test_l3_factorized_identity_exact_with_tilde_blocks():
     """L3 = (1/(nu+1)) L1~ + (2/(nu+1)) [0 V_PS; -nu H_PS 0] L2 holds at the
-    matrix level when L1~ uses the tilde family (machine precision)."""
-    nu = 1.0
-    prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
+    matrix level when L1~ uses the tilde family (machine precision), at nu
+    below, at and above 1."""
     N = 48
     kappa = 8.0 + 0.5j
-    l2 = assemble("l2", prob, N).matrix
-    fp, fm = _op_families(prob, N)
-    l3 = assemble_l3(prob, N, fp, fm, kappa)
     v_k, h_k = ps_operators(KITE, N, kappa)
     eye = np.eye(2 * N)
-    l1_tilde = np.block([
-        [(1 + nu) / 2 * eye + nu * fm.k_tilde - fp.k_tilde,
-         fp.v_tilde - fm.v_tilde],
-        [nu * (fm.t_op - fp.t_op),
-         (1 + nu) / 2 * eye + nu * fp.kt_tilde - fm.kt_tilde],
-    ])
     zero = np.zeros((2 * N, 2 * N))
-    mid = np.block([[zero, v_k], [-nu * h_k, zero]])
-    rhs = (l1_tilde + 2.0 * mid @ l2) / (nu + 1.0)
-    assert np.max(np.abs(l3 - rhs)) <= 1e-8 * np.max(np.abs(l3))
+    for nu in (0.5, 1.0, 2.0):
+        prob = TransmissionProblem(KITE, 8.0, 32.0, nu, PlaneWave((1.0, 0.0)))
+        l2 = assemble("l2", prob, N).matrix
+        fp, fm = _op_families(prob, N)
+        l3 = assemble_l3(prob, N, fp, fm, kappa)
+        l1_tilde = np.block([
+            [(1 + nu) / 2 * eye + nu * fm.k_tilde - fp.k_tilde,
+             fp.v_tilde - fm.v_tilde],
+            [nu * (fm.t_op - fp.t_op),
+             (1 + nu) / 2 * eye + nu * fp.kt_tilde - fm.kt_tilde],
+        ])
+        mid = np.block([[zero, v_k], [-nu * h_k, zero]])
+        rhs = (l1_tilde + 2.0 * mid @ l2) / (nu + 1.0)
+        assert np.max(np.abs(l3 - rhs)) <= 1e-8 * np.max(np.abs(l3)), nu
 
 
 def test_l3_matches_plain_l1_composition_for_smooth_data():

@@ -73,6 +73,11 @@ def test_config_rejects_bad_values():
             StudyConfig.from_mapping({"curve": curve, "curve_params": params})
     with pytest.raises(ConfigError, match="boundary"):
         StudyConfig.from_mapping({"incident": "point", "source": "1,0"})
+    with pytest.raises(ConfigError, match="inside the curve"):
+        StudyConfig.from_mapping({"incident": "point", "source": "0.1,0.2"})
+    # the default source lies outside every built-in curve
+    for curve in ("circle", "ellipse", "kite", "cavity"):
+        StudyConfig.from_mapping({"incident": "point", "curve": curve})
     with pytest.raises(ConfigError, match=">= 8"):
         StudyConfig.from_mapping({"n_ladder": "4", "n_reference": "16"})
 
@@ -449,6 +454,33 @@ def test_cli_point_source_on_boundary_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "boundary" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_cli_point_source_inside_the_curve_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "inside.cfg"
+    cfg.write_text(FAST_STUDY + "incident = point\nsource = 0.1,0.2\n"
+                   + f"out_dir = {tmp_path/'out'}\n")
+    assert main(["--config", str(cfg), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "inside the curve" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "missing.cfg", "verify", "weights"],
+    ["verify", "weights", "--config", "missing.cfg"],
+    ["--out", "out", "verify", "weights"],
+    ["verify", "weights", "--out", "out"],
+])
+def test_cli_verify_rejects_config_and_out(tmp_path, capsys, monkeypatch, argv):
+    # the suites read no config and write nothing, so either flag is an error
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
