@@ -30,9 +30,15 @@ sqrt(R) e^{-ikR} u(R x^) -> u_inf(x^).
 The far field is one pass: with x^.m(t) = x^1 m1(t) + x^2 m2(t), every SL
 and DL term of one wavenumber is the one product of e^{-ik x^.x(t)} with the
 three nodal columns (sum of SL densities, m1 times the sum of DL densities,
-m2 times it), so the exponential is formed once per call, as the cosine and
-sine of the real phase.  ``FieldEvaluator.far_field``,
-``single_layer_far_field`` and ``double_layer_far_field`` all call it.
+m2 times it).  The exponential enters as the cosine and sine of the real
+phase k x^.x(t_j), a (2, p, 2N) table that depends only on the curve, k, N
+and the p directions, never on the densities.  The curve keeps the table of
+its most recent (N, k, directions), read-only, so repeated far fields at the
+same directions (many incidences, or several formulations) form it once and
+then cost only the density columns and the one product; the table holds the
+same values either way, so a kept table changes no output bit.
+``FieldEvaluator.far_field``, ``single_layer_far_field`` and
+``double_layer_far_field`` all call it.
 """
 
 from __future__ import annotations
@@ -156,31 +162,39 @@ def _directions(angles):
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _phase(xhat, xb, scale):
-    """scale * x^.x(t_j) as (directions, nodes), from two outer products."""
-    out = np.multiply.outer(scale * xhat[:, 0], xb[:, 0])
-    out += np.multiply.outer(scale * xhat[:, 1], xb[:, 1])
-    return out
+def _phase_table(curve, N, k, xhat):
+    """cos and sin of k x^.x(t_j), shape (2, p, 2N); read-only, and formed
+    once while (N, k, directions) repeat on this curve."""
+    key = (N, k, xhat.tobytes())
+    found = curve._far.get(key)
+    if found is None:
+        _, xb, _ = grid_geometry(curve, N)
+        found = np.empty((2, xhat.shape[0], 2 * N))
+        arg = np.multiply.outer(k * xhat[:, 0], xb[:, 0])  # k x^.x(t_j)
+        arg += np.multiply.outer(k * xhat[:, 1], xb[:, 1])
+        np.cos(arg, out=found[0])
+        np.sin(arg, out=found[1])
+        found.flags.writeable = False
+        curve._far.clear()
+        curve._far[key] = found
+    return found
 
 
 def _far_field(curve, k, sl_density, dl_density, angles):
     """Far field of an SL density plus a DL density on one grid, in one pass.
 
-    e^{-ik x^.x(t)} is formed once, as cos and sin of the real phase, and
-    meets phi, m1 g and m2 g in one product; the DL term is then
+    e^{-ik x^.x(t)}, as the phase table's cos and sin, meets phi, m1 g and
+    m2 g in one product; the DL term is then
     -ik (x^1 sum e m1 g + x^2 sum e m2 g).
     """
     k, sl = _term(k, sl_density)
     _, dl = _term(k, dl_density)
     N = sl.size // 2
-    _, xb, m = grid_geometry(curve, N)
+    _, _, m = grid_geometry(curve, N)
     xhat = _directions(angles)
     p = xhat.shape[0]
     cols = np.stack([sl, m[:, 0] * dl, m[:, 1] * dl], axis=1)
-    trig = np.empty((2, p, sl.size))  # cos, sin of k x^.x(t)
-    arg = _phase(xhat, xb, k)
-    np.cos(arg, out=trig[0])
-    np.sin(arg, out=trig[1])
+    trig = _phase_table(curve, N, k, xhat)
     # both real products at once: rows cos then sin, columns (re, im) of cols
     sums = linalg.matmul(trig.reshape(2 * p, -1), cols.view(float)).view(complex)
     e_sl, e_m1, e_m2 = (sums[:p] - 1j * sums[p:]).T

@@ -76,14 +76,17 @@ class ParametricCurve:
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
     ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, and the
     speed |x'| on the fine sample must stay above 1e-12 times its maximum.
-    Immutable and safe to share.  Keeps the read-only ``grid_geometry`` of
-    the most recent N.
+    Immutable and safe to share.  Keeps two read-only tables, each for its
+    most recent key: the ``grid_geometry`` of one N, and the far-field phase
+    table of one (N, k, directions), the cos and sin of k x^.x(t_j) that
+    ``helmbie.fields`` builds.
     """
 
     name: str
     cos_coef: np.ndarray
     sin_coef: np.ndarray
     _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _far: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.cos_coef, dtype=float))

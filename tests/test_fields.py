@@ -399,3 +399,71 @@ def test_far_field_of_many_terms_matches_the_two_exponential_form(k):
         ref = two_exponential_far_field(KITE, [term], angles)
         got = fn(KITE, k, term[2], angles)
         assert np.max(np.abs(got - ref)) <= TOL_FAR_FIELD * np.max(np.abs(ref))
+
+
+# ------------------------------------------------- the curve's phase table
+
+
+def _far_terms(k, n, seed=5):
+    rng = np.random.default_rng(seed)
+    return [(kind, k, rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n))
+            for kind in ("sl", "dl")]
+
+
+ANGLES = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
+
+
+def _kept_table(curve):
+    (table,) = curve._far.values()
+    return table
+
+
+def test_far_field_repeat_and_fresh_curve_are_byte_equal():
+    curve = kite()
+    terms = _far_terms(K, N)
+    first = FieldEvaluator(curve, terms).far_field(ANGLES).values
+    table = _kept_table(curve)
+    again = FieldEvaluator(curve, terms).far_field(ANGLES).values
+    assert _kept_table(curve) is table  # the repeat was a hit
+    fresh = FieldEvaluator(kite(), terms).far_field(ANGLES).values
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+    # the SL and DL far fields read the same table
+    for fn, (_, _, dens) in zip((single_layer_far_field, double_layer_far_field), terms):
+        assert fn(curve, K, dens, ANGLES).tobytes() == fn(kite(), K, dens, ANGLES).tobytes()
+        assert _kept_table(curve) is table
+
+
+@pytest.mark.parametrize("k, n, angles", [
+    (2.0 * K, N, ANGLES),          # another wavenumber
+    (K, N // 2, ANGLES),           # another grid
+    (K, N, ANGLES[:-1]),           # fewer directions
+    (K, N, ANGLES + 0.25),         # other directions, same count
+])
+def test_far_field_table_recomputes_on_a_new_key(k, n, angles):
+    curve = kite()
+    FieldEvaluator(curve, _far_terms(K, N)).far_field(ANGLES)
+    old = _kept_table(curve)
+    terms = _far_terms(k, n)
+    got = FieldEvaluator(curve, terms).far_field(angles).values
+    assert _kept_table(curve) is not old
+    fresh = FieldEvaluator(kite(), terms).far_field(angles).values
+    assert got.tobytes() == fresh.tobytes()
+    # and back to the first key: recomputed, still equal to a fresh curve's
+    base = _far_terms(K, N)
+    assert (FieldEvaluator(curve, base).far_field(ANGLES).values.tobytes()
+            == FieldEvaluator(kite(), base).far_field(ANGLES).values.tobytes())
+
+
+def test_far_field_table_is_read_only_and_kept_once():
+    curve = cavity()
+    for k, n in ((K, N), (2.0 * K, N), (K, N // 2)):
+        FieldEvaluator(curve, _far_terms(k, n)).far_field(ANGLES)
+    table = _kept_table(curve)  # one entry, that of the last key
+    assert table.shape == (2, ANGLES.size, N) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.0
+    # the cos and sin of k x^.x(t_j) for the last key (k = K, N // 2)
+    x = curve.point(grid(N // 2))
+    phase = K * (np.cos(ANGLES)[:, None] * x[:, 0] + np.sin(ANGLES)[:, None] * x[:, 1])
+    assert np.max(np.abs(table[0] - np.cos(phase))) <= 1e-13
+    assert np.max(np.abs(table[1] - np.sin(phase))) <= 1e-13

@@ -410,7 +410,7 @@ def test_l3_matches_plain_l1_composition_for_smooth_data():
 
 
 def test_l3_gmres_converges_faster_than_l2():
-    # eigenvalue clustering diagnostic; measured, with a wide safety margin
+    # eigenvalue clustering diagnostic: measured 151 (l2) against 72 (l3)
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
     N = 64
     s2 = assemble("l2", prob, N)
@@ -418,7 +418,7 @@ def test_l3_gmres_converges_faster_than_l2():
     it2, it3 = (solve(s, "gmres", tol=1e-10, maxit=4 * N).diagnostics.iterations
                 for s in (s2, s3))
     print(f"\n    gmres iterations at tol 1e-10: l2 = {it2}, l3 = {it3}")
-    assert it2 > 0 and it3 > 0
+    assert 0 < it3 < it2
 
 
 # -------------------------------------------------------------- L4 specifics
