@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, specfun
-from .geometry import ParametricCurve, _as_points, grid_geometry
+from .geometry import ParametricCurve, _as_points, _phase_table, grid_geometry
 
 __all__ = [
     "FarFieldPattern",
@@ -160,24 +160,6 @@ def _angles(angles):
 def _directions(angles):
     angles = _angles(angles)
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-
-def _phase_table(curve, N, k, xhat):
-    """cos and sin of k x^.x(t_j), shape (2, p, 2N); read-only, and formed
-    once while (N, k, directions) repeat on this curve."""
-    key = (N, k, xhat.tobytes())
-    found = curve._far.get(key)
-    if found is None:
-        _, xb, _ = grid_geometry(curve, N)
-        found = np.empty((2, xhat.shape[0], 2 * N))
-        arg = np.multiply.outer(k * xhat[:, 0], xb[:, 0])  # k x^.x(t_j)
-        arg += np.multiply.outer(k * xhat[:, 1], xb[:, 1])
-        np.cos(arg, out=found[0])
-        np.sin(arg, out=found[1])
-        found.flags.writeable = False
-        curve._far.clear()
-        curve._far[key] = found
-    return found
 
 
 def _far_field(curve, k, sl_density, dl_density, angles):

@@ -79,7 +79,7 @@ class ParametricCurve:
     Immutable and safe to share.  Keeps two read-only tables, each for its
     most recent key: the ``grid_geometry`` of one N, and the far-field phase
     table of one (N, k, directions), the cos and sin of k x^.x(t_j) that
-    ``helmbie.fields`` builds.
+    the far fields of ``helmbie.fields`` read.
     """
 
     name: str
@@ -205,21 +205,48 @@ def grid(N: int) -> np.ndarray:
     return np.arange(2 * N) * (np.pi / N)
 
 
+def _kept(memo, key, build):
+    """memo[key], built once while key repeats.  A curve's memo keeps only
+    its most recent key, and what it keeps is read-only."""
+    found = memo.get(key)
+    if found is None:
+        found = build()
+        for a in found if isinstance(found, tuple) else (found,):
+            a.flags.writeable = False
+        memo.clear()
+        memo[key] = found
+    return found
+
+
 def grid_geometry(curve: ParametricCurve, N: int):
     """Nodes t, x(t) and the unnormalized outward normal m(t) = (x2', -x1')
     on the 2N grid; |m| = |x'|.  Read-only, and sampled once while N repeats."""
     N = _grid_size(N)
-    found = curve._grid.get(N)
-    if found is None:
+
+    def sample():
         nodes = grid(N)
         x = curve.point(nodes)
         d1 = curve.d1(nodes)
-        found = (nodes, x, np.stack([d1[:, 1], -d1[:, 0]], axis=-1))
-        for a in found:
-            a.flags.writeable = False
-        curve._grid.clear()
-        curve._grid[N] = found
-    return found
+        return nodes, x, np.stack([d1[:, 1], -d1[:, 0]], axis=-1)
+
+    return _kept(curve._grid, N, sample)
+
+
+def _phase_table(curve: ParametricCurve, N: int, k: float, xhat: np.ndarray):
+    """cos and sin of k x^.x(t_j) for the unit directions xhat (p, 2) on the
+    2N grid, shape (2, p, 2N).  Read-only, and formed once while (N, k,
+    directions) repeat."""
+
+    def tabulate():
+        _, xb, _ = grid_geometry(curve, N)
+        table = np.empty((2, xhat.shape[0], 2 * N))
+        arg = np.multiply.outer(k * xhat[:, 0], xb[:, 0])  # k x^.x(t_j)
+        arg += np.multiply.outer(k * xhat[:, 1], xb[:, 1])
+        np.cos(arg, out=table[0])
+        np.sin(arg, out=table[1])
+        return table
+
+    return _kept(curve._far, (N, k, xhat.tobytes()), tabulate)
 
 
 def circle(radius: float = 1.0) -> ParametricCurve:

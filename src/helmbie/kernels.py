@@ -46,10 +46,9 @@ set as A, B, C and D; the test oracles check them against pointwise
 formulas sampled on a twice finer grid.
 
 Fused pass.  All factors are closed-form in J0, J1, H0 and H1 of k r over
-the same node pairs, so one ``KernelFactors`` per (curve, k, N) takes x and x'
-from the curve's one sampling of the 2N grid (``grid_geometry``), samples x''
-there once, and evaluates each Bessel function once, as a compact vector
-over the strict upper triangle (r and sin^2 are symmetric).
+the same node pairs, so one ``KernelFactors`` per (curve, k, N) samples x, x'
+and x'' once on the 2N nodes and evaluates each Bessel function once, as a
+compact vector over the strict upper triangle (r and sin^2 are symmetric).
 A, B, A~ are symmetric and C, D are (delta . m) times a symmetric function;
 full matrices, with the diagonal limits written by index, and E, F are
 formed from these vectors on request, C and D together from one delta . m.
@@ -77,7 +76,7 @@ import numpy as np
 from . import specfun
 from .fields import _positive_real
 from .fourier import circulant, fft_modes
-from .geometry import ParametricCurve, grid, grid_geometry
+from .geometry import ParametricCurve, grid
 
 __all__ = [
     "KernelContext",
@@ -155,8 +154,7 @@ def _diagonal_limits(k, d1, d2):
 class KernelFactors:
     """One fused pass over the node pairs of one (curve, k, N).
 
-    Holds x and x' on the 2N nodes (both from the curve's ``grid_geometry``,
-    x' = (-m2, m1)), the diagonal limits, and r and sin^2
+    Holds x and x' on the 2N nodes, the diagonal limits, and r and sin^2
     as compact vectors over the pairs i < j; J0, J1, H0 and H1 of k r are
     evaluated once each, on first use.  The rest is recomputed per request,
     except the A, B and A~ matrices ``ef`` expands, which it keeps.
@@ -165,9 +163,10 @@ class KernelFactors:
     def __init__(self, ctx: KernelContext, N: int):
         # not ctx itself: ctx holds this object, and a cycle outlives refcounting
         self.k = ctx.k
-        self.nodes, self.x, m = grid_geometry(ctx.curve, N)
+        self.nodes = grid(N)
         n = self.nodes.size
-        self.d1 = np.stack([-m[:, 1], m[:, 0]], axis=-1)  # x' = (-m2, m1), exact
+        self.x = ctx.curve.point(self.nodes)
+        self.d1 = ctx.curve.d1(self.nodes)
         self.diag = _diagonal_limits(ctx.k, self.d1, ctx.curve.d2(self.nodes))
         self._mask = np.triu(np.ones((n, n), dtype=bool), 1)  # pairs i < j
         i, j = np.nonzero(self._mask)
