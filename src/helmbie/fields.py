@@ -4,12 +4,18 @@ Off the boundary both potentials have smooth periodic parameterized
 integrands, so the plain trapezoid rule is spectrally accurate; evaluation
 points closer to the curve than 5 h max|x'| (h = pi/N) are rejected.
 
-The potentials walk the points in blocks of rows = max(1, 2**16 // 2N)
-(128 at N = 256) and form p - x(t_j), its length, the Hankel kernel and
-the block's rows of the kernel-density product one block at a time, so
-their memory is O(rows 2N) whatever the number of points.  Every entry is
-formed by the same operations in the same order as over the whole batch,
-so the blocks change no output bit.
+The potentials walk the points in blocks and form p - x(t_j), its length,
+the Hankel kernel and the block's rows of the kernel-density product one
+block at a time.  They run on every usable core: each of up to that many
+worker threads, started per call and only for two blocks or more, takes one
+contiguous run of whole blocks and writes its own slice of the output.  A
+block has rows = max(1, 2**16 // cores // 2N) points (64 at N = 256 on two
+cores), so the entries in flight stay at 2**16, a few MiB whatever the
+number of points or cores.  The block products go through
+``linalg.serial_matmul``, on the worker's own thread (see ``linalg``).
+Every entry is formed by the same operations in the same order as over the
+whole batch, and every output row is the same dot product, so neither the
+blocks nor the worker count change an output bit.
 
 The distance guard first takes a lower bound from the curve's coarse
 sample, every 16th of its fine nodes: the distance to the nearest coarse
@@ -43,6 +49,8 @@ same values either way, so a kept table changes no output bit.
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +70,9 @@ __all__ = [
 ]
 
 
-# kernel entries per block of evaluation points in the layer potentials: a
-# block's work arrays (three real, one complex) take about 3 MiB, whatever the
-# number of points
+# kernel entries in flight in the layer potentials, shared by the worker
+# threads' blocks: the work arrays (three real, one complex per block) take
+# about 3 MiB, whatever the number of points or cores
 _BLOCK_ENTRIES = 2**16
 
 
@@ -94,19 +102,42 @@ def _term(k, density, prefix: str = ""):
     return k, density
 
 
-def _blocks(pts, xb):
-    """Each block of at most max(1, _BLOCK_ENTRIES // 2N) points, as its
-    slice of ``pts`` and the components and length of p - x(t_j), each of
-    shape (block, 2N)."""
+def _by_blocks(pts, xb, block_values):
+    """The potential at every point: ``block_values(dx, dy, r)`` gives one
+    block's values from the components and length of p - x(t_j), each of
+    shape (block, 2N).
+
+    A block has max(1, _BLOCK_ENTRIES // cores // 2N) points.  With two
+    blocks or more, each of min(cores, blocks) worker threads takes one
+    contiguous run of whole blocks and writes its own slice of the output.
+    Each worker runs in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) is the caller's there too.
+    """
     bx, by = np.ascontiguousarray(xb.T)
-    rows = max(1, _BLOCK_ENTRIES // bx.size)
-    for start in range(0, pts.shape[0], rows):
-        block = pts[start:start + rows]
-        dx = block[:, :1] - bx
-        dy = block[:, 1:] - by
-        r = dx * dx
-        r += dy * dy
-        yield slice(start, start + rows), dx, dy, np.sqrt(r, out=r)
+    out = np.empty(pts.shape[0], dtype=complex)
+    cores = linalg._usable_cores()
+    rows = max(1, _BLOCK_ENTRIES // cores // bx.size)
+    blocks = -(-pts.shape[0] // rows)
+    workers = min(cores, blocks)
+
+    def run(first, stop):
+        for start in range(first * rows, stop * rows, rows):
+            block = pts[start:start + rows]
+            dx = block[:, :1] - bx
+            dy = block[:, 1:] - by
+            r = dx * dx
+            r += dy * dy
+            out[start:start + rows] = block_values(dx, dy, np.sqrt(r, out=r))
+
+    if workers < 2:
+        run(0, blocks)
+        return out
+    cuts = [blocks * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(contextvars.copy_context().run, run, *span)
+                     for span in zip(cuts, cuts[1:])]:
+            done.result()
+    return out
 
 
 def single_layer_potential(curve, k, density, points):
@@ -114,13 +145,13 @@ def single_layer_potential(curve, k, density, points):
     k, density = _term(k, density)
     N = density.size // 2
     _, xb, _ = grid_geometry(curve, N)
-    pts = _as_points(points)
-    out = np.empty(pts.shape[0], dtype=complex)
-    for rows, _, _, r in _blocks(pts, xb):
+
+    def block_values(dx, dy, r):
         kern = specfun.hankel1(0, k * r)
         kern *= 0.25j
-        out[rows] = (np.pi / N) * linalg.matmul(kern, density)
-    return out
+        return (np.pi / N) * linalg.serial_matmul(kern, density)
+
+    return _by_blocks(_as_points(points), xb, block_values)
 
 
 def double_layer_potential(curve, k, density, points):
@@ -129,9 +160,8 @@ def double_layer_potential(curve, k, density, points):
     N = density.size // 2
     _, xb, m = grid_geometry(curve, N)
     m1, m2 = np.ascontiguousarray(m.T)
-    pts = _as_points(points)
-    out = np.empty(pts.shape[0], dtype=complex)
-    for rows, dx, dy, r in _blocks(pts, xb):
+
+    def block_values(dx, dy, r):
         dx *= m1
         dy *= m2
         dx += dy                                # (p - x(t)) . m(t)
@@ -139,8 +169,9 @@ def double_layer_potential(curve, k, density, points):
         kern *= 0.25j * k
         kern *= dx
         kern /= r
-        out[rows] = (np.pi / N) * linalg.matmul(kern, density)
-    return out
+        return (np.pi / N) * linalg.serial_matmul(kern, density)
+
+    return _by_blocks(_as_points(points), xb, block_values)
 
 
 def _angles(angles):

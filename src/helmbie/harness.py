@@ -41,7 +41,7 @@ from .formulations import (
 )
 from .fourier import TrigPolynomial, dld_matrix, fft_modes, lambda_matrix, psi_hat
 from .geometry import grid, grid_geometry, make_curve
-from .linalg import GmresError, _check_gmres
+from .linalg import GmresError, _check_gmres, _usable_cores
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
@@ -210,9 +210,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "helmbie": __version__,
-        # macOS and Windows have no affinity call: there, the machine's count
-        "cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count()),
+        "cores": _usable_cores(),
         "thread_variables": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
     }
 

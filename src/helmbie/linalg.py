@@ -11,10 +11,21 @@ product and about 50 ms after the same product through scipy.  Every product of 
 below, which calls scipy's BLAS, the one that also factors and solves.  Only
 products with a 2-vector, which OpenBLAS runs on the calling thread, stay in
 numpy.
+
+Products on worker threads stay on their thread.  OpenBLAS threads a
+``zgemv`` of 1024 * GEMM_MULTITHREAD_THRESHOLD (4096) entries or more, and
+its pool's worker then spins on the core that another Python worker thread
+needs.  The near-field potentials, which split their points over the usable
+cores, did not run faster than on one thread until their block products went
+through ``serial_matmul``: the same ``matmul`` in row slices below that
+threshold, so OpenBLAS runs each on the calling thread.  Each row is the
+same dot product either way, so the slices change no output bit.  Every
+other product keeps ``matmul`` and its threaded BLAS.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +42,7 @@ __all__ = [
     "lu_solve",
     "gmres",
     "matmul",
+    "serial_matmul",
 ]
 
 
@@ -85,6 +97,34 @@ def matmul(a, b):
         return gemv(1.0, a.T, b, trans=1)
     gemm = scipy.linalg.blas.dgemm if real else scipy.linalg.blas.zgemm
     return gemm(1.0, b.T, a.T).T
+
+
+# entries of one gemv from which OpenBLAS threads it (1024 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4)
+_THREADED_GEMV = 4096
+
+
+def serial_matmul(a, x):
+    """a @ x for a matrix ``a`` and a vector ``x``, through ``matmul`` in row
+    slices of fewer than _THREADED_GEMV entries, so OpenBLAS runs each on the
+    calling thread (see the module docstring).  A row of _THREADED_GEMV
+    entries or more is a slice of its own, which OpenBLAS may still thread."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        return matmul(a, x)                     # which rejects the shape
+    rows = max(1, (_THREADED_GEMV - 1) // max(1, a.shape[1]))
+    if a.shape[0] <= rows:
+        return matmul(a, x)
+    return np.concatenate([matmul(a[start:start + rows], x)
+                           for start in range(0, a.shape[0], rows)])
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; macOS and Windows have no affinity
+    call, so there it is the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _square(matrix) -> np.ndarray:

@@ -1,8 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helmbie import fields, linalg
 from helmbie.fields import (
     _BLOCK_ENTRIES,
     FarFieldPattern,
@@ -16,6 +19,7 @@ from helmbie.fields import (
 )
 from helmbie.formulations import PointSource
 from helmbie.geometry import cavity, ellipse, grid, kite
+from helmbie.specfun import DomainError
 
 from oracles import (
     diff_double_layer,
@@ -288,6 +292,83 @@ def test_near_field_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def _pools(monkeypatch, workers):
+    """Run the potentials as on ``workers`` cores; the returned list gets
+    the worker count of every thread pool they start."""
+    started = []
+
+    class Pool(fields.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(linalg, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", Pool)
+    return started
+
+
+@pytest.fixture
+def short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("curve", [KITE, cavity()], ids=lambda c: c.name)
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.usefixtures("short_switch_interval")
+def test_potentials_are_byte_equal_across_worker_counts(curve, n, monkeypatch):
+    """Point counts on both sides of each worker count's block and split
+    boundaries: one row, a block, a block and one row, two blocks and one
+    row, three blocks and a ragged one.  Three workers on fewer cores, with
+    a short switch interval, would show a lost or misplaced block."""
+    rng = np.random.default_rng([n, 29])
+    dens = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+    pts = _oracle_points(curve, n, 3 * max(1, _BLOCK_ENTRIES // (2 * n)) + 7)
+    potentials = (single_layer_potential, double_layer_potential)
+    _pools(monkeypatch, 1)
+    whole = [potential(curve, K, d, pts) for potential, d in zip(potentials, dens)]
+    for workers in (1, 2, 3):
+        started = _pools(monkeypatch, workers)
+        rows = max(1, _BLOCK_ENTRIES // workers // (2 * n))
+        for count in (1, rows, rows + 1, 2 * rows + 1, 3 * rows + 7):
+            for potential, d, expected in zip(potentials, dens, whole):
+                got = potential(curve, K, d, pts[:count])
+                assert got.tobytes() == expected[:count].tobytes()
+        # a pool for every count of two blocks or more, never more workers
+        # than blocks
+        expected = [min(workers, -(-count // rows))
+                    for count in (rows + 1, 2 * rows + 1, 3 * rows + 7)]
+        assert started == ([] if workers == 1 else
+                           [w for w in expected for _ in range(2)])
+
+
+@pytest.mark.parametrize("potential", [single_layer_potential, double_layer_potential])
+def test_an_error_in_a_worker_leaves_the_call(potential, monkeypatch):
+    """A worker's exception reaches the caller with its type and message, and
+    every worker thread is gone when the call returns."""
+    started = _pools(monkeypatch, 2)
+    n = 64
+    rows = _BLOCK_ENTRIES // 2 // (2 * n)
+    pts = np.resize(_ring(3.0, 37), (4 * rows, 2))
+    pts[-5:] = [1e200, 0.0]                   # r overflows in the last worker's run
+    dens = np.ones(2 * n, dtype=complex)
+    before = threading.active_count()
+    # the caller's error state reaches the workers: no overflow warning
+    # ahead of the Hankel function's own error
+    with np.errstate(over="ignore"), pytest.raises(DomainError) as info:
+        potential(KITE, K, dens, pts)
+    assert type(info.value) is DomainError
+    assert str(info.value) == "argument must be finite"
+    assert started == [2]
+    assert threading.active_count() == before
+    for few in (np.empty((0, 2)), pts[:1]):
+        assert potential(KITE, K, dens, few).shape == (len(few),)
+        assert threading.active_count() == before
+    assert started == [2]                      # no pool for an empty or one-point set
 
 
 @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(4),

@@ -15,6 +15,7 @@ from helmbie.linalg import (
     lu_factor,
     lu_solve,
     matmul,
+    serial_matmul,
 )
 
 
@@ -239,6 +240,33 @@ def test_matmul_non_contiguous_operands():
 def test_matmul_rejects_operands_that_do_not_align(a_shape, b_shape):
     with pytest.raises(ValueError, match="matmul needs"):
         matmul(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (7, 512), (8, 512), (300, 512), (5, 4096),
+                                   (100, 1), (40, 1000)])
+def test_serial_matmul_is_matmul_in_slices_below_the_threading_threshold(
+        shape, monkeypatch):
+    rng = np.random.default_rng(list(shape))
+    a, x = _random(rng, *shape), _random(rng, shape[1])
+    expected = matmul(a, x)
+    sizes = []
+
+    def recording(a, b):
+        sizes.append(np.size(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", recording)
+    got = serial_matmul(a, x)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    # every slice but a single row stays below OpenBLAS's threaded gemv
+    assert all(size < 4096 or size == shape[1] for size in sizes)
+    assert sum(sizes) == a.size and len(sizes) >= 1
+
+
+def test_serial_matmul_rejects_what_matmul_rejects():
+    for a_shape, x_shape in (((3, 2), (3,)), ((3,), (3,)), ((900, 5), (4,))):
+        with pytest.raises(ValueError, match="matmul needs"):
+            serial_matmul(np.ones(a_shape), np.ones(x_shape))
 
 
 # Products with a 2-vector run on the calling thread in either BLAS
