@@ -17,12 +17,9 @@ Every entry is formed by the same operations in the same order as over the
 whole batch, and every output row is the same dot product, so neither the
 blocks nor the worker count change an output bit.
 
-The distance guard first takes a lower bound from the curve's coarse
-sample, every 16th of its fine nodes: the distance to the nearest coarse
-node less delta, the largest distance from a fine node to its nearest
-coarse node.  Only the points this bound cannot clear are measured against
-all fine nodes, and the nearest point of a failing batch is always among
-them, so the guard raises for the same batches with the same message.
+The distance guard measures only the points that ``ParametricCurve.near``
+keeps, which include every point at most the guard distance from the
+curve, so it raises as the exact distance of every point would.
 
 Far-field normalization: u(r x^) ~ e^{ikr}/sqrt(r) u_inf(x^) with
 
@@ -280,12 +277,9 @@ class FieldEvaluator:
 
     def __call__(self, points):
         pts = _as_points(points)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("evaluation points must be finite")
-        # the exact distance only where the coarse bound cannot clear the
-        # guard; the nearest point, if it fails, is always among these
-        unclear = pts[self.curve.distance_bound(pts) <= self.min_distance]
-        dist = self.curve.distance(unclear)
+        # near raises for non-finite points; only the points it keeps are
+        # measured exactly, and the nearest point, if it fails, is among them
+        dist = self.curve.distance(pts[self.curve.near(pts, self.min_distance)])
         if np.any(dist <= self.min_distance):
             worst = float(dist.min())
             raise ValueError(

@@ -459,19 +459,21 @@ def _apply_regularizer(x, nu, v_ps, h_ps):
 def _kappa(problem, kappa=None) -> complex:
     if kappa is None:
         kappa = problem.k_plus + 0.5j
-    kappa = complex(kappa)
-    if not (np.isfinite(kappa) and kappa.imag > 0):
-        raise ValueError("kappa must be finite with a positive imaginary part")
-    return kappa
+    value = np.asarray(kappa)
+    if not (value.ndim == 0 and value.dtype.kind in "iufc" and np.isfinite(value)
+            and value.imag > 0):
+        raise ValueError(f"kappa must be finite with a positive imaginary part, got {kappa!r}")
+    return complex(value)
 
 
 def _rho(problem, rho=None) -> float:
     if rho is None:
         rho = problem.k_plus
-    rho = float(rho)
-    if not (np.isfinite(rho) and rho != 0.0):
-        raise ValueError("rho must be a finite nonzero real number")
-    return rho
+    value = np.asarray(rho)
+    if not (value.ndim == 0 and value.dtype.kind in "iuf" and np.isfinite(value)
+            and value != 0.0):
+        raise ValueError(f"rho must be a finite nonzero real number, got {rho!r}")
+    return float(value)
 
 
 def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,

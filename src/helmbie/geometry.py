@@ -37,12 +37,6 @@ __all__ = [
 ]
 
 FINE_SAMPLES = 4096  # fine sample behind the speed check, max_speed and distance
-_DISTANCE_BLOCK = 64  # points per block of the (points, nodes) work arrays
-_COARSE_STRIDE = 16  # every 16th fine node makes the coarse sample of distance_bound
-# relative shrink of distance_bound: 64 ulps covers the rounding of the coarse
-# and fine distances and of delta (about 7 ulps), so the bound stays below the
-# rounded fine distance
-_BOUND_SLACK = 64 * np.finfo(float).eps
 
 
 def _as_points(points) -> np.ndarray:
@@ -52,21 +46,6 @@ def _as_points(points) -> np.ndarray:
         raise ValueError(f"evaluation points must be real values of shape (n, 2), "
                          f"got {pts.dtype} values of shape {pts.shape}")
     return np.atleast_2d(pts.astype(float, copy=False))
-
-
-def _nearest_squared(pts, bx, by):
-    """Squared distance from each point to the nearest node (bx, by); blocks
-    of points bound the (points, nodes) work arrays."""
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
-        block = pts[start:start + _DISTANCE_BLOCK]
-        dx = block[:, :1] - bx
-        dy = block[:, 1:] - by
-        dx *= dx
-        dy *= dy
-        dx += dy
-        out[start:start + block.shape[0]] = dx.min(axis=1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,7 +58,8 @@ class ParametricCurve:
     Immutable and safe to share.  Keeps two read-only tables, each for its
     most recent key: the ``grid_geometry`` of one N, and the far-field phase
     table of one (N, k, directions), the cos and sin of k x^.x(t_j) that
-    the far fields of ``helmbie.fields`` read.
+    the far fields of ``helmbie.fields`` read.  From its first distance
+    query on, it also keeps a k-d tree of its FINE_SAMPLES nodes.
     """
 
     name: str
@@ -152,14 +132,6 @@ class ParametricCurve:
     def max_speed(self) -> float:
         return float(np.max(self._fine_sample[1]))
 
-    @cached_property
-    def _coarse_sample(self):
-        """Every _COARSE_STRIDE-th fine node as coordinate rows, and delta,
-        the largest distance from a fine node to its nearest coarse node."""
-        fine = self._fine_sample[0]
-        coarse = np.ascontiguousarray(fine[:, ::_COARSE_STRIDE])
-        return coarse, float(np.sqrt(_nearest_squared(fine.T, *coarse).max()))
-
     def winding_number(self, point) -> int:
         """How often the polygon of the FINE_SAMPLES nodes winds around a
         point off the curve: 1 inside a counterclockwise curve, 0 outside."""
@@ -169,27 +141,31 @@ class ParametricCurve:
         turn = (np.diff(angle, append=angle[:1]) + np.pi) % (2.0 * np.pi) - np.pi
         return int(round(turn.sum() / (2.0 * np.pi)))
 
+    @cached_property
+    def _tree(self):
+        """k-d tree of the FINE_SAMPLES nodes.  scipy.spatial is imported here,
+        so only distance queries pay for it (about 56 ms and 4 MB)."""
+        import scipy.spatial
+        return scipy.spatial.cKDTree(self._fine_sample[0].T)
+
+    def _query(self, points, **bound):
+        pts = _as_points(points)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("evaluation points must be finite")
+        return self._tree.query(pts, **bound)[0]
+
     def distance(self, points):
-        """Distance from each point to the nearest of the FINE_SAMPLES nodes.
+        """Distance from each point, shape (n, 2) or (2,), to the nearest of
+        the FINE_SAMPLES nodes.  The tree roots the smallest dx*dx + dy*dy
+        once per point; sqrt is monotone and correctly rounded, so this is
+        bit for bit the minimum of the rooted distances."""
+        return self._query(points)
 
-        ``points`` has shape (n, 2) or (2,).  The minimum is taken over
-        squared distances and rooted once per point: sqrt is monotone and
-        correctly rounded, so the result is bit for bit the minimum of the
-        rooted distances.
-        """
-        return np.sqrt(_nearest_squared(_as_points(points), *self._fine_sample[0]))
-
-    def distance_bound(self, points):
-        """A lower bound on ``distance`` at 1/_COARSE_STRIDE of its cost.
-
-        The nearest fine node of p lies within delta of a coarse node, so
-        distance(p) >= (distance to the nearest coarse node) - delta.  Both
-        terms are moved by _BOUND_SLACK, so the bound also holds for the
-        rounded values.
-        """
-        coarse, delta = self._coarse_sample
-        near = np.sqrt(_nearest_squared(_as_points(points), *coarse))
-        return near * (1.0 - _BOUND_SLACK) - delta * (1.0 + _BOUND_SLACK)
+    def near(self, points, radius):
+        """Mask that keeps every point whose ``distance`` is at most radius,
+        and perhaps a few just past it: the tree compares squared distances,
+        so the radius is widened by 1e-12 relative to keep the rounded ones."""
+        return np.isfinite(self._query(points, distance_upper_bound=radius * (1.0 + 1e-12)))
 
 
 def _grid_size(N, least: int = 1) -> int:

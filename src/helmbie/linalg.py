@@ -92,6 +92,9 @@ def matmul(a, b):
         raise ValueError(f"matmul needs a matrix and a matrix or vector with as "
                          f"many rows as it has columns, got shapes {a.shape} "
                          f"and {b.shape}")
+    if a.size == 0 or b.size == 0:
+        # what a @ b gives: no entries, or sums of nothing; gemv raises here
+        return np.zeros(a.shape[:1] + b.shape[1:], dtype=dtype)
     if b.ndim == 1:
         gemv = scipy.linalg.blas.dgemv if real else scipy.linalg.blas.zgemv
         return gemv(1.0, a.T, b, trans=1)
@@ -137,27 +140,12 @@ def _square(matrix) -> np.ndarray:
     return a
 
 
-_NORM_ROWS = 64  # rows of |a| that ``_norm1`` holds at once
-
-
-def _norm1(a) -> float:
-    """np.linalg.norm(a, 1) bit for bit, without an n x n temporary: |a| is
-    summed a block of rows at a time, each block headed by the running column
-    sum, so every column is summed row by row as in the full reduction."""
-    block = np.zeros((_NORM_ROWS + 1, a.shape[1]))
-    for start in range(0, a.shape[0], _NORM_ROWS):
-        rows = a[start:start + _NORM_ROWS]
-        np.abs(rows, out=block[1:len(rows) + 1])
-        block[0] = block[:len(rows) + 1].sum(axis=0)
-    return block[0].max()
-
-
 def lu_factor(matrix) -> LUFactors:
     """Factor a dense complex matrix by partial-pivot LU with a pivot guard."""
     a = _square(matrix)
     # zgecon needs the 1-norm, which is NaN or inf exactly when an entry is
     # (or when the column sums overflow), so it doubles as the finite check
-    anorm = _norm1(a)
+    anorm = np.linalg.norm(a, 1)
     if not np.isfinite(anorm):
         raise ValueError("non-finite entries in the linear system")
     with warnings.catch_warnings():

@@ -36,7 +36,7 @@ The near-field section holds the blocked-norm curve distance, the guard
 decided on the exact distance of every point, and the difference-array
 layer potentials over all points at once, with the real Hankel value formed
 as J + iY from Cephes: the bit-for-bit reference for the package's distance,
-its coarse-bound guard, its blocked layer potentials and
+its radius-query guard, its blocked layer potentials and
 ``specfun.hankel1``.
 """
 

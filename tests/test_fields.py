@@ -255,8 +255,9 @@ def test_potentials_match_the_difference_array_oracle_bit_for_bit(curve):
 @pytest.mark.parametrize("curve", [KITE, cavity(), ellipse()], ids=lambda c: c.name)
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_guard_decisions_match_the_exact_distance_oracle(curve, n):
-    """The coarse-bound guard raises for the same batches, with the same
-    message, as the exact distance of every point."""
+    """The guard, which measures only the points the radius query keeps,
+    raises for the same batches, with the same message, as the exact
+    distance of every point."""
     rng = np.random.default_rng([n, 5])
     ev = FieldEvaluator(curve, [("sl", K, np.zeros(2 * n))])
     t = rng.uniform(0.0, 2.0 * np.pi, 40)
@@ -377,7 +378,7 @@ def test_an_error_in_a_worker_leaves_the_call(potential, monkeypatch):
 def test_malformed_points_are_rejected(green_evaluator, bad):
     _, ev = green_evaluator
     bad = bad + 3.0                            # clear of the guard
-    for call in (ev, KITE.distance, KITE.distance_bound,
+    for call in (ev, KITE.distance, lambda p: KITE.near(p, 1.0),
                  lambda p: single_layer_potential(KITE, K, np.ones(2 * N), p)):
         with pytest.raises(ValueError, match=r"real values of shape \(n, 2\)"):
             call(bad)

@@ -430,6 +430,21 @@ def test_l4_rejects_zero_rho():
         assemble("l4", prob, 16, rho=0.0)
 
 
+@pytest.mark.parametrize("form, keyword, bad", [
+    ("l4", "rho", 1j), ("l4", "rho", np.complex128(2.0 + 1.0j)), ("l4", "rho", [1, 2]),
+    ("l4", "rho", "x"), ("l4", "rho", np.inf),
+    ("l3", "kappa", [1, 2]), ("l3", "kappa", "x"), ("l3", "kappa", 8.0),
+    ("l3", "kappa", complex(np.nan, 1.0)),
+])
+def test_bad_rho_and_kappa_are_named_with_their_value(form, keyword, bad):
+    # not one number of the right kind: the same ValueError, naming the value
+    message = {"rho": "rho must be a finite nonzero real number",
+               "kappa": "kappa must be finite with a positive imaginary part"}[keyword]
+    prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {bad!r}")):
+        assemble(form, prob, 16, **{keyword: bad})
+
+
 def test_each_formulation_reads_only_its_own_keyword():
     # the driver passes kappa and rho to every formulation
     prob = TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave((1.0, 0.0)))

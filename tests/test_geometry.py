@@ -1,11 +1,14 @@
+import os
+import pathlib
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import helmbie
 from helmbie.geometry import (
-    _DISTANCE_BLOCK,
     FINE_SAMPLES,
     cavity,
     circle,
@@ -19,6 +22,7 @@ from helmbie.geometry import (
 from oracles import norm_distance
 
 ALL_CURVES = [circle(), ellipse(2.0, 1.0), kite(), cavity()]
+KITE = kite()
 
 
 def test_circle_eval_at_zero():
@@ -172,23 +176,88 @@ def _guard_test_points(curve, rng, count):
 def test_distance_is_the_blocked_norm_bit_for_bit(curve):
     rng = np.random.default_rng(17)
     pts = _guard_test_points(curve, rng, 50)
-    assert len(pts) % _DISTANCE_BLOCK != 0
     got = curve.distance(pts)
     assert got.tobytes() == norm_distance(curve, pts).tobytes()
     assert np.count_nonzero(got == 0.0) >= 40  # fine-sample nodes
     assert curve.distance(pts[0]).tobytes() == got[:1].tobytes()
 
 
-@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
-def test_distance_bound_is_a_lower_bound_within_twice_delta(curve):
-    rng = np.random.default_rng(29)
-    pts = _guard_test_points(curve, rng, 500)
-    exact, bound = curve.distance(pts), curve.distance_bound(pts)
-    delta = curve._coarse_sample[1]
-    assert np.all(bound <= exact)
-    # the coarse node nearest the nearest fine node is within delta of it
-    assert np.all(exact - bound <= 2.0 * delta * (1.0 + 1e-12))
-    assert delta < 0.05 * curve.max_speed()
+SIZED_CURVES = [kite(), cavity(), circle(1.7), circle(1e-3), ellipse(2.0, 0.3),
+                ellipse(300.0, 1.0)]
+
+
+@pytest.mark.parametrize("curve", SIZED_CURVES, ids=lambda c: f"{c.name}-{c.max_speed():.0e}")
+def test_distance_is_the_norm_oracle_at_every_scale(curve):
+    # point clouds around the curve from 1e-6 to 1e3 times its size
+    rng = np.random.default_rng(41)
+    size = curve.max_speed()
+    t = rng.uniform(0.0, 2.0 * np.pi, 600)
+    scale = size * 10.0 ** rng.uniform(-6.0, 3.0, (600, 1))
+    pts = curve.point(t) + scale * rng.standard_normal((600, 2))
+    assert curve.distance(pts).tobytes() == norm_distance(curve, pts).tobytes()
+
+
+@pytest.mark.parametrize("curve", SIZED_CURVES, ids=lambda c: f"{c.name}-{c.max_speed():.0e}")
+def test_near_keeps_every_point_within_the_radius(curve):
+    """Points along the normal at a fine node, from radius (1 - 1e-15) to
+    radius: the squared comparison inside the radius query must not drop
+    one whose distance rounds to at most the radius."""
+    rng = np.random.default_rng(43)
+    nodes = 2.0 * np.pi * rng.integers(0, FINE_SAMPLES, 200) / FINE_SAMPLES
+    for n in (16, 64, 256):
+        radius = 5.0 * (np.pi / n) * curve.max_speed()
+        along = radius * (1.0 - 1e-15 * rng.uniform(0.0, 1.0, (200, 1)))
+        pts = curve.point(nodes) + along * curve.normal(nodes)
+        dist = curve.distance(pts)
+        kept = curve.near(pts, radius)
+        assert np.all(kept[dist <= radius])
+        assert np.all(dist[kept] <= radius * (1.0 + 2e-12))
+    # and at each point's own rounded distance, where the bare query drops most
+    for p, d in zip(pts[:50], dist[:50]):
+        assert curve.near(p, d).tolist() == [True]
+
+
+def test_distance_under_threads_on_a_fresh_curve():
+    # threads race to build the shared tree; each must get the oracle's bits
+    pts = _guard_test_points(KITE, np.random.default_rng(47), 20)
+    expected = norm_distance(KITE, pts).tobytes()
+    curves = [kite() for _ in range(20)]
+
+    def check(i):
+        curve = curves[i % len(curves)]
+        return curve.distance(pts).tobytes() == expected and bool(
+            np.all(curve.near(pts, 0.1)[curve.distance(pts) <= 0.1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(check, range(200), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+def test_distance_rejects_nonfinite_points(bad):
+    # helmbie's own message; the tree alone would raise scipy's
+    pts = np.array([[3.0, 0.0], bad])
+    for call in (KITE.distance, lambda p: KITE.near(p, 1.0)):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            call(pts)
+
+
+def test_import_leaves_the_distance_tree_unbuilt():
+    # scipy.spatial is imported by the first distance query, not by helmbie
+    code = ("import sys, helmbie; before = 'scipy.spatial' in sys.modules; "
+            "helmbie.geometry.kite().distance([3.0, 0.0]); "
+            "print(before, 'scipy.spatial' in sys.modules)")
+    src = str(pathlib.Path(helmbie.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_circle_distance_within_the_chord_bound():
