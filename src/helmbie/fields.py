@@ -17,9 +17,9 @@ Every entry is formed by the same operations in the same order as over the
 whole batch, and every output row is the same dot product, so neither the
 blocks nor the worker count change an output bit.
 
-The distance guard measures only the points that ``ParametricCurve.near``
-keeps, which include every point at most the guard distance from the
-curve, so it raises as the exact distance of every point would.
+The distance guard is one k-d tree query bounded by the guard distance:
+it measures every point at most that far from the curve exactly, so it
+raises as the exact distance of every point would.
 
 Far-field normalization: u(r x^) ~ e^{ikr}/sqrt(r) u_inf(x^) with
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, specfun
-from .geometry import ParametricCurve, _as_points, _phase_table, grid_geometry
+from .geometry import ParametricCurve, _as_points, _curve, _phase_table, grid_geometry
 
 __all__ = [
     "FarFieldPattern",
@@ -262,7 +262,7 @@ class FieldEvaluator:
         unknown = {kind for kind, _, _ in terms} - {"sl", "dl"}
         if unknown:
             raise ValueError(f"unknown potential kinds {sorted(unknown)}")
-        self.curve = curve
+        self.curve = _curve(curve)
         self.terms = [(kind, *_term(k, density, f"term {i} ({kind}): "))
                       for i, (kind, k, density) in enumerate(terms)]
         sizes = {density.size for _, _, density in self.terms}
@@ -277,9 +277,8 @@ class FieldEvaluator:
 
     def __call__(self, points):
         pts = _as_points(points)
-        # near raises for non-finite points; only the points it keeps are
-        # measured exactly, and the nearest point, if it fails, is among them
-        dist = self.curve.distance(pts[self.curve.near(pts, self.min_distance)])
+        # raises for non-finite points; points past the guard read inf
+        dist = self.curve.distance(pts, self.min_distance)
         if np.any(dist <= self.min_distance):
             worst = float(dist.min())
             raise ValueError(

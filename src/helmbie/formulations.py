@@ -25,21 +25,21 @@ consistent.
 Reuse.  A formulation's matrix depends on the curve, k+, k-, nu, N and kappa
 (l3) or rho (l4), never on the incident field, and the five formulations are
 block combinations of the same Nystrom operators for k+ and k-.  So
-``assemble`` keeps one record: the last system it built, its key (the
-formulation, the curve's name and coefficients, k+, k-, nu, N and the
-resolved kappa/rho) and the k+ and k- ``OperatorFamily`` objects it was built
-from (one when k+ = k-; l3's regularizer needs none, see below).  A hit on
-the key builds only the data and the right-hand side and shares the
-read-only matrix, ``aux`` and the LU factors, so a sweep over incidences
-assembles and factors once.  A miss empties the record before it builds, so
-two systems are never held together and a failed build leaves nothing; it
-reuses the families only for the same ``TransmissionProblem`` object at the
-same N (an equal problem built anew builds its own).  A hit for another
-problem object drops the families, and ``empty_slot()`` drops everything;
-README gives the memory the record holds until then.  Both families run
-their kernel passes before a builder allocates.  ``assemble`` reads the
-record once and replaces it whole, so threads need no lock: a race costs a
-second build, never a wrong matrix.
+``assemble`` keeps one record: the incident-free system it last built, its
+key (the formulation, the curve, k+, k-, nu, N and the resolved kappa/rho)
+and the k+ and k- ``OperatorFamily`` objects it was built from (one when
+k+ = k-; l3's regularizer needs none, see below).  A hit and a miss return
+the kept system plus the caller's data and right-hand side through one path,
+sharing the read-only matrix, ``aux`` and the LU factors, so a sweep over
+incidences assembles and factors once.  A miss empties the record before it
+builds, so two systems are never held together and a failed build leaves
+nothing; it reuses the families only for the same ``TransmissionProblem``
+object at the same N (an equal problem built anew builds its own).  A hit
+for another problem object drops the families, and ``empty_slot()`` drops
+everything; README gives the memory the record holds until then.  Both
+families run their kernel passes before a builder allocates.  ``assemble``
+reads the record once and replaces it whole, so threads need no lock: a
+race costs a second build, never a wrong matrix.
 
 The l3 regularizer.  A regularizer only has to match the principal parts of
 V and H at the complex wavenumber kappa (Boubendir, Dominguez, Levadoux and
@@ -83,7 +83,7 @@ from .fields import _positive_real
 # Lambda and D Lambda D come from the k+ family; their two imports stay
 # because perfbench/spans.py wraps lambda_matrix and dld_matrix here too
 from .fourier import dld_matrix, fft_modes, lambda_matrix
-from .geometry import FINE_SAMPLES, ParametricCurve, _grid_size, grid_geometry
+from .geometry import FINE_SAMPLES, ParametricCurve, _curve, _grid_size, grid_geometry
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
@@ -126,6 +126,7 @@ class PlaneWave:
                 or not 0 < np.linalg.norm(direction) < np.inf):
             raise ValueError(f"plane-wave direction must be two finite coordinates, "
                              f"not both zero, got {self.direction}")
+        object.__setattr__(self, "direction", tuple(direction.tolist()))
 
     def value(self, k, points):
         d = np.asarray(self.direction, dtype=float)
@@ -151,6 +152,7 @@ class PointSource:
                 or not np.all(np.isfinite(location))):
             raise ValueError(f"point-source location must be two finite "
                              f"coordinates, got {self.location}")
+        object.__setattr__(self, "location", tuple(location.tolist()))
 
     def _displacement(self, points):
         y0 = np.asarray(self.location, dtype=float)
@@ -186,8 +188,7 @@ class TransmissionProblem:
     incident: object
 
     def __post_init__(self):
-        if not isinstance(self.curve, ParametricCurve):
-            raise ValueError(f"curve must be a ParametricCurve, got {self.curve!r}")
+        _curve(self.curve)
         for name in ("k_plus", "k_minus", "nu"):
             object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         # checked by duck type, so that user-defined incident fields work
@@ -227,7 +228,8 @@ class FormulationSystem:
     """Assembled dense system for one formulation at one resolution.
 
     Only ``problem``, ``data`` and ``rhs`` depend on the incident field; the
-    rest is shared by every system ``assemble`` returns from its slot.
+    rest is shared by every system ``assemble`` returns: each is the slot's
+    incident-free system (``data`` and ``rhs`` None) plus the caller's data.
     """
 
     formulation: str
@@ -241,7 +243,7 @@ class FormulationSystem:
     # l4: K'- and V-, which ``solve`` applies to the density to form the terms
     aux: dict = field(default_factory=dict)
     # wall time of the ``assemble`` call that returned this system (on a slot
-    # hit, of its data and right-hand side)
+    # hit, of its data and right-hand side; 0 in the slot)
     seconds: float = 0.0
     # [(matrix, LUFactors)] once factored; the list is shared with the slot
     _lu: list = field(default_factory=list, repr=False)
@@ -324,28 +326,6 @@ def _blocks(matrix):
     n = matrix.shape[0] // 2
     top, bottom = matrix[:n], matrix[n:]
     return (top[:, :n], top[:, n:]), (bottom[:, :n], bottom[:, n:])
-
-
-def _system(formulation, matrix, problem, N, kappa, rho, aux) -> FormulationSystem:
-    """Check a built matrix block by block, freeze it and add the data and
-    right-hand side."""
-    n2 = 2 * N
-    blocks = matrix.shape[0] // n2
-    for i in range(blocks):
-        for j in range(blocks):
-            block = matrix[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2]
-            if not np.all(np.isfinite(block)):
-                raise ValueError(
-                    f"{formulation}: non-finite entries in block a{i + 1}{j + 1}"
-                )
-    # shared by every system the slot hands out
-    for array in (matrix, *aux.values()):
-        array.flags.writeable = False
-    data = build_data(problem, N)
-    system = FormulationSystem(formulation, matrix, None, N, problem, data,
-                               kappa=kappa, rho=rho, aux=aux)
-    system.rhs = system.rhs_for(data)
-    return system
 
 
 # The builders return the matrix of one formulation from the families fp (k+)
@@ -548,42 +528,47 @@ def assemble(
     global _slot
     t0 = time.perf_counter()
     if formulation not in FORMULATIONS:
-        raise ValueError(
-            f"unknown formulation {formulation!r}; choices {sorted(FORMULATIONS)}"
-        )
+        raise ValueError(f"unknown formulation {formulation!r}; "
+                         f"choices {sorted(FORMULATIONS)}")
     N = _grid_size(N, MIN_N)
     kappa = _kappa(problem, kappa) if formulation == "l3" else None
     rho = _rho(problem, rho) if formulation == "l4" else None
-    curve = problem.curve
-    key = (formulation, curve.name, curve.cos_coef.tobytes(), curve.sin_coef.tobytes(),
-           problem.k_plus, problem.k_minus, problem.nu, N, kappa, rho)
-    kept = _slot
-    if kept is not None and kept[0] == key:
-        shared = kept[1]
-        if kept[2] is not None and shared.problem is not problem:
-            _slot = (key, shared, None)  # no build can share the families any more
-        data = build_data(problem, N)
-        system = replace(shared, problem=problem, data=data, rhs=shared.rhs_for(data))
-        system.seconds = time.perf_counter() - t0
-        return system
-    families = (kept[2] if kept is not None and kept[1].problem is problem
-                and kept[1].N == N else None)
-    # let the old system go before the new one is built; a failed build
-    # leaves nothing to reuse
-    kept = _slot = None
-    fp, fm = families or _op_families(problem, N)
-    aux = {}
-    if formulation == "l1":
-        matrix = assemble_l1(problem, N, fp, fm)
-    elif formulation == "l3":
-        matrix = assemble_l3(problem, N, fp, fm, kappa)
-    elif formulation == "l4":
-        matrix, aux = assemble_l4(problem, N, fp, fm, rho)
+    key = (formulation, problem.curve, problem.k_plus, problem.k_minus, problem.nu,
+           N, kappa, rho)
+    found = _slot
+    if found is not None and found[0] == key:
+        _, kept, families = found
+        if kept.problem is not problem:
+            families = None  # no build can share the families any more
     else:
-        matrix = assemble_l2(problem, N, fp, fm, formulation)
-    system = _system(formulation, matrix, problem, N, kappa, rho, aux)
+        families = (found[2] if found is not None and found[1].problem is problem
+                    and found[1].N == N else None)
+        # let the old system go before the new one is built; a failed build
+        # leaves nothing to reuse
+        found = _slot = None
+        fp, fm = families = families or _op_families(problem, N)
+        aux = {}
+        if formulation == "l1":
+            matrix = assemble_l1(problem, N, fp, fm)
+        elif formulation == "l3":
+            matrix = assemble_l3(problem, N, fp, fm, kappa)
+        elif formulation == "l4":
+            matrix, aux = assemble_l4(problem, N, fp, fm, rho)
+        else:
+            matrix = assemble_l2(problem, N, fp, fm, formulation)
+        n2 = 2 * N
+        for i, j in np.ndindex(matrix.shape[0] // n2, matrix.shape[1] // n2):
+            if not np.all(np.isfinite(matrix[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2])):
+                raise ValueError(f"{formulation}: non-finite entries in block a{i + 1}{j + 1}")
+        # shared by every system the slot hands out
+        for array in (matrix, *aux.values()):
+            array.flags.writeable = False
+        kept = FormulationSystem(formulation, matrix, None, N, problem, None,
+                                 kappa=kappa, rho=rho, aux=aux)
+    data = build_data(problem, N)
+    system = replace(kept, problem=problem, data=data, rhs=kept.rhs_for(data))
     system.seconds = time.perf_counter() - t0
-    _slot = (key, system, (fp, fm))
+    _slot = (key, kept, families)
     return system
 
 

@@ -48,18 +48,19 @@ def _as_points(points) -> np.ndarray:
     return np.atleast_2d(pts.astype(float, copy=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParametricCurve:
     """Closed curve x(t) = c0 + sum_m [ C[:,m] cos(m t) + S[:,m] sin(m t) ].
 
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
     ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, and the
     speed |x'| on the fine sample must stay above 1e-12 times its maximum.
-    Immutable and safe to share.  Keeps two read-only tables, each for its
-    most recent key: the ``grid_geometry`` of one N, and the far-field phase
-    table of one (N, k, directions), the cos and sin of k x^.x(t_j) that
-    the far fields of ``helmbie.fields`` read.  From its first distance
-    query on, it also keeps a k-d tree of its FINE_SAMPLES nodes.
+    Immutable and safe to share; compared and hashed by name and coefficient
+    bytes.  Keeps two read-only tables, each for its most recent key: the
+    ``grid_geometry`` of one N, and the far-field phase table of one (N, k,
+    directions), the cos and sin of k x^.x(t_j) that the far fields of
+    ``helmbie.fields`` read.  From its first distance query on, it also
+    keeps a k-d tree of its FINE_SAMPLES nodes.
     """
 
     name: str
@@ -81,6 +82,17 @@ class ParametricCurve:
         speed = self._fine_sample[1]
         if not np.min(speed) > 1e-12 * np.max(speed):
             raise ValueError(f"curve {self.name!r} is degenerate: |x'(t)| vanishes")
+
+    def _identity(self):
+        return self.name, self.cos_coef.tobytes(), self.sin_coef.tobytes()
+
+    def __eq__(self, other):
+        if isinstance(other, ParametricCurve):
+            return self._identity() == other._identity()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._identity())
 
     @property
     def degree(self) -> int:
@@ -148,24 +160,26 @@ class ParametricCurve:
         import scipy.spatial
         return scipy.spatial.cKDTree(self._fine_sample[0].T)
 
-    def _query(self, points, **bound):
+    def distance(self, points, within=np.inf):
+        """Distance from each point, shape (n, 2) or (2,), to the nearest of
+        the FINE_SAMPLES nodes, or inf past ``within``.  The tree roots the
+        smallest dx*dx + dy*dy once per point; sqrt is monotone and correctly
+        rounded, so this is bit for bit the minimum of the rooted distances.
+        It bounds squared distances, so ``within`` is widened by 1e-12
+        relative: no point at most ``within`` away reads inf."""
+        if not within >= 0.0:
+            raise ValueError(f"within must be a distance >= 0, got {within!r}")
         pts = _as_points(points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("evaluation points must be finite")
-        return self._tree.query(pts, **bound)[0]
+        return self._tree.query(pts, distance_upper_bound=within * (1.0 + 1e-12))[0]
 
-    def distance(self, points):
-        """Distance from each point, shape (n, 2) or (2,), to the nearest of
-        the FINE_SAMPLES nodes.  The tree roots the smallest dx*dx + dy*dy
-        once per point; sqrt is monotone and correctly rounded, so this is
-        bit for bit the minimum of the rooted distances."""
-        return self._query(points)
 
-    def near(self, points, radius):
-        """Mask that keeps every point whose ``distance`` is at most radius,
-        and perhaps a few just past it: the tree compares squared distances,
-        so the radius is widened by 1e-12 relative to keep the rounded ones."""
-        return np.isfinite(self._query(points, distance_upper_bound=radius * (1.0 + 1e-12)))
+def _curve(curve) -> ParametricCurve:
+    """curve itself; raises unless it is a ParametricCurve."""
+    if not isinstance(curve, ParametricCurve):
+        raise ValueError(f"curve must be a ParametricCurve, got {curve!r}")
+    return curve
 
 
 def _grid_size(N, least: int = 1) -> int:
@@ -197,7 +211,7 @@ def _kept(memo, key, build):
 def grid_geometry(curve: ParametricCurve, N: int):
     """Nodes t, x(t) and the unnormalized outward normal m(t) = (x2', -x1')
     on the 2N grid; |m| = |x'|.  Read-only, and sampled once while N repeats."""
-    N = _grid_size(N)
+    curve, N = _curve(curve), _grid_size(N)
 
     def sample():
         nodes = grid(N)

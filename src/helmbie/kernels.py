@@ -76,7 +76,7 @@ import numpy as np
 from . import specfun
 from .fields import _positive_real
 from .fourier import circulant, fft_modes
-from .geometry import ParametricCurve, grid
+from .geometry import ParametricCurve, _curve, grid
 
 __all__ = [
     "KernelContext",
@@ -103,6 +103,7 @@ class KernelContext:
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _curve(self.curve)
         object.__setattr__(self, "k", _positive_real(self.k))
 
     def factors(self, N: int) -> "KernelFactors":

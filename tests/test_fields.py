@@ -378,7 +378,7 @@ def test_an_error_in_a_worker_leaves_the_call(potential, monkeypatch):
 def test_malformed_points_are_rejected(green_evaluator, bad):
     _, ev = green_evaluator
     bad = bad + 3.0                            # clear of the guard
-    for call in (ev, KITE.distance, lambda p: KITE.near(p, 1.0),
+    for call in (ev, KITE.distance, lambda p: KITE.distance(p, 1.0),
                  lambda p: single_layer_potential(KITE, K, np.ones(2 * N), p)):
         with pytest.raises(ValueError, match=r"real values of shape \(n, 2\)"):
             call(bad)

@@ -170,6 +170,27 @@ def test_problem_rejects_a_curve_that_is_not_parametric(curve):
         TransmissionProblem(curve, 8.0, 32.0, 1.0, PlaneWave())
 
 
+def test_waves_sources_and_problems_compare_and_hash_by_value():
+    # a list was kept as given, so a problem built with it could not be hashed
+    waves = [PlaneWave(d) for d in ([1, 0], (1.0, 0.0), np.array([1.0, 0.0]))]
+    sources = [PointSource(y) for y in ([3, 0], (3.0, 0.0), np.array([3.0, 0.0]))]
+    for same in (waves, sources):
+        assert all(x == same[0] and hash(x) == hash(same[0]) for x in same)
+        assert len(set(same)) == 1
+    assert [type(x) for x in waves[0].direction + sources[0].location] == [float] * 4
+    assert PlaneWave((0.0, 1.0)) != waves[0] and PointSource((0.0, 3.0)) != sources[0]
+    problems = {TransmissionProblem(curve, 8.0, 32.0, 1.0, incident)
+                for curve in (KITE, kite(), ellipse(2.0, 1.0))
+                for incident in waves + sources}
+    assert len(problems) == 4
+
+
+def test_an_equal_curve_built_anew_hits_the_kept_system():
+    first, again = (assemble("l1", TransmissionProblem(kite(), 3.0, 5.0, 1.0, PlaneWave(d)), 16)
+                    for d in ((1.0, 0.0), (0.0, 1.0)))
+    assert again.matrix is first.matrix
+
+
 def test_user_defined_incident_field_is_sampled():
     data = build_data(TransmissionProblem(KITE, 8.0, 32.0, 1.0, _Evanescent()), 16)
     xb = KITE.point(grid(16))
@@ -569,6 +590,8 @@ _BASE = ("l1", dict(curve=ellipse(2.0, 1.0), k_plus=3.0, k_minus=5.0, nu=1.0), 8
 _CHANGED = {
     "formulation": ("l2", {}, None, {}),
     "curve coefficients": (None, {"curve": ellipse(2.0, 1.5)}, None, {}),
+    "curve name": (None, {"curve": ParametricCurve("oval", [[0.0, 2.0], [0.0, 0.0]],
+                                                   [[0.0], [1.0]])}, None, {}),
     "k_plus": (None, {"k_plus": 3.5}, None, {}),
     "k_minus": (None, {"k_minus": 5.5}, None, {}),
     "nu": (None, {"nu": 2.0}, None, {}),
@@ -1001,11 +1024,16 @@ def test_assemble_stage_times_the_call_that_returned_the_system():
     first, again = _sweep_problems(2)
     t0 = time.perf_counter()
     cold = assemble("l3", first, 24)
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
     hit = assemble("l3", again, 24)
-    assert 0.0 < cold.seconds <= wall
-    # a hit builds only the data and the right-hand side
-    assert 0.0 < hit.seconds < cold.seconds
+    t2 = time.perf_counter()
+    assert hit.matrix is cold.matrix
+    # each call's own wall bounds its time, and a hit does not carry the
+    # cold call's (that a hit builds only the data and the right-hand side
+    # is test_incidence_sweep_assembles_and_factors_once's check)
+    assert 0.0 < cold.seconds <= t1 - t0
+    assert 0.0 < hit.seconds <= t2 - t1
+    assert hit.seconds != cold.seconds
     assert solve(hit).diagnostics.stages["assemble"] == hit.seconds
 
 

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 import helmbie
+from helmbie.fields import FieldEvaluator
+from helmbie.formulations import PlaneWave, TransmissionProblem
 from helmbie.geometry import (
     FINE_SAMPLES,
+    ParametricCurve,
     cavity,
     circle,
     ellipse,
@@ -18,6 +22,8 @@ from helmbie.geometry import (
     kite,
     make_curve,
 )
+from helmbie.kernels import KernelContext
+from helmbie.operators import OperatorFamily
 
 from oracles import norm_distance
 
@@ -200,8 +206,9 @@ def test_distance_is_the_norm_oracle_at_every_scale(curve):
 @pytest.mark.parametrize("curve", SIZED_CURVES, ids=lambda c: f"{c.name}-{c.max_speed():.0e}")
 def test_near_keeps_every_point_within_the_radius(curve):
     """Points along the normal at a fine node, from radius (1 - 1e-15) to
-    radius: the squared comparison inside the radius query must not drop
-    one whose distance rounds to at most the radius."""
+    radius: the squared comparison inside the bounded query must not drop
+    one whose distance rounds to at most the bound, and must measure each
+    point it keeps bit for bit as the unbounded query does."""
     rng = np.random.default_rng(43)
     nodes = 2.0 * np.pi * rng.integers(0, FINE_SAMPLES, 200) / FINE_SAMPLES
     for n in (16, 64, 256):
@@ -209,12 +216,14 @@ def test_near_keeps_every_point_within_the_radius(curve):
         along = radius * (1.0 - 1e-15 * rng.uniform(0.0, 1.0, (200, 1)))
         pts = curve.point(nodes) + along * curve.normal(nodes)
         dist = curve.distance(pts)
-        kept = curve.near(pts, radius)
+        bounded = curve.distance(pts, radius)
+        kept = np.isfinite(bounded)
         assert np.all(kept[dist <= radius])
         assert np.all(dist[kept] <= radius * (1.0 + 2e-12))
+        assert bounded[kept].tobytes() == dist[kept].tobytes()
     # and at each point's own rounded distance, where the bare query drops most
     for p, d in zip(pts[:50], dist[:50]):
-        assert curve.near(p, d).tolist() == [True]
+        assert curve.distance(p, d).tobytes() == np.array([d]).tobytes()
 
 
 def test_distance_under_threads_on_a_fresh_curve():
@@ -226,7 +235,7 @@ def test_distance_under_threads_on_a_fresh_curve():
     def check(i):
         curve = curves[i % len(curves)]
         return curve.distance(pts).tobytes() == expected and bool(
-            np.all(curve.near(pts, 0.1)[curve.distance(pts) <= 0.1]))
+            np.all(np.isfinite(curve.distance(pts, 0.1))[curve.distance(pts) <= 0.1]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -238,11 +247,23 @@ def test_distance_under_threads_on_a_fresh_curve():
     assert all(results)
 
 
+@pytest.mark.parametrize("within", [-1.0, np.nan, -np.inf])
+def test_distance_rejects_a_bound_that_is_not_a_distance(within):
+    with pytest.raises(ValueError, match="within must be a distance >= 0"):
+        KITE.distance([3.0, 0.0], within)
+
+
+def test_unbounded_distance_is_the_default():
+    pts = _guard_test_points(KITE, np.random.default_rng(53), 20)
+    assert KITE.distance(pts, np.inf).tobytes() == KITE.distance(pts).tobytes()
+    assert np.all(KITE.distance(pts, 0.0)[KITE.distance(pts) > 0.0] == np.inf)
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
 def test_distance_rejects_nonfinite_points(bad):
     # helmbie's own message; the tree alone would raise scipy's
     pts = np.array([[3.0, 0.0], bad])
-    for call in (KITE.distance, lambda p: KITE.near(p, 1.0)):
+    for call in (KITE.distance, lambda p: KITE.distance(p, 1.0)):
         with pytest.raises(ValueError, match="evaluation points must be finite"):
             call(pts)
 
@@ -304,3 +325,36 @@ def test_make_curve_registry():
     assert make_curve("circle", 2.0).point(0.0)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         make_curve("square")
+
+
+def test_curves_compare_and_hash_by_name_and_coefficients():
+    again = ParametricCurve("kite", KITE.cos_coef.tolist(), KITE.sin_coef.tolist())
+    assert again == KITE and again is not KITE and hash(again) == hash(KITE)
+    bumped = KITE.cos_coef.copy()
+    bumped[0, 1] = np.nextafter(bumped[0, 1], 2.0)
+    padded = [np.hstack([c, np.zeros((2, 1))]) for c in (KITE.cos_coef, KITE.sin_coef)]
+    others = [ParametricCurve("other", KITE.cos_coef, KITE.sin_coef),   # name
+              ParametricCurve("kite", bumped, KITE.sin_coef),           # one coefficient
+              ParametricCurve("kite", *padded)]                         # degree
+    for other in others:
+        assert other != KITE and KITE != other
+    assert KITE != "kite" and KITE.__eq__(KITE.cos_coef) is NotImplemented
+    assert len({kite(), kite(), again, *others}) == 1 + len(others)
+
+
+_CURVE_TAKERS = {
+    "TransmissionProblem": lambda c: TransmissionProblem(c, 8.0, 32.0, 1.0, PlaneWave()),
+    "KernelContext": lambda c: KernelContext(c, 2.0),
+    "OperatorFamily": lambda c: OperatorFamily(c, 2.0, 8),
+    "FieldEvaluator": lambda c: FieldEvaluator(c, [("sl", 2.0, np.ones(16))]),
+    "grid_geometry": lambda c: grid_geometry(c, 8),
+}
+
+
+@pytest.mark.parametrize("bad", ["kite", None, np.zeros((2, 3))], ids=["str", "None", "array"])
+@pytest.mark.parametrize("taker", sorted(_CURVE_TAKERS))
+def test_what_takes_a_curve_rejects_anything_else(taker, bad):
+    # each used to construct, or raised an AttributeError on first use
+    with pytest.raises(ValueError,
+                       match=re.escape(f"curve must be a ParametricCurve, got {bad!r}")):
+        _CURVE_TAKERS[taker](bad)

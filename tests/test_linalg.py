@@ -310,13 +310,12 @@ def test_gmres_runs_only_through_solve():
 
 
 def test_only_assemble_reaches_the_reuse_state():
-    """Inside ``formulations`` only ``assemble`` calls ``_op_families`` and
-    ``_system``, and only ``assemble`` and ``empty_slot`` read or write the
-    record of the kept system and its families: ``_op_families`` builds new
-    families, and the builders work on what they are given and return a
-    matrix."""
+    """Inside ``formulations`` only ``assemble`` calls ``_op_families``, and
+    only ``assemble`` and ``empty_slot`` read or write the record of the kept
+    system and its families: ``_op_families`` builds new families, and the
+    builders work on what they are given and return a matrix."""
     path = pathlib.Path(helmbie.__file__).parent / "formulations.py"
-    callers, users = {"_op_families": set(), "_system": set()}, set()
+    callers, users = {"_op_families": set()}, set()
     for fn in ast.walk(ast.parse(path.read_text())):
         if not isinstance(fn, ast.FunctionDef):
             continue
@@ -326,5 +325,5 @@ def test_only_assemble_reaches_the_reuse_state():
             names = node.names if isinstance(node, ast.Global) else [getattr(node, "id", None)]
             if "_slot" in names:
                 users.add(fn.name)
-    assert callers == {"_op_families": {"assemble"}, "_system": {"assemble"}}
+    assert callers == {"_op_families": {"assemble"}}
     assert users == {"assemble", "empty_slot"}
