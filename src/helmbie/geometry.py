@@ -55,12 +55,12 @@ class ParametricCurve:
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
     ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, and the
     speed |x'| on the fine sample must stay above 1e-12 times its maximum.
-    Immutable and safe to share; compared and hashed by name and coefficient
-    bytes.  Keeps two read-only tables, each for its most recent key: the
-    ``grid_geometry`` of one N, and the far-field phase table of one (N, k,
-    directions), the cos and sin of k x^.x(t_j) that the far fields of
-    ``helmbie.fields`` read.  From its first distance query on, it also
-    keeps a k-d tree of its FINE_SAMPLES nodes.
+    Immutable, with read-only copies of its coefficients, and safe to share;
+    compared and hashed by name and coefficient bytes.  Keeps two read-only
+    tables, each for its most recent key: the ``grid_geometry`` of one N, and
+    the far-field phase table of one (N, k, directions), the cos and sin of
+    k x^.x(t_j) that the far fields of ``helmbie.fields`` read.  From its
+    first distance query on, it also keeps a k-d tree of FINE_SAMPLES nodes.
     """
 
     name: str
@@ -70,14 +70,16 @@ class ParametricCurve:
     _far: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.cos_coef, dtype=float))
-        s = np.atleast_2d(np.asarray(self.sin_coef, dtype=float))
+        # copies, frozen below, so that the caller's arrays stay writable
+        c = np.atleast_2d(np.array(self.cos_coef, dtype=float))
+        s = np.atleast_2d(np.array(self.sin_coef, dtype=float))
         if c.shape[0] != 2 or s.shape[0] != 2 or c.shape[1] != s.shape[1] + 1:
             raise ValueError("coefficient arrays must have shapes (2, M+1) and (2, M)")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
             raise ValueError(f"curve {self.name!r} has non-finite coefficients")
-        object.__setattr__(self, "cos_coef", c)
-        object.__setattr__(self, "sin_coef", s)
+        for attr, coef in (("cos_coef", c), ("sin_coef", s)):
+            coef.flags.writeable = False
+            object.__setattr__(self, attr, coef)
         # relative bound: ellipse(2, 0) reads |x'| ~ 1e-16 where it folds flat
         speed = self._fine_sample[1]
         if not np.min(speed) > 1e-12 * np.max(speed):

@@ -1,4 +1,4 @@
-"""Dense complex direct solver, a restart-free GMRES, and the dense product.
+"""Dense complex direct solver, GMRES through scipy, and the dense product.
 
 One BLAS.  numpy and scipy wheels each bundle their own OpenBLAS (numpy's
 scipy-openblas64, scipy's scipy-openblas32), and each copy keeps its own
@@ -6,11 +6,12 @@ thread pool.  After a call a pool's worker keeps spinning on a core, so a
 scipy LU that follows a numpy product waits for cores the other pool holds:
 on two cores and two BLAS threads, the LU of a 1024 x 1024 complex matrix
 took about 50 ms alone, 100-120 ms right after a numpy (512 x 512)(512 x 1024)
-product and about 50 ms after the same product through scipy.  Every product of a matrix with a matrix or a vector on the
-``assemble -> solve -> far field`` path therefore goes through ``matmul``
-below, which calls scipy's BLAS, the one that also factors and solves.  Only
-products with a 2-vector, which OpenBLAS runs on the calling thread, stay in
-numpy.
+product and about 50 ms after the same product through scipy.  Every product
+of a matrix with a matrix or a vector on the ``assemble -> solve -> far
+field`` path therefore goes through ``matmul`` below, which calls scipy's
+BLAS, the one that also factors and solves; ``gmres`` hands scipy's GMRES a
+``LinearOperator`` over it.  Only products with a 2-vector, which OpenBLAS
+runs on the calling thread, stay in numpy.
 
 Products on worker threads stay on their thread.  OpenBLAS threads a
 ``zgemv`` of 1024 * GEMM_MULTITHREAD_THRESHOLD (4096) entries or more, and
@@ -172,86 +173,43 @@ def lu_solve(factors: LUFactors, rhs):
     return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
 
 
-def _check_gmres(tol, maxit=None):
-    """Raise unless tol is finite and positive and maxit (if given) >= 1."""
+def _check_gmres(tol):
+    """Raise unless tol is finite and positive."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"GMRES tol must be finite and positive, got {tol}")
-    if maxit is not None and not maxit >= 1:
-        raise ValueError(f"GMRES maxit must be >= 1, got {maxit}")
 
 
-def gmres(matrix, b, tol: float = 1e-10, maxit: int | None = None):
-    """Restart-free GMRES with modified Gram-Schmidt Arnoldi, zero initial guess.
+def gmres(matrix, b, tol: float = 1e-10):
+    """scipy's GMRES from a zero initial guess, restarted only when rounding
+    calls for it, with its products through ``matmul``.
 
-    Returns ``(x, history)``: the first iterate whose relative residual meets
-    ``tol``, and the relative residual after each iteration (``history[0]``
-    is 1, so ``len(history) - 1`` is the iteration count).  Raises GmresError
-    with the history otherwise.
+    Returns ``(x, history)``: an iterate whose true relative 2-norm residual
+    meets ``tol``, and the Arnoldi estimate of the relative residual after
+    each iteration (``history[0]`` is 1, so ``len(history) - 1`` is the
+    iteration count).  scipy checks the true residual before it reports
+    success; when rounding leaves it above ``tol``, a second cycle starts
+    from the first one's iterate, so the history may rise once where it
+    begins.  Raises GmresError with the history if that cycle fails too.
     """
-    _check_gmres(tol, maxit)
+    # imported here, so that a process that solves only by LU never loads it
+    import scipy.sparse.linalg as sla
+
+    _check_gmres(tol)
     mat = _square(matrix)
     b = np.asarray(b, dtype=complex)
     n = mat.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side must be a vector of length {n}, "
                          f"got shape {b.shape}")
-    if maxit is None:
-        maxit = n
-    maxit = min(maxit, n)
-
-    beta = np.linalg.norm(b)
-    if beta == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return np.zeros(n, dtype=complex), np.array([0.0])
 
-    basis = [b / beta]
-    hess = np.zeros((maxit + 1, maxit), dtype=complex)
-    cs = np.zeros(maxit, dtype=complex)
-    sn = np.zeros(maxit, dtype=complex)
-    g = np.zeros(maxit + 1, dtype=complex)
-    g[0] = beta
     history = [1.0]
-
-    for j in range(maxit):
-        w = matmul(mat, basis[j])
-        for i in range(j + 1):
-            hess[i, j] = np.vdot(basis[i], w)
-            w = w - hess[i, j] * basis[i]
-        hess[j + 1, j] = np.linalg.norm(w)
-
-        for i in range(j):
-            hi, hj = hess[i, j], hess[i + 1, j]
-            hess[i, j] = np.conj(cs[i]) * hi + np.conj(sn[i]) * hj
-            hess[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = np.hypot(abs(hess[j, j]), abs(hess[j + 1, j]))
-        if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j] = hess[j, j] / denom
-            sn[j] = hess[j + 1, j] / denom
-        hess[j, j] = np.conj(cs[j]) * hess[j, j] + np.conj(sn[j]) * hess[j + 1, j]
-        hess[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = np.conj(cs[j]) * g[j]
-
-        rel = abs(g[j + 1]) / beta
-        history.append(min(rel, history[-1]))  # |sn| <= 1 keeps this monotone
-
-        if rel <= tol:
-            y = scipy.linalg.solve_triangular(
-                hess[: j + 1, : j + 1], g[: j + 1], check_finite=False
-            )
-            x = np.zeros(n, dtype=complex)
-            for i in range(j + 1):
-                x += y[i] * basis[i]
-            return x, np.asarray(history)
-
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            break  # invariant subspace without convergence
-        basis.append(w / norm_w)
-
-    raise GmresError(
-        f"GMRES did not reach tol={tol:g} in {maxit} iterations "
-        f"(last relative residual {history[-1]:.3e})",
-        history,
-    )
+    op = sla.LinearOperator((n, n), lambda v: matmul(mat, v), dtype=complex)
+    x, info = sla.gmres(op, b, rtol=tol, atol=0.0, restart=n, maxiter=2,
+                        callback=history.append, callback_type="pr_norm")
+    if info != 0:
+        raise GmresError(f"GMRES did not reach tol={tol:g} in {len(history) - 1} "
+                         f"iterations (last estimated relative residual "
+                         f"{history[-1]:.3e})", history)
+    return x, np.asarray(history)

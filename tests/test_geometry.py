@@ -342,6 +342,21 @@ def test_curves_compare_and_hash_by_name_and_coefficients():
     assert len({kite(), kite(), again, *others}) == 1 + len(others)
 
 
+def test_a_curve_keeps_read_only_copies_of_its_coefficients():
+    # a change in place used to move the curve under its hash and its
+    # kept grid, so a set lost it and grid_geometry returned stale nodes
+    cos_coef, sin_coef = KITE.cos_coef.copy(), KITE.sin_coef.copy()
+    curve = ParametricCurve("kite", cos_coef, sin_coef)
+    nodes = grid_geometry(curve, 16)[1].copy()
+    for coef in (curve.cos_coef, curve.sin_coef):
+        with pytest.raises(ValueError, match="read-only"):
+            coef[0, 0] += 1.0
+    cos_coef[0, 0] += 1.0                     # the caller's array stays theirs
+    assert curve in {KITE} and curve == KITE
+    assert np.array_equal(grid_geometry(curve, 16)[1], nodes)
+    assert np.array_equal(curve.point(0.0), KITE.point(0.0))
+
+
 _CURVE_TAKERS = {
     "TransmissionProblem": lambda c: TransmissionProblem(c, 8.0, 32.0, 1.0, PlaneWave()),
     "KernelContext": lambda c: KernelContext(c, 2.0),

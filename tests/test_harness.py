@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -122,6 +123,15 @@ def test_every_key_round_trips_with_its_default(tmp_path):
     assert StudyConfig.from_file(path) == StudyConfig.from_mapping({})
     with pytest.raises(ConfigError, match="source_side"):
         StudyConfig.from_mapping({"source_side": "interior"})
+
+
+def test_gmres_tol_has_one_default():
+    # solve used to default to 1e-12 while gmres and the config key read 1e-10
+    key = next(k for k in dataclasses.fields(StudyConfig) if k.name == "gmres_tol")
+    defaults = {float(key.metadata["default"]),
+                inspect.signature(formulations.solve).parameters["tol"].default,
+                inspect.signature(helmbie.linalg.gmres).parameters["tol"].default}
+    assert defaults == {1e-10}
 
 
 def test_config_file_parsing(tmp_path):
