@@ -31,7 +31,7 @@ literature; the quadrature-oracle test pins the normalization used here.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+import scipy.linalg
 
 __all__ = [
     "TrigPolynomial",
@@ -39,7 +39,6 @@ __all__ = [
     "psi_hat",
     "weight_table",
     "conv_matrix",
-    "circulant",
     "lambda_symbol",
     "lambda_matrix",
     "dld_matrix",
@@ -121,21 +120,12 @@ def weight_table(m: int, N: int) -> np.ndarray:
     return psi_hat(m, fft_modes(N))
 
 
-def circulant(column) -> np.ndarray:
-    """Dense circulant matrix M[i, j] = column[(i - j) % n]."""
-    column = np.asarray(column)
-    n = column.size
-    # M[i, j] = ext[n - 1 + i - j]: row i of M is window i of ext, read backwards
-    ext = np.concatenate([column[1:], column])
-    return np.ascontiguousarray(sliding_window_view(ext, n)[:n, ::-1])
-
-
 def _real_circulant(symbol) -> np.ndarray:
     """Dense matrix of the Fourier multiplier with a real, even FFT-layout
     symbol: M[i, j] = (1/2N) sum_n sigma(n) exp(i n (t_i - t_j)), so that
     M g = ifft(symbol * fft(g)).  M is real, and kept as float64: the
     imaginary part of the inverse FFT is rounding only."""
-    return circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)).real)
+    return scipy.linalg.circulant(np.fft.ifft(np.asarray(symbol, dtype=complex)).real)
 
 
 def conv_matrix(table: np.ndarray) -> np.ndarray:

@@ -53,8 +53,9 @@ class ParametricCurve:
     """Closed curve x(t) = c0 + sum_m [ C[:,m] cos(m t) + S[:,m] sin(m t) ].
 
     ``cos_coef`` has shape (2, M+1) with the constant term in column 0;
-    ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, and the
-    speed |x'| on the fine sample must stay above 1e-12 times its maximum.
+    ``sin_coef`` has shape (2, M) for m = 1..M.  Both must be finite, the
+    speed |x'| on the fine sample must stay above 1e-12 times its maximum,
+    and the polygon of the fine sample must turn once counterclockwise.
     Immutable, with read-only copies of its coefficients, and safe to share;
     compared and hashed by name and coefficient bytes.  Keeps two read-only
     tables, each for its most recent key: the ``grid_geometry`` of one N, and
@@ -84,6 +85,15 @@ class ParametricCurve:
         speed = self._fine_sample[1]
         if not np.min(speed) > 1e-12 * np.max(speed):
             raise ValueError(f"curve {self.name!r} is degenerate: |x'(t)| vanishes")
+        # the turning number: how often the edges of the polygon wind around 0
+        x = self._fine_sample[0]
+        turning = _winding(*np.diff(x, axis=1, append=x[:, :1]))
+        if turning == -1:
+            raise ValueError(f"curve {self.name!r} is clockwise; negate sin_coef "
+                             f"to run it counterclockwise")
+        if turning != 1:
+            raise ValueError(f"curve {self.name!r} crosses itself: its tangent "
+                             f"turns {turning} times, not once")
 
     def _identity(self):
         return self.name, self.cos_coef.tobytes(), self.sin_coef.tobytes()
@@ -150,10 +160,7 @@ class ParametricCurve:
         """How often the polygon of the FINE_SAMPLES nodes winds around a
         point off the curve: 1 inside a counterclockwise curve, 0 outside."""
         x1, x2 = self._fine_sample[0]
-        angle = np.arctan2(x2 - point[1], x1 - point[0])
-        # each step's turn, wrapped into [-pi, pi)
-        turn = (np.diff(angle, append=angle[:1]) + np.pi) % (2.0 * np.pi) - np.pi
-        return int(round(turn.sum() / (2.0 * np.pi)))
+        return _winding(x1 - point[0], x2 - point[1])
 
     @cached_property
     def _tree(self):
@@ -175,6 +182,15 @@ class ParametricCurve:
         if not np.all(np.isfinite(pts)):
             raise ValueError("evaluation points must be finite")
         return self._tree.query(pts, distance_upper_bound=within * (1.0 + 1e-12))[0]
+
+
+def _winding(dx, dy) -> int:
+    """How often the closed polygon through the points (dx, dy) winds
+    around the origin, which it must not pass through."""
+    angle = np.arctan2(dy, dx)
+    # each step's turn, wrapped into [-pi, pi)
+    turn = (np.diff(angle, append=angle[:1]) + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(turn.sum() / (2.0 * np.pi)))
 
 
 def _curve(curve) -> ParametricCurve:

@@ -50,16 +50,13 @@ the same node pairs, so one ``KernelFactors`` per (curve, k, N) samples x, x'
 and x'' once on the 2N nodes and evaluates each Bessel function once, as a
 compact vector over the strict upper triangle (r and sin^2 are symmetric).
 A, B, A~ are symmetric and C, D are (delta . m) times a symmetric function;
-full matrices, with the diagonal limits written by index, and E, F are
-formed from these vectors on request, C and D together from one delta . m.
-A ``KernelContext`` keeps the factor set of its last grid until
-``drop_factors``; ``ef`` keeps its expansions of A, B and A~, read-only, on
-that set, so ``matrix`` hands them out again without another scatter.  An
-operator family builds all its kernel operators in one pass over one set
-and drops it after (see ``helmbie.operators``).  The grid functions
-sin(s-t), cos(s-t) and sin^2((s-t)/2) of E, F and the plain K depend only on
-i - j: they are circulants built from 2N values, and k^2 x'(s).x'(t) is two
-outer products.
+full matrices, with the diagonal limits written by index, are formed from
+these vectors on request: C and D from one delta . m, E and F with the A, B
+and A~ they expand.  Nothing keeps a set: ``kernel_matrix`` and
+``ef_matrices`` use a set given at the requested N, and otherwise sample one
+for the call.  The grid functions sin(s-t), cos(s-t) and sin^2((s-t)/2) of
+E, F and the plain K depend only on i - j: they are circulants built from 2N
+values, and k^2 x'(s).x'(t) is two outer products.
 
 Direct formulas are numerically safe down to node separation pi/1024; the
 only guarded cancellation, 1 - J0(k r), switches to its power series for
@@ -68,14 +65,15 @@ only guarded cancellation, 1 - J0(k r), switches to its power series for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import circulant
 
 from . import specfun
 from .fields import _positive_real
-from .fourier import circulant, fft_modes
+from .fourier import fft_modes
 from .geometry import ParametricCurve, _curve, grid
 
 __all__ = [
@@ -93,30 +91,14 @@ _FACTORS = ("A", "At", "B", "C", "D")
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Curve plus a finite positive real wavenumber k.
-
-    Keeps the ``KernelFactors`` of the most recent grid it was sampled on.
-    """
+    """Curve plus a finite positive real wavenumber k."""
 
     curve: ParametricCurve
     k: float
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _curve(self.curve)
         object.__setattr__(self, "k", _positive_real(self.k))
-
-    def factors(self, N: int) -> "KernelFactors":
-        """The fused factor set on the 2N grid, reused while N repeats."""
-        found = self._last.get(N)
-        if found is None:
-            self._last.clear()
-            found = self._last[N] = KernelFactors(self, N)
-        return found
-
-    def drop_factors(self):
-        """Forget the kept factor set; the next request samples afresh."""
-        self._last.clear()
 
 
 def _one_minus_j0(z, j0):
@@ -157,25 +139,23 @@ class KernelFactors:
 
     Holds x and x' on the 2N nodes, the diagonal limits, and r and sin^2
     as compact vectors over the pairs i < j; J0, J1, H0 and H1 of k r are
-    evaluated once each, on first use.  The rest is recomputed per request,
-    except the A, B and A~ matrices ``ef`` expands, which it keeps.
+    evaluated once each, on first use.  Every matrix is formed per request.
+    ``source`` is a ``KernelContext`` or another ``KernelFactors``.
     """
 
-    def __init__(self, ctx: KernelContext, N: int):
-        # not ctx itself: ctx holds this object, and a cycle outlives refcounting
-        self.k = ctx.k
+    def __init__(self, source, N: int):
+        self.curve, self.k, self.N = source.curve, source.k, N
         self.nodes = grid(N)
         n = self.nodes.size
-        self.x = ctx.curve.point(self.nodes)
-        self.d1 = ctx.curve.d1(self.nodes)
-        self.diag = _diagonal_limits(ctx.k, self.d1, ctx.curve.d2(self.nodes))
+        self.x = self.curve.point(self.nodes)
+        self.d1 = self.curve.d1(self.nodes)
+        self.diag = _diagonal_limits(self.k, self.d1, self.curve.d2(self.nodes))
         self._mask = np.triu(np.ones((n, n), dtype=bool), 1)  # pairs i < j
         i, j = np.nonzero(self._mask)
         dx, dy = (coord[i] - coord[j] for coord in self.x.T)
         self.r = np.sqrt(dx * dx + dy * dy)  # the 2-norm, bit for bit
         half = np.sin(0.5 * (self.nodes[i] - self.nodes[j]))
         self.sin2 = half * half
-        self._expanded = {}  # read-only A, B, A~ matrices kept by ef
 
     def _dm(self):
         """delta . m(t) on the full grid; zero on the diagonal."""
@@ -224,8 +204,6 @@ class KernelFactors:
             raise ValueError(f"unknown kernel {which!r}; choices {list(_FACTORS)}")
         if which in ("C", "D"):
             return self.cd()[which == "D"]
-        if which in self._expanded:
-            return self._expanded[which]
         k, four_pi = self.k, 4.0 * np.pi
         if which == "A":
             upper = -self.j0 / four_pi
@@ -247,12 +225,9 @@ class KernelFactors:
         return self._finish("C", c_mat), self._finish("D", d_mat)
 
     def ef(self):
-        """Grid matrices (E, F) of the hypersingular remainder kernel; the A,
-        B and A~ matrices it expands stay on this set, read-only."""
-        for which in ("A", "B", "At"):
-            kept = self._expanded[which] = self.matrix(which)
-            kept.flags.writeable = False
-        a_mat, b_mat, at_mat = (self._expanded[w] for w in ("A", "B", "At"))
+        """Grid matrices (E, F) of the hypersingular remainder kernel, then the
+        (A, B, A~) they expand, which this pass leaves unchanged."""
+        a_mat, b_mat, at_mat = (self.matrix(which) for which in ("A", "B", "At"))
 
         # A~ and B are exactly symmetric, so each derivative in s is the
         # transpose of the one in t, which runs along the contiguous axis
@@ -283,7 +258,7 @@ class KernelFactors:
         f_mat += skew
         f_mat += at_mat * (0.5 + cos_d)
         f_mat += k2_xdx * b_mat
-        return e_mat, f_mat
+        return e_mat, f_mat, a_mat, b_mat, at_mat
 
 
 def _trig_columns(N: int):
@@ -303,10 +278,19 @@ def sin2_matrix(N: int) -> np.ndarray:
     return circulant(_trig_columns(N)[2])
 
 
-def kernel_matrix(ctx: KernelContext, which, N: int):
-    """Grid samples of one smooth kernel factor, diagonal filled analytically;
-    ``which`` = ("C", "D") gives both double-layer factors from one pass."""
-    factors = ctx.factors(N)
+def _factor_set(source, N: int) -> KernelFactors:
+    """``source`` when it is a KernelFactors sampled at N, else a new set
+    sampled from its curve and k (``source`` may be a KernelContext)."""
+    if isinstance(source, KernelFactors) and source.N == N:
+        return source
+    return KernelFactors(source, N)
+
+
+def kernel_matrix(source, which, N: int):
+    """Grid samples of one smooth kernel factor from ``_factor_set(source, N)``,
+    diagonal filled analytically; ``which`` = ("C", "D") gives both
+    double-layer factors from one pass."""
+    factors = _factor_set(source, N)
     return factors.cd() if which == ("C", "D") else factors.matrix(which)
 
 
@@ -322,8 +306,8 @@ def _spectral_derivative(values, axis):
     return np.fft.ifft(hat, axis=axis, out=hat)
 
 
-def ef_matrices(ctx: KernelContext, N: int):
-    """Grid matrices (E, F) of the hypersingular remainder kernel on the 2N
-    operator grid, from the context's fused factor set: the mixed partials
-    of A~ and B are taken spectrally on that grid."""
-    return ctx.factors(N).ef()
+def ef_matrices(source, N: int):
+    """(E, F, A, B, A~) on the 2N operator grid from ``_factor_set(source, N)``:
+    E and F of the hypersingular remainder kernel, their mixed partials of A~
+    and B taken spectrally on that grid, and the A, B and A~ they expand."""
+    return _factor_set(source, N).ef()

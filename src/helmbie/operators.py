@@ -14,10 +14,9 @@ is applied as that scalar; W1, W2, Lambda and D Lambda D have real even
 symbols and are real matrices.  The five kernel operators V, R~, K, K~ and
 T come from one pass: the first access to any of them samples one fused
 factor set (see ``helmbie.kernels``), forms W1 and W2 once, expands each of
-A, B, A~, C and D once, builds all five and drops the factor set, whether
-the pass succeeds or raises.  The tilde single layer is stored via its
-smooth remainder R~ = W2*At + W0*B so the formulations can use Lambda and
-R~ separately.
+A, B, A~, C and D once and builds all five; the set lives only as long as
+the pass.  The tilde single layer is stored via its smooth remainder
+R~ = W2*At + W0*B so the formulations can use Lambda and R~ separately.
 
 K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
 symmetric grid the weights are even circulants, so the Nystrom matrix of K'
@@ -42,7 +41,7 @@ import numpy as np
 
 from .fourier import conv_matrix, dld_matrix, lambda_matrix, weight_table
 from .geometry import ParametricCurve, _grid_size
-from .kernels import KernelContext, ef_matrices, kernel_matrix, sin2_matrix
+from .kernels import KernelContext, KernelFactors, ef_matrices, kernel_matrix, sin2_matrix
 
 __all__ = [
     "OperatorFamily",
@@ -85,32 +84,27 @@ class OperatorFamily:
     @cached_property
     def _kernel_ops(self):
         """{name: operator} for V, R~, K, K~ and T, from one pass over one
-        factor set of the context, which the pass drops however it ends.
+        factor set of the context.
 
         Each weight is formed once.  K and K~ come first, from one sampling
-        of C and D; then T, whose ``ef`` expands A, B and A~ and keeps them
-        on the factor set; V and R~ come last, from those expansions, so
-        that neither is held while ``ef`` runs (the order of lowest peak
-        memory).
+        of C and D; then T, from the E and F of ``ef_matrices``; V and R~
+        come last, from the A, B and A~ it returns with them, so that neither
+        is held while it runs (the order of lowest peak memory).
         """
-        ctx, N, w0 = self.ctx, self.N, self._w0
+        N, w0 = self.N, self._w0
         w1, w2 = (conv_matrix(weight_table(m, N)) for m in (1, 2))
-        try:
-            c_mat, d_mat = kernel_matrix(ctx, ("C", "D"), N)
-            w0_d = w0 * d_mat
-            ops = {"k_plain": w1 * (c_mat * sin2_matrix(N)) + w0_d,
-                   "k_tilde": w2 * c_mat + w0_d}
-            del c_mat, d_mat, w0_d
-            e_mat, f_mat = ef_matrices(ctx, N)
-            ops["t_op"] = w1 * e_mat + w0 * f_mat
-            del e_mat, f_mat
-            a_mat, b_mat, at_mat = (kernel_matrix(ctx, which, N)
-                                    for which in ("A", "B", "At"))
-            w0_b = w0 * b_mat
-            ops["v_plain"] = w1 * a_mat + w0_b
-            ops["r_tilde"] = w2 * at_mat + w0_b
-        finally:
-            ctx.drop_factors()
+        factors = KernelFactors(self.ctx, N)
+        c_mat, d_mat = kernel_matrix(factors, ("C", "D"), N)
+        w0_d = w0 * d_mat
+        ops = {"k_plain": w1 * (c_mat * sin2_matrix(N)) + w0_d,
+               "k_tilde": w2 * c_mat + w0_d}
+        del c_mat, d_mat, w0_d
+        e_mat, f_mat, a_mat, b_mat, at_mat = ef_matrices(factors, N)
+        ops["t_op"] = w1 * e_mat + w0 * f_mat
+        del e_mat, f_mat
+        w0_b = w0 * b_mat
+        ops["v_plain"] = w1 * a_mat + w0_b
+        ops["r_tilde"] = w2 * at_mat + w0_b
         return {name: _frozen(op) for name, op in ops.items()}
 
     @cached_property

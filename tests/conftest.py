@@ -1,11 +1,13 @@
 import pathlib
 import sys
 import time
+import weakref
 
 import pytest
 
 from helmbie import formulations
 from helmbie.harness import VERIFICATION_SUITES
+from helmbie.kernels import KernelFactors
 
 TESTS_DIR = pathlib.Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
@@ -20,6 +22,20 @@ def data_dir():
 def empty_system_slot():
     """Every test starts without a reusable system, whatever ran before it."""
     formulations.empty_slot()
+
+
+@pytest.fixture
+def factor_sets(monkeypatch):
+    """Weak references to every ``KernelFactors`` sampled during the test."""
+    refs = []
+    init = KernelFactors.__init__
+
+    def tracked(self, *args):
+        refs.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(KernelFactors, "__init__", tracked)
+    return refs
 
 
 @pytest.fixture(scope="session")

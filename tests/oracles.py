@@ -45,10 +45,10 @@ from __future__ import annotations
 import numpy as np
 import mpmath as mp
 from scipy import special as sp
+from scipy.linalg import circulant
 
 from helmbie.fields import far_field_constant
 from helmbie.fourier import (
-    circulant,
     conv_matrix,
     dld_matrix,
     fft_modes,

@@ -335,6 +335,44 @@ def test_every_formulation_matches_the_exact_circle_far_field(nu, k_plus, k_minu
         assert gap <= 1e-12, (form, kw, gap)
 
 
+def _moved(curve, rotation=np.eye(2), shift=(0.0, 0.0)):
+    """``curve`` rotated about the origin, then shifted."""
+    cos_coef = rotation @ curve.cos_coef
+    cos_coef[:, 0] += shift
+    return ParametricCurve(curve.name, cos_coef, rotation @ curve.sin_coef)
+
+
+def _kite_far_field(form, curve, direction, N=32):
+    """Far field at ANGLES of the kite problem k+ = 3, k- = 5, nu = 2 posed
+    on ``curve``.  The discrete systems keep the symmetries of the problem up
+    to rounding at any N, so a small N tests them."""
+    prob = TransmissionProblem(curve, 3.0, 5.0, 2.0, PlaneWave(direction))
+    return _exterior_far_field(prob, solve(assemble(form, prob, N))).values
+
+
+@pytest.mark.parametrize("form", FORMULATIONS)
+def test_translation_multiplies_the_far_field_by_its_phase(form):
+    # shifted by c, the incident wave gains e^{ik+ d.c} and the far field of
+    # the shifted scattered wave e^{-ik+ x^.c}
+    d, c = np.array([0.6, 0.8]), np.array([0.7, -0.4])
+    u = _kite_far_field(form, KITE, d)
+    moved = _kite_far_field(form, _moved(KITE, shift=c), d)
+    xhat = np.stack([np.cos(ANGLES), np.sin(ANGLES)], axis=-1)
+    phase = np.exp(1j * 3.0 * ((d - xhat) @ c))
+    assert np.max(np.abs(moved - phase * u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("form", FORMULATIONS)
+def test_rotation_by_seven_angle_steps_shifts_the_far_field_by_seven(form):
+    # curve and incidence turned by 7 steps of ANGLES (28 degrees)
+    alpha = ANGLES[7]
+    rotation = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
+    d = np.array([1.0, 0.0])
+    u = _kite_far_field(form, KITE, d)
+    turned = _kite_far_field(form, _moved(KITE, rotation=rotation), rotation @ d)
+    assert np.max(np.abs(turned - np.roll(u, 7))) <= 1e-12 * np.max(np.abs(u))
+
+
 # -------------------------------------------------------------- L2 specifics
 
 
@@ -815,11 +853,11 @@ def test_nonfinite_block_is_named(monkeypatch):
     ef = operators.ef_matrices
 
     def poisoned(ctx, N):
-        e_mat, f_mat = ef(ctx, N)
+        e_mat, f_mat, *expanded = ef(ctx, N)
         if ctx.k == 6.5:
             f_mat = f_mat.copy()
             f_mat[3, 5] = np.nan
-        return e_mat, f_mat
+        return (e_mat, f_mat, *expanded)
 
     with monkeypatch.context() as patch:
         patch.setattr(operators, "ef_matrices", poisoned)
@@ -934,11 +972,11 @@ def test_failed_build_keeps_no_families(monkeypatch):
     ef = operators.ef_matrices
 
     def poisoned(ctx, N):
-        e_mat, f_mat = ef(ctx, N)
+        e_mat, f_mat, *expanded = ef(ctx, N)
         if ctx.k == 6.5:
             f_mat = f_mat.copy()
             f_mat[3, 5] = np.nan
-        return e_mat, f_mat
+        return (e_mat, f_mat, *expanded)
 
     with monkeypatch.context() as patch:
         patch.setattr(operators, "ef_matrices", poisoned)

@@ -321,6 +321,31 @@ def test_degenerate_or_nonfinite_curve_rejected(name, params):
         make_curve(name, *params)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ParametricCurve("kite", KITE.cos_coef, -KITE.sin_coef),
+     "curve 'kite' is clockwise; negate sin_coef"),
+    (lambda: make_curve("ellipse", 2.0, -1.0), "curve 'ellipse' is clockwise; negate sin_coef"),
+    # (sin t, sin 2t): the tangent turns 0 times
+    (lambda: ParametricCurve("eight", np.zeros((2, 3)), [[1.0, 0.0], [0.0, 1.0]]),
+     "curve 'eight' crosses itself: its tangent turns 0 times"),
+    # r = 0.5 + cos t: the inner loop turns the tangent twice
+    (lambda: ParametricCurve("limacon", [[0.5, 0.5, 0.5], [0.0, 0.0, 0.0]],
+                             [[0.0, 0.0], [0.5, 0.5]]),
+     "curve 'limacon' crosses itself: its tangent turns 2 times"),
+], ids=["reversed kite", "ellipse 2,-1", "figure eight", "looped limacon"])
+def test_a_curve_the_method_does_not_cover_is_rejected(make, message):
+    # a clockwise kite used to be accepted, and its l1, l3 and l4 far fields
+    # then differed from the counterclockwise kite's by about 0.5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_negated_radii_still_run_counterclockwise():
+    # (-cos t, -sin t) is the circle turned by pi, not reversed
+    for curve in (circle(-1.0), ellipse(-2.0, -1.0)):
+        assert curve.winding_number((0.0, 0.0)) == 1
+
+
 def test_make_curve_registry():
     assert make_curve("circle", 2.0).point(0.0)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):

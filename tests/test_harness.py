@@ -69,7 +69,8 @@ def test_config_rejects_bad_values():
             StudyConfig.from_mapping({"direction": direction})
     with pytest.raises(ConfigError, match="kappa"):
         StudyConfig.from_mapping({"kappa": "8,0.5,7"})
-    for curve, params in (("circle", "0"), ("circle", "nan"), ("ellipse", "2,0")):
+    for curve, params in (("circle", "0"), ("circle", "nan"), ("ellipse", "2,0"),
+                          ("ellipse", "2,-1")):
         with pytest.raises(ConfigError, match="curve"):
             StudyConfig.from_mapping({"curve": curve, "curve_params": params})
     with pytest.raises(ConfigError, match="boundary"):
@@ -554,9 +555,9 @@ def test_cli_solve_nonfinite_block_exit_code(tmp_path, capsys, monkeypatch):
     ef = operators.ef_matrices
 
     def poisoned(ctx, N):
-        e_mat, f_mat = ef(ctx, N)
+        e_mat, f_mat, *expanded = ef(ctx, N)
         f_mat[3, 5] = np.nan
-        return e_mat, f_mat
+        return (e_mat, f_mat, *expanded)
 
     monkeypatch.setattr(operators, "ef_matrices", poisoned)
     formulations.empty_slot()  # no kept system may stand in for the build

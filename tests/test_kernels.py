@@ -247,7 +247,7 @@ def test_fused_factors_match_pointwise(curve_name, k, N):
 def test_ef_circle_translation_invariance():
     ctx = KernelContext(circle(), 2.0)
     N = 32
-    e_mat, f_mat = ef_matrices(ctx, N)
+    e_mat, f_mat = ef_matrices(ctx, N)[:2]
     for mat in (e_mat, f_mat):
         col = mat[:, 0]
         rebuilt = np.empty_like(mat)
@@ -260,7 +260,7 @@ def test_ef_diagonal_values():
     # E(s,s) = A~(s,s)/2 + k^2 |x'|^2 A(s,s) with A(s,s) = -1/(4 pi)
     ctx = KernelContext(kite(), 2.0)
     N = 32
-    e_mat, _ = ef_matrices(ctx, N)
+    e_mat = ef_matrices(ctx, N)[0]
     nodes = grid(N)
     speed = ctx.curve.speed(nodes)
     expected = 0.5 * diagonal_limits(ctx, nodes)["At"] - 2.0**2 * speed**2 / (4 * np.pi)
@@ -273,7 +273,7 @@ def test_ef_oversampling_consistency():
     # E and F on the operator grid match the pointwise oracle taken on the
     # twice finer grid and restricted to it
     ctx = KernelContext(kite(), 8.0)
-    e1, f1 = ef_matrices(ctx, 96)
+    e1, f1 = ef_matrices(ctx, 96)[:2]
     e2, f2 = pointwise_ef(ctx, 96, oversample=2)
     scale = np.max(np.abs(e1))
     assert np.max(np.abs(e1 - e2)) <= 1e-9 * scale
@@ -312,6 +312,32 @@ def test_double_layer_pass_is_byte_equal_to_kernel_matrix(monkeypatch, k):
     fresh = KernelContext(kite(), k)
     assert kernel_matrix(fresh, "C", N).tobytes() == c_mat.tobytes()
     assert kernel_matrix(fresh, "D", N).tobytes() == d_mat.tobytes()
+
+
+def test_direct_calls_keep_no_factor_set(factor_sets):
+    # a context is its curve and k and nothing more: each direct call samples
+    # a set of its own, which goes with the call (a context used to keep the
+    # last one, 53 MiB after ef_matrices at k = 32, N = 512)
+    ctx = KernelContext(kite(), 8.0)
+    kernel_matrix(ctx, "A", 16)
+    kernel_matrix(ctx, ("C", "D"), 16)
+    ef_matrices(ctx, 16)
+    assert len(factor_sets) == 3
+    assert all(ref() is None for ref in factor_sets)
+    assert vars(ctx) == {"curve": ctx.curve, "k": 8.0}
+
+
+def test_a_factor_set_is_used_at_its_own_grid_only(factor_sets):
+    ctx = KernelContext(kite(), 8.0)
+    factors = KernelFactors(ctx, 16)
+    expanded = ef_matrices(factors, 16)[2:]
+    for which, mat in zip(("A", "B", "At"), expanded):
+        assert kernel_matrix(factors, which, 16).tobytes() == mat.tobytes(), which
+    assert len(factor_sets) == 1
+    # at another N the set stands for its curve and k, like a context
+    assert kernel_matrix(factors, "B", 8).tobytes() == kernel_matrix(ctx, "B", 8).tobytes()
+    assert ef_matrices(factors, 8)[1].tobytes() == ef_matrices(ctx, 8)[1].tobytes()
+    assert len(factor_sets) == 5
 
 
 def test_context_validation():

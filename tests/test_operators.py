@@ -281,23 +281,25 @@ def _count_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("name", _KERNEL_OPS)
-def test_one_access_runs_the_whole_kernel_pass(monkeypatch, name):
-    # each smooth factor is expanded once, and the factor set is dropped after
+def test_one_access_runs_the_whole_kernel_pass(monkeypatch, factor_sets, name):
+    # each smooth factor is expanded once, from one factor set that no
+    # object outlives the pass
     calls = _count_pass(monkeypatch)
     fam = OperatorFamily(kite(), 8.0, 16)
     getattr(fam, name)
     assert set(fam.__dict__["_kernel_ops"]) == set(_KERNEL_OPS)
     assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
-    assert fam.ctx._last == {}
+    assert len(factor_sets) == 1 and factor_sets[0]() is None
     for other in _KERNEL_OPS:
         assert getattr(fam, other) is fam._kernel_ops[other]
         assert not getattr(fam, other).flags.writeable
     assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
 
 
-def test_a_failed_pass_keeps_no_factor_set_and_the_next_access_rebuilds(monkeypatch):
-    def broken(ctx, N):
-        ctx.factors(N).ef()  # the pass has expanded A, B and A~ by now
+def test_a_failed_pass_keeps_no_factor_set_and_the_next_access_rebuilds(
+        monkeypatch, factor_sets):
+    def broken(factors, N):
+        factors.ef()  # the pass has expanded A, B and A~ by now
         raise FloatingPointError("poisoned")
 
     fam = OperatorFamily(kite(), 8.0, 16)
@@ -305,12 +307,12 @@ def test_a_failed_pass_keeps_no_factor_set_and_the_next_access_rebuilds(monkeypa
         patch.setattr(operators, "ef_matrices", broken)
         with pytest.raises(FloatingPointError, match="poisoned"):
             fam.v_plain
-    assert fam.ctx._last == {}
+    assert len(factor_sets) == 1 and factor_sets[0]() is None
     assert "_kernel_ops" not in fam.__dict__
     calls = _count_pass(monkeypatch)
     rebuilt = [getattr(fam, name) for name in _KERNEL_OPS]
     assert calls == {"_symmetric": 5, "bessel_j": 2, "bessel_y": 2}
-    assert fam.ctx._last == {}
+    assert len(factor_sets) == 2 and factor_sets[1]() is None
     cold = OperatorFamily(kite(), 8.0, 16)
     for name, op in zip(_KERNEL_OPS, rebuilt):
         assert op.tobytes() == getattr(cold, name).tobytes(), name

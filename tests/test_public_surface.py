@@ -15,9 +15,11 @@ import pkgutil
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import helmbie
+from helmbie.formulations import FORMULATIONS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -41,13 +43,25 @@ def test_tracer_wraps_and_restores_every_name():
     targets = [(owner, attr) for owner, attr, *_ in spans._targets(helmbie)]
     before = [_lookup(owner, attr) for owner, attr in targets]
     tracer = spans.Tracer()
+    prob = helmbie.TransmissionProblem(helmbie.kite(), 2.0, 3.0, 2.0, helmbie.PlaneWave())
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     with spans.installed(tracer, helmbie):
         # one traced family build reads the keys the tracer takes from it
         with tracer.operation(0, "probe"):
             helmbie.OperatorFamily(helmbie.kite(), 2.0, 8).h_op
+        # a cold assemble, solve and far field of every formulation calls
+        # each pinned name where the tracer wraps it
+        for op, form in enumerate(FORMULATIONS, start=1):
+            with tracer.operation(op, form):
+                result = helmbie.solve(helmbie.assemble(form, prob, 8))
+                helmbie.FieldEvaluator(prob.curve, result.exterior_terms()).far_field(angles)
     assert [_lookup(owner, attr) for owner, attr in targets] == before
     names = {span.name for span in tracer.spans}
-    assert {"operators.family", "operators.build", "kernels.ef_matrices"} <= names
+    # the names perfbench/tests asserts of a traced solve-kite run
+    assert {"kernels.kernel_matrix", "kernels.ef_matrices", "fourier.conv_matrix",
+            "fourier.lambda_matrix", "fourier.dld_matrix", "operators.build",
+            "operators.family", "geometry.point", "linalg.lu_solve",
+            "formulations.build_data", "fields.FieldEvaluator.far_field"} <= names
     assert not any(span.raised for span in tracer.spans)
 
 
