@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, specfun
-from .geometry import ParametricCurve, _as_points, _curve, _phase_table, grid_geometry
+from .geometry import (ParametricCurve, _as_points, _curve, _phase_table, _positive_real,
+                       grid_geometry)
 
 __all__ = [
     "FarFieldPattern",
@@ -71,13 +72,6 @@ __all__ = [
 # threads' blocks: the work arrays (three real, one complex per block) take
 # about 3 MiB, whatever the number of points or cores
 _BLOCK_ENTRIES = 2**16
-
-
-def _positive_real(value, name: str = "wavenumber k") -> float:
-    """value as a float; raises unless it is a finite positive real."""
-    if np.imag(value) != 0.0 or not np.isfinite(value) or not np.real(value) > 0.0:
-        raise ValueError(f"{name} must be a finite positive real, got {value}")
-    return float(np.real(value))
 
 
 def far_field_constant(k: float) -> complex:

@@ -79,11 +79,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, specfun
-from .fields import _positive_real
 # Lambda and D Lambda D come from the k+ family; their two imports stay
 # because perfbench/spans.py wraps lambda_matrix and dld_matrix here too
 from .fourier import dld_matrix, fft_modes, lambda_matrix
-from .geometry import FINE_SAMPLES, ParametricCurve, _curve, _grid_size, grid_geometry
+from .geometry import (FINE_SAMPLES, ParametricCurve, _curve, _grid_size, _numbers,
+                       _positive_real, grid_geometry)
 from .operators import MIN_N, OperatorFamily
 
 __all__ = [
@@ -103,17 +103,6 @@ __all__ = [
 FORMULATIONS = ("l1", "l2", "l2plain", "l3", "l4")
 
 
-def _real_array(value):
-    """``value`` as a float array, or None when it holds anything but real
-    numbers (a complex entry included); the shape is the caller's check."""
-    try:
-        if not np.iscomplexobj(value):
-            return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    return None
-
-
 @dataclass(frozen=True)
 class PlaneWave:
     """Incident plane wave e^{i k d.x} with |d| = 1."""
@@ -121,12 +110,10 @@ class PlaneWave:
     direction: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        direction = _real_array(self.direction)
-        if (direction is None or direction.shape != (2,)
-                or not 0 < np.linalg.norm(direction) < np.inf):
-            raise ValueError(f"plane-wave direction must be two finite coordinates, "
-                             f"not both zero, got {self.direction}")
-        object.__setattr__(self, "direction", tuple(direction.tolist()))
+        direction = _numbers(self.direction, "plane-wave direction",
+                             "two finite coordinates, not both zero",
+                             lambda d: 0 < np.linalg.norm(d) < np.inf, shape=(2,))
+        object.__setattr__(self, "direction", tuple(direction.astype(float).tolist()))
 
     def value(self, k, points):
         d = np.asarray(self.direction, dtype=float)
@@ -147,12 +134,9 @@ class PointSource:
     location: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        location = _real_array(self.location)
-        if (location is None or location.shape != (2,)
-                or not np.all(np.isfinite(location))):
-            raise ValueError(f"point-source location must be two finite "
-                             f"coordinates, got {self.location}")
-        object.__setattr__(self, "location", tuple(location.tolist()))
+        location = _numbers(self.location, "point-source location",
+                            "two finite coordinates", shape=(2,))
+        object.__setattr__(self, "location", tuple(location.astype(float).tolist()))
 
     def _displacement(self, points):
         y0 = np.asarray(self.location, dtype=float)
@@ -310,13 +294,11 @@ class SolveResult:
 
 
 def _op_families(problem, N):
-    """New k+ and k- families of the problem at N (one when k+ = k-), their
-    kernel passes run here so that no builder holds anything while one runs."""
+    """New k+ and k- families of the problem at N (one when k+ = k-); each runs
+    its kernel pass as it is built, so no builder holds anything meanwhile."""
     fp = OperatorFamily(problem.curve, problem.k_plus, N)
     fm = (fp if problem.k_minus == problem.k_plus
           else OperatorFamily(problem.curve, problem.k_minus, N))
-    for family in (fp, fm):
-        family._kernel_ops
     return fp, fm
 
 
@@ -438,21 +420,14 @@ def _apply_regularizer(x, nu, v_ps, h_ps):
 def _kappa(problem, kappa=None) -> complex:
     if kappa is None:
         kappa = problem.k_plus + 0.5j
-    value = np.asarray(kappa)
-    if not (value.ndim == 0 and value.dtype.kind in "iufc" and np.isfinite(value)
-            and value.imag > 0):
-        raise ValueError(f"kappa must be finite with a positive imaginary part, got {kappa!r}")
-    return complex(value)
+    return complex(_numbers(kappa, "kappa", "finite with a positive imaginary part",
+                            lambda v: v.imag > 0, kinds="iufc"))
 
 
 def _rho(problem, rho=None) -> float:
     if rho is None:
         rho = problem.k_plus
-    value = np.asarray(rho)
-    if not (value.ndim == 0 and value.dtype.kind in "iuf" and np.isfinite(value)
-            and value != 0.0):
-        raise ValueError(f"rho must be a finite nonzero real number, got {rho!r}")
-    return float(value)
+    return float(_numbers(rho, "rho", "a finite nonzero real number", lambda v: v != 0.0))
 
 
 def assemble_l3(problem: TransmissionProblem, N: int, fp, fm,

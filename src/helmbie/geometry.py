@@ -18,7 +18,6 @@ cavity       : dimpled limacon r(t) = 1.35 (1 - 0.7 cos t), i.e.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -200,11 +199,33 @@ def _curve(curve) -> ParametricCurve:
     return curve
 
 
+def _numbers(value, name: str, need: str, ok=None, kinds: str = "iuf", shape=()):
+    """value as an array, or a numpy scalar for shape (): the one check of every
+    number the library takes.  Raises ValueError naming the value unless it has
+    the shape, a numpy kind in ``kinds`` (not bool, str, None or a ragged
+    nesting), finite entries, and ``ok`` holds for it."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    # all() over .flat and ok on a scalar: a few times faster than numpy's
+    # reductions and 0-d arithmetic, on the path of every operation
+    if (array.shape != shape or array.dtype.kind not in kinds
+            or not all(np.isfinite(array).flat) or (ok is not None and not ok(array[()]))):
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return array[()]
+
+
+def _positive_real(value, name: str = "wavenumber k") -> float:
+    """value as a float; raises unless it is a finite positive real."""
+    value = _numbers(value, name, "a finite positive real",
+                     lambda v: v.imag == 0.0 and v.real > 0.0, kinds="iufc")
+    return float(value.real)
+
+
 def _grid_size(N, least: int = 1) -> int:
     """N as an int; raises unless it is an integer (numpy's too) >= least."""
-    if not (isinstance(N, numbers.Integral) and N >= least):
-        raise ValueError(f"N must be an integer >= {least}, got {N!r}")
-    return int(N)
+    return int(_numbers(N, "N", f"an integer >= {least}", lambda n: n >= least, kinds="iu"))
 
 
 def grid(N: int) -> np.ndarray:

@@ -72,9 +72,8 @@ import numpy as np
 from scipy.linalg import circulant
 
 from . import specfun
-from .fields import _positive_real
 from .fourier import fft_modes
-from .geometry import ParametricCurve, _curve, grid
+from .geometry import ParametricCurve, _curve, _positive_real, grid
 
 __all__ = [
     "KernelContext",

@@ -35,6 +35,8 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
+from .geometry import _numbers
+
 __all__ = [
     "SingularMatrixError",
     "GmresError",
@@ -174,9 +176,8 @@ def lu_solve(factors: LUFactors, rhs):
 
 
 def _check_gmres(tol):
-    """Raise unless tol is finite and positive."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"GMRES tol must be finite and positive, got {tol}")
+    """Raise unless tol is a finite positive real number."""
+    _numbers(tol, "GMRES tol", "finite and positive", lambda t: t > 0)
 
 
 def gmres(matrix, b, tol: float = 1e-10):
@@ -189,7 +190,9 @@ def gmres(matrix, b, tol: float = 1e-10):
     iteration count).  scipy checks the true residual before it reports
     success; when rounding leaves it above ``tol``, a second cycle starts
     from the first one's iterate, so the history may rise once where it
-    begins.  Raises GmresError with the history if that cycle fails too.
+    begins.  Raises GmresError with the history if that cycle fails too,
+    and, as ``lu_factor`` does, ValueError before it iterates on a NaN or
+    inf entry.
     """
     # imported here, so that a process that solves only by LU never loads it
     import scipy.sparse.linalg as sla
@@ -201,6 +204,9 @@ def gmres(matrix, b, tol: float = 1e-10):
     if b.shape != (n,):
         raise ValueError(f"right-hand side must be a vector of length {n}, "
                          f"got shape {b.shape}")
+    # as in lu_factor: a NaN or inf entry makes the 1-norm non-finite
+    if not (np.isfinite(np.linalg.norm(mat, 1)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite entries in the linear system")
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n, dtype=complex), np.array([0.0])
 

@@ -12,10 +12,10 @@ product W_m * K with K the sampled smooth kernel factor.  Families:
 psihat_0 is the delta at n = 0, so W0 = (pi/N) times the all-ones matrix and
 is applied as that scalar; W1, W2, Lambda and D Lambda D have real even
 symbols and are real matrices.  The five kernel operators V, R~, K, K~ and
-T come from one pass: the first access to any of them samples one fused
-factor set (see ``helmbie.kernels``), forms W1 and W2 once, expands each of
-A, B, A~, C and D once and builds all five; the set lives only as long as
-the pass.  The tilde single layer is stored via its smooth remainder
+T come from one pass, which the family runs as it is constructed: it samples
+one fused factor set (see ``helmbie.kernels``), forms W1 and W2 once, expands
+each of A, B, A~, C and D once and builds all five; the set lives only as
+long as the pass.  The tilde single layer is stored via its smooth remainder
 R~ = W2*At + W0*B so the formulations can use Lambda and R~ separately.
 
 K' is K^T.  The kernel of K' is that of K with s and t exchanged, and on the
@@ -27,10 +27,10 @@ C-contiguous copy, as l4 does).  W1 and W2 are symmetric only up to
 rounding, so this K' differs from W*(C^T sin^2) + W0*D^T (the form kept in
 the test oracles) by at most eps max|K|.
 
-Each operator is a plain read-only ndarray, built on first access and
-returned as the same object on every later one.  Matrices assemble in
-O(N^2 log N); N <= 512 is the design target, so dense storage and direct
-factorization are fine.
+Each operator is a plain read-only ndarray, returned as the same object on
+every access; the ones not built by the pass are built on first access.
+Matrices assemble in O(N^2 log N); N <= 512 is the design target, so dense
+storage and direct factorization are fine.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def _frozen(matrix):
 
 
 class OperatorFamily:
-    """Lazy cache of all discrete operators for one (curve, k, N) triple.
+    """All discrete operators for one (curve, k, N) triple; construction runs
+    the kernel pass, and the operators built from it wait for first access.
 
     Every operator is a read-only 2N x 2N ndarray on the 2N grid: V, R~, V~,
     K, K', K~, K~', T, H and the two spectral matrices Lambda and D Lambda D.
@@ -72,6 +73,7 @@ class OperatorFamily:
         self.N = N = _grid_size(N, MIN_N)
         self.ctx = KernelContext(curve, k)
         self._w0 = np.pi / N  # W0 is (pi/N) times the all-ones matrix
+        self._kernel_ops  # the kernel pass, before any caller allocates
 
     @cached_property
     def lambda_mat(self):

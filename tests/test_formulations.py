@@ -8,6 +8,8 @@ from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import strategies as st
 
 from helmbie import formulations, linalg, operators, specfun
 from helmbie.fields import FieldEvaluator, far_field_constant, far_field_linf_diff
@@ -28,7 +30,7 @@ from helmbie.formulations import (
 from helmbie.geometry import (ParametricCurve, circle, ellipse, grid, grid_geometry,
                               kite, make_curve)
 from helmbie.linalg import gmres, lu_factor, lu_solve
-from helmbie.operators import OperatorFamily
+from helmbie.operators import MIN_N, OperatorFamily
 from oracles import (circle_transmission_far_field, l3_full_matrix, l4_full_matrix,
                      ps_operators)
 
@@ -342,35 +344,97 @@ def _moved(curve, rotation=np.eye(2), shift=(0.0, 0.0)):
     return ParametricCurve(curve.name, cos_coef, rotation @ curve.sin_coef)
 
 
-def _kite_far_field(form, curve, direction, N=32):
-    """Far field at ANGLES of the kite problem k+ = 3, k- = 5, nu = 2 posed
-    on ``curve``.  The discrete systems keep the symmetries of the problem up
-    to rounding at any N, so a small N tests them."""
-    prob = TransmissionProblem(curve, 3.0, 5.0, 2.0, PlaneWave(direction))
+# a case is (curve, k+, k-, nu, N); the kite case is the problem k+ = 3,
+# k- = 5, nu = 2 at N = 32.  The discrete systems keep the symmetries of the
+# problem up to rounding at any N, so a small N tests them
+_KITE_CASE = (KITE, 3.0, 5.0, 2.0, 32)
+
+# the same cases on every run, and no example database.  Hypothesis also
+# draws constants it reads from the library's source, so an edit there may
+# change the cases; it caches them under .hypothesis/.  The autouse fixture
+# only empties the slot at the start of each test
+_DRAWN = settings(derandomize=True, database=None, deadline=None, max_examples=4,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+_UNIT = st.floats(-1.0, 1.0)
+_DIRECTIONS = st.floats(0.0, 2.0 * np.pi).map(lambda a: (np.cos(a), np.sin(a)))
+
+
+@st.composite
+def _drawn_cases(draw):
+    """A case on an ellipse with semi-axes in [0.6, 1.4], shifted and perturbed
+    by a bump of up to 0.25 / m in each coefficient of mode m <= 3, kept only
+    when ``ParametricCurve`` accepts it; k+ and k- in [0.5, 6], nu in
+    [0.25, 4] and N <= 32."""
+    scale = 0.25 / np.arange(1, 4)
+    bumps = np.array(draw(st.lists(_UNIT, min_size=12, max_size=12))).reshape(2, 2, 3)
+    cos_coef = np.zeros((2, 4))
+    cos_coef[:, 0] = draw(st.tuples(_UNIT, _UNIT))
+    cos_coef[:, 1:] = scale * bumps[0]
+    sin_coef = scale * bumps[1]
+    cos_coef[0, 1] += draw(st.floats(0.6, 1.4))
+    sin_coef[1, 0] += draw(st.floats(0.6, 1.4))
+    try:
+        curve = ParametricCurve("drawn", cos_coef, sin_coef)
+    except ValueError:
+        reject()
+    wavenumbers = st.floats(0.5, 6.0)
+    return (curve, draw(wavenumbers), draw(wavenumbers), draw(st.floats(0.25, 4.0)),
+            draw(st.integers(MIN_N, 32)))
+
+
+def _far_field_of(form, case, curve, direction):
+    """Far field at ANGLES of the case's problem posed on ``curve``."""
+    _, k_plus, k_minus, nu, N = case
+    prob = TransmissionProblem(curve, k_plus, k_minus, nu, PlaneWave(direction))
     return _exterior_far_field(prob, solve(assemble(form, prob, N))).values
 
 
 @pytest.mark.parametrize("form", FORMULATIONS)
-def test_translation_multiplies_the_far_field_by_its_phase(form):
+@_DRAWN
+@given(case=_drawn_cases(), d=_DIRECTIONS, c=st.tuples(_UNIT, _UNIT))
+@example(case=_KITE_CASE, d=(0.6, 0.8), c=(0.7, -0.4))
+def test_translation_multiplies_the_far_field_by_its_phase(form, case, d, c):
     # shifted by c, the incident wave gains e^{ik+ d.c} and the far field of
     # the shifted scattered wave e^{-ik+ x^.c}
-    d, c = np.array([0.6, 0.8]), np.array([0.7, -0.4])
-    u = _kite_far_field(form, KITE, d)
-    moved = _kite_far_field(form, _moved(KITE, shift=c), d)
+    d, c = np.array(d), np.array(c)
+    u = _far_field_of(form, case, case[0], d)
+    moved = _far_field_of(form, case, _moved(case[0], shift=c), d)
     xhat = np.stack([np.cos(ANGLES), np.sin(ANGLES)], axis=-1)
-    phase = np.exp(1j * 3.0 * ((d - xhat) @ c))
+    phase = np.exp(1j * case[1] * ((d - xhat) @ c))
     assert np.max(np.abs(moved - phase * u)) <= 1e-12 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("form", FORMULATIONS)
-def test_rotation_by_seven_angle_steps_shifts_the_far_field_by_seven(form):
+@_DRAWN
+@given(case=_drawn_cases(), d=_DIRECTIONS)
+@example(case=_KITE_CASE, d=(1.0, 0.0))
+def test_rotation_by_seven_angle_steps_shifts_the_far_field_by_seven(form, case, d):
     # curve and incidence turned by 7 steps of ANGLES (28 degrees)
     alpha = ANGLES[7]
     rotation = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
-    d = np.array([1.0, 0.0])
-    u = _kite_far_field(form, KITE, d)
-    turned = _kite_far_field(form, _moved(KITE, rotation=rotation), rotation @ d)
+    d = np.array(d)
+    u = _far_field_of(form, case, case[0], d)
+    turned = _far_field_of(form, case, _moved(case[0], rotation=rotation), rotation @ d)
     assert np.max(np.abs(turned - np.roll(u, 7))) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("form", FORMULATIONS)
+@_DRAWN
+@given(case=_drawn_cases(), d=_DIRECTIONS)
+@example(case=_KITE_CASE, d=(0.6, 0.8))
+def test_a_parameter_shift_by_one_grid_step_keeps_the_far_field(form, case, d):
+    # x(t + pi/N) turns coefficient pair m by the angle m pi/N and maps nodes
+    # to nodes, so every system is the old one with its nodes shifted by one
+    curve, N = case[0], case[4]
+    angle = np.arange(1, curve.degree + 1) * np.pi / N
+    cos_m, sin_m = np.cos(angle), np.sin(angle)
+    c, s = curve.cos_coef[:, 1:], curve.sin_coef
+    cos_coef = curve.cos_coef.copy()
+    cos_coef[:, 1:] = c * cos_m + s * sin_m
+    shifted = ParametricCurve(curve.name, cos_coef, s * cos_m - c * sin_m)
+    u = _far_field_of(form, case, curve, d)
+    gap = np.max(np.abs(_far_field_of(form, case, shifted, d) - u))
+    assert gap <= 1e-12 * np.max(np.abs(u))
 
 
 # -------------------------------------------------------------- L2 specifics
@@ -477,6 +541,36 @@ def test_gmres_reports_the_true_residual_it_met():
     true = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
     assert true <= 1e-13
     assert result.diagnostics.residual == pytest.approx(true, rel=1e-6)
+
+
+class _NanField:
+    """An incident field that samples to NaN."""
+
+    def value(self, k, points):
+        return np.full(np.atleast_2d(points).shape[0], np.nan + 0j)
+
+    def gradient(self, k, points):
+        return np.full(np.atleast_2d(points).shape, np.nan + 0j)
+
+
+def test_gmres_rejects_non_finite_input_before_it_iterates():
+    # scipy's loop ran into a RuntimeWarning, or a GmresError after n
+    # iterations with a NaN history; LU raised at once
+    message = "^non-finite entries in the linear system$"
+    bad_matrix = 2.0 * np.eye(4)
+    bad_matrix[1, 2] = np.inf
+    for matrix, rhs in ((2.0 * np.eye(4), [np.nan, 1.0, 1.0, 1.0]),
+                        (bad_matrix, np.ones(4))):
+        with pytest.raises(ValueError, match=message):
+            gmres(matrix, rhs)
+    nan_data = assemble("l1", TransmissionProblem(KITE, 8.0, 32.0, 1.0, _NanField()), 8)
+    good = assemble("l1", TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave()), 8)
+    poisoned = good.matrix.copy()
+    poisoned[3, 5] = np.nan
+    for system in (nan_data, replace(good, matrix=poisoned)):
+        for method in ("lu", "gmres"):
+            with pytest.raises(ValueError, match=message):
+                solve(system, method)
 
 
 def test_l3_gmres_converges_faster_than_l2():

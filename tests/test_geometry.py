@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import helmbie
-from helmbie.fields import FieldEvaluator
-from helmbie.formulations import PlaneWave, TransmissionProblem
+from helmbie.fields import FieldEvaluator, far_field_constant
+from helmbie.formulations import (PlaneWave, PointSource, TransmissionProblem, assemble,
+                                  build_data, solve)
 from helmbie.geometry import (
     FINE_SAMPLES,
     ParametricCurve,
@@ -398,3 +399,50 @@ def test_what_takes_a_curve_rejects_anything_else(taker, bad):
     with pytest.raises(ValueError,
                        match=re.escape(f"curve must be a ParametricCurve, got {bad!r}")):
         _CURVE_TAKERS[taker](bad)
+
+
+def _problem(**changed):
+    return TransmissionProblem(**{"curve": KITE, "k_plus": 8.0, "k_minus": 32.0, "nu": 1.0,
+                                  "incident": PlaneWave(), **changed})
+
+
+# every entry point that takes a number: (what it takes, how it takes it)
+_NUMBER_TAKERS = {
+    "TransmissionProblem k_plus": ("k", lambda v: _problem(k_plus=v)),
+    "TransmissionProblem k_minus": ("k", lambda v: _problem(k_minus=v)),
+    "TransmissionProblem nu": ("k", lambda v: _problem(nu=v)),
+    "KernelContext k": ("k", lambda v: KernelContext(KITE, v)),
+    "OperatorFamily k": ("k", lambda v: OperatorFamily(KITE, v, 8)),
+    "OperatorFamily N": ("N", lambda v: OperatorFamily(KITE, 2.0, v)),
+    "FieldEvaluator k": ("k", lambda v: FieldEvaluator(KITE, [("sl", v, np.ones(16))])),
+    "far_field_constant k": ("k", far_field_constant),
+    "grid N": ("N", grid),
+    "grid_geometry N": ("N", lambda v: grid_geometry(KITE, v)),
+    "build_data N": ("N", lambda v: build_data(_problem(), v)),
+    "assemble N": ("N", lambda v: assemble("l1", _problem(), v)),
+    # None selects the default kappa and rho
+    "assemble kappa": ("default", lambda v: assemble("l3", _problem(), 8, kappa=v)),
+    "assemble rho": ("default", lambda v: assemble("l4", _problem(), 8, rho=v)),
+    "gmres tol": ("k", lambda v: helmbie.gmres(np.eye(2), np.ones(2), tol=v)),
+    "solve tol": ("k", lambda v: solve(assemble("l1", _problem(), 8), "gmres", tol=v)),
+    "PlaneWave direction": ("vector", PlaneWave),
+    "PointSource location": ("vector", PointSource),
+}
+_NOT_NUMBERS = {"True": True, "None": None, "str": "8", "list": [8.0],
+                "array": np.array([8.0])}
+_MORE = {"N": {"2**70": 2**70},
+         "vector": {"bools": (True, False), "ragged": ((1.0, 0.0), 1.0)}}
+
+
+def _number_cases():
+    for taker, (kind, _) in sorted(_NUMBER_TAKERS.items()):
+        for label, bad in {**_NOT_NUMBERS, **_MORE.get(kind, {})}.items():
+            if not (kind == "default" and bad is None):
+                yield pytest.param(taker, bad, id=f"{taker}-{label}")
+
+
+@pytest.mark.parametrize("taker, bad", _number_cases())
+def test_what_takes_a_number_rejects_anything_else(taker, bad):
+    # True ran as 1, an array or None failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        _NUMBER_TAKERS[taker][1](bad)
