@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, specfun
-from .geometry import (ParametricCurve, _as_points, _curve, _phase_table, _positive_real,
-                       grid_geometry)
+from .geometry import (ParametricCurve, _as_points, _curve, _numbers, _phase_table,
+                       _positive_real, grid_geometry)
 
 __all__ = [
     "FarFieldPattern",
@@ -84,13 +84,10 @@ def _term(k, density, prefix: str = ""):
     finite positive real and the density is 1-D, of even non-zero length,
     with finite values.  Every potential and far field checks its terms here."""
     k = _positive_real(k, f"{prefix}wavenumber k")
-    density = np.asarray(density, dtype=complex)
-    if density.ndim != 1 or density.size == 0 or density.size % 2 != 0:
-        raise ValueError(f"{prefix}density must be a 1-D array of an even, non-zero "
-                         f"number of nodal values, got shape {density.shape}")
-    if not np.all(np.isfinite(density)):
-        raise ValueError(f"{prefix}density has non-finite values")
-    return k, density
+    density = _numbers(density, f"{prefix}density", "a 1-D array of an even, non-zero "
+                       "number of finite nodal values", lambda d: d.size > 0 and d.size % 2 == 0,
+                       kinds="iufc", shape=(None,))
+    return k, density.astype(complex, copy=False)
 
 
 def _by_blocks(pts, xb, block_values):
@@ -166,17 +163,11 @@ def double_layer_potential(curve, k, density, points):
 
 
 def _angles(angles):
-    """angles as a 1-D float array; raises unless they are a scalar or a
-    1-D array, finite and non-empty."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.ndim != 1:
-        raise ValueError(f"far-field angles must be a scalar or a 1-D array, "
-                         f"got shape {angles.shape}")
-    if angles.size < 1:
-        raise ValueError("need at least one direction")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("far-field angles must be finite")
-    return angles
+    """angles as a 1-D float array; raises unless they are finite reals, one
+    or a non-empty 1-D array of them."""
+    angles = _numbers(angles, "far-field angles", "finite reals, a scalar or a non-empty "
+                      "1-D array of them", lambda a: a.ndim <= 1 and a.size > 0, shape=None)
+    return np.atleast_1d(angles.astype(float, copy=False))
 
 
 def _directions(angles):
@@ -207,11 +198,13 @@ def _far_field(curve, k, sl_density, dl_density, angles):
 
 
 def single_layer_far_field(curve, k, density, angles):
-    return _far_field(curve, k, density, np.zeros(np.shape(density)), angles)
+    _, density = _term(k, density)
+    return _far_field(curve, k, density, np.zeros(density.shape), angles)
 
 
 def double_layer_far_field(curve, k, density, angles):
-    return _far_field(curve, k, np.zeros(np.shape(density)), density, angles)
+    _, density = _term(k, density)
+    return _far_field(curve, k, np.zeros(density.shape), density, angles)
 
 
 @dataclass(frozen=True)
@@ -223,10 +216,11 @@ class FarFieldPattern:
 
     def __post_init__(self):
         angles = _angles(self.angles)
-        values = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if values.shape != angles.shape:
-            raise ValueError(f"far-field values must match the angles' shape "
-                             f"{angles.shape}, got shape {values.shape}")
+        values = _numbers(self.values, "far-field values",
+                          f"finite numbers of the angles' shape {angles.shape}",
+                          lambda v: v.ndim <= 1 and v.size == angles.size, kinds="iufc",
+                          shape=None)
+        values = np.atleast_1d(values.astype(complex, copy=False))
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
 
@@ -271,7 +265,7 @@ class FieldEvaluator:
 
     def __call__(self, points):
         pts = _as_points(points)
-        # raises for non-finite points; points past the guard read inf
+        # points past the guard read inf
         dist = self.curve.distance(pts, self.min_distance)
         if np.any(dist <= self.min_distance):
             worst = float(dist.min())

@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .geometry import _grid_size, _numbers
+
 __all__ = [
     "TrigPolynomial",
     "fft_modes",
@@ -47,6 +49,7 @@ __all__ = [
 
 def fft_modes(N: int) -> np.ndarray:
     """Mode numbers in FFT layout: [0, 1, .., N, -N+1, .., -1]."""
+    N = _grid_size(N)
     n = np.fft.fftfreq(2 * N, d=1.0 / (2 * N)).astype(int)
     n[N] = N  # one-sided top mode
     return n
@@ -56,10 +59,10 @@ class TrigPolynomial:
     """Degree-N trigonometric polynomial: 2N nodal values + spectral view."""
 
     def __init__(self, nodal, spectral=None):
-        nodal = np.asarray(nodal, dtype=complex)
-        if nodal.ndim != 1 or nodal.size < 2 or nodal.size % 2 != 0:
-            raise ValueError("nodal data must be a 1-d array of even length >= 2")
-        self.nodal = nodal
+        nodal = _numbers(nodal, "nodal values", "a 1-D array of an even number >= 2 of "
+                         "finite values", lambda v: v.size >= 2 and v.size % 2 == 0,
+                         kinds="iufc", shape=(None,))
+        self.nodal = nodal = nodal.astype(complex, copy=False)
         self.N = nodal.size // 2
         if spectral is None:
             spectral = np.fft.fft(nodal) / nodal.size
@@ -92,13 +95,14 @@ class TrigPolynomial:
 
 def psi_hat(m: int, n):
     """Fourier coefficient psihat_m(n) of the quadrature weight psi_m."""
-    n = np.asarray(n, dtype=int)
-    a = np.abs(n)
+    m = _numbers(m, "weight id m", "0, 1 or 2", lambda m: m in (0, 1, 2), kinds="iu")
+    n = _numbers(n, "modes n", "integers", kinds="iu", shape=None)
+    a = np.abs(n.astype(int, copy=False))
     if m == 0:
         out = np.where(a == 0, 1.0, 0.0)
     elif m == 1:
         out = np.where(a == 0, -2.0 * np.log(2.0), -1.0 / np.maximum(a, 1))
-    elif m == 2:
+    else:
         with np.errstate(divide="ignore"):
             generic = 0.25 * (
                 1.0 / np.abs(a + 1) + 1.0 / np.abs(a - 1) - 2.0 / np.maximum(a, 1)
@@ -108,9 +112,7 @@ def psi_hat(m: int, n):
             0.5 - np.log(2.0),
             np.where(a == 1, -0.375 + 0.5 * np.log(2.0), generic),
         )
-    else:
-        raise ValueError("weight id m must be 0, 1 or 2")
-    if np.isscalar(n) or out.ndim == 0:
+    if out.ndim == 0:
         return float(out)
     return out
 

@@ -40,10 +40,8 @@ FINE_SAMPLES = 4096  # fine sample behind the speed check, max_speed and distanc
 
 def _as_points(points) -> np.ndarray:
     """points as a float array of shape (n, 2); one point of shape (2,) gives n = 1."""
-    pts = np.asarray(points)
-    if np.iscomplexobj(pts) or pts.ndim not in (1, 2) or pts.shape[-1] != 2:
-        raise ValueError(f"evaluation points must be real values of shape (n, 2), "
-                         f"got {pts.dtype} values of shape {pts.shape}")
+    pts = _numbers(points, "evaluation points", "finite real values of shape (n, 2) or (2,)",
+                   lambda p: p.ndim in (1, 2) and p.shape[-1:] == (2,), shape=None)
     return np.atleast_2d(pts.astype(float, copy=False))
 
 
@@ -71,12 +69,11 @@ class ParametricCurve:
 
     def __post_init__(self):
         # copies, frozen below, so that the caller's arrays stay writable
-        c = np.atleast_2d(np.array(self.cos_coef, dtype=float))
-        s = np.atleast_2d(np.array(self.sin_coef, dtype=float))
-        if c.shape[0] != 2 or s.shape[0] != 2 or c.shape[1] != s.shape[1] + 1:
-            raise ValueError("coefficient arrays must have shapes (2, M+1) and (2, M)")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
-            raise ValueError(f"curve {self.name!r} has non-finite coefficients")
+        c = np.array(_numbers(self.cos_coef, f"curve {self.name!r} cos_coef",
+                              "finite reals of shape (2, M+1)", shape=(2, None)), dtype=float)
+        M = c.shape[1] - 1
+        s = np.array(_numbers(self.sin_coef, f"curve {self.name!r} sin_coef",
+                              f"finite reals of shape (2, M = {M})", shape=(2, M)), dtype=float)
         for attr, coef in (("cos_coef", c), ("sin_coef", s)):
             coef.flags.writeable = False
             object.__setattr__(self, attr, coef)
@@ -177,10 +174,8 @@ class ParametricCurve:
         relative: no point at most ``within`` away reads inf."""
         if not within >= 0.0:
             raise ValueError(f"within must be a distance >= 0, got {within!r}")
-        pts = _as_points(points)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("evaluation points must be finite")
-        return self._tree.query(pts, distance_upper_bound=within * (1.0 + 1e-12))[0]
+        return self._tree.query(_as_points(points),
+                                distance_upper_bound=within * (1.0 + 1e-12))[0]
 
 
 def _winding(dx, dy) -> int:
@@ -201,18 +196,25 @@ def _curve(curve) -> ParametricCurve:
 
 def _numbers(value, name: str, need: str, ok=None, kinds: str = "iuf", shape=()):
     """value as an array, or a numpy scalar for shape (): the one check of every
-    number the library takes.  Raises ValueError naming the value unless it has
-    the shape, a numpy kind in ``kinds`` (not bool, str, None or a ragged
-    nesting), finite entries, and ``ok`` holds for it."""
+    number and every array of numbers the library takes.  Raises ValueError
+    naming the value unless it has the shape (an entry None matches any length,
+    and shape None any shape), a numpy kind in ``kinds`` (not bool, str, None
+    or a ragged nesting), finite entries, and ``ok`` holds for it.  Where the
+    shape is not (), the message shows an array by its dtype and shape."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nesting
         array = np.asarray(None)
-    # all() over .flat and ok on a scalar: a few times faster than numpy's
-    # reductions and 0-d arithmetic, on the path of every operation
-    if (array.shape != shape or array.dtype.kind not in kinds
-            or not all(np.isfinite(array).flat) or (ok is not None and not ok(array[()]))):
-        raise ValueError(f"{name} must be {need}, got {value!r}")
+    if not (array.dtype.kind in kinds
+            and (array.shape == shape or shape is None or array.ndim == len(shape)
+                 and all(want in (None, have) for want, have in zip(shape, array.shape)))
+            # on a scalar, all() over .flat and ok are a few times faster than
+            # numpy's 0-d reductions and arithmetic, on the path of every operation
+            and (all(np.isfinite(array).flat) if shape == () else np.isfinite(array).all())
+            and (ok is None or ok(array[()]))):
+        got = (f"{array.dtype} values of shape {array.shape}" if shape != () and array.ndim
+               else repr(value))
+        raise ValueError(f"{name} must be {need}, got {got}")
     return array[()]
 
 
@@ -279,7 +281,7 @@ def _phase_table(curve: ParametricCurve, N: int, k: float, xhat: np.ndarray):
 
 
 def circle(radius: float = 1.0) -> ParametricCurve:
-    r = float(radius)
+    r = float(_numbers(radius, "curve 'circle' radius", "a finite real"))
     return ParametricCurve(
         "circle",
         cos_coef=np.array([[0.0, r], [0.0, 0.0]]),
@@ -288,10 +290,12 @@ def circle(radius: float = 1.0) -> ParametricCurve:
 
 
 def ellipse(a: float = 2.0, b: float = 1.0) -> ParametricCurve:
+    a, b = (float(_numbers(v, f"curve 'ellipse' semi-axis {n}", "a finite real"))
+            for n, v in (("a", a), ("b", b)))
     return ParametricCurve(
         "ellipse",
-        cos_coef=np.array([[0.0, float(a)], [0.0, 0.0]]),
-        sin_coef=np.array([[0.0], [float(b)]]),
+        cos_coef=np.array([[0.0, a], [0.0, 0.0]]),
+        sin_coef=np.array([[0.0], [b]]),
     )
 
 

@@ -169,10 +169,12 @@ def lu_factor(matrix) -> LUFactors:
 def lu_solve(factors: LUFactors, rhs):
     """Solve a dense complex system from its ``lu_factor``: the two
     triangular solves."""
-    b = np.asarray(rhs, dtype=complex)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("non-finite entries in the linear system")
-    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
+    n = factors.shape[0]
+    b = _numbers(rhs, "right-hand side", f"finite numbers, a vector of length {n} or a "
+                 f"block of {n} rows", lambda b: 1 <= b.ndim <= 2 and b.shape[0] == n,
+                 kinds="iufc", shape=None)
+    return scipy.linalg.lu_solve((factors.lu, factors.piv), b.astype(complex, copy=False),
+                                 check_finite=False)
 
 
 def _check_gmres(tol):
@@ -199,13 +201,11 @@ def gmres(matrix, b, tol: float = 1e-10):
 
     _check_gmres(tol)
     mat = _square(matrix)
-    b = np.asarray(b, dtype=complex)
     n = mat.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side must be a vector of length {n}, "
-                         f"got shape {b.shape}")
+    b = _numbers(b, "right-hand side", f"finite numbers, a vector of length {n}",
+                 kinds="iufc", shape=(n,)).astype(complex, copy=False)
     # as in lu_factor: a NaN or inf entry makes the 1-norm non-finite
-    if not (np.isfinite(np.linalg.norm(mat, 1)) and np.all(np.isfinite(b))):
+    if not np.isfinite(np.linalg.norm(mat, 1)):
         raise ValueError("non-finite entries in the linear system")
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n, dtype=complex), np.array([0.0])

@@ -557,19 +557,22 @@ def test_gmres_rejects_non_finite_input_before_it_iterates():
     # scipy's loop ran into a RuntimeWarning, or a GmresError after n
     # iterations with a NaN history; LU raised at once
     message = "^non-finite entries in the linear system$"
+    bad_rhs = r"^right-hand side must be finite numbers, .* got {} values of shape \({},\)$"
     bad_matrix = 2.0 * np.eye(4)
     bad_matrix[1, 2] = np.inf
-    for matrix, rhs in ((2.0 * np.eye(4), [np.nan, 1.0, 1.0, 1.0]),
-                        (bad_matrix, np.ones(4))):
-        with pytest.raises(ValueError, match=message):
+    for matrix, rhs, expected in ((2.0 * np.eye(4), [np.nan, 1.0, 1.0, 1.0],
+                                   bad_rhs.format("float64", 4)),
+                                  (bad_matrix, np.ones(4), message)):
+        with pytest.raises(ValueError, match=expected):
             gmres(matrix, rhs)
     nan_data = assemble("l1", TransmissionProblem(KITE, 8.0, 32.0, 1.0, _NanField()), 8)
     good = assemble("l1", TransmissionProblem(KITE, 8.0, 32.0, 1.0, PlaneWave()), 8)
     poisoned = good.matrix.copy()
     poisoned[3, 5] = np.nan
-    for system in (nan_data, replace(good, matrix=poisoned)):
+    for system, expected in ((nan_data, bad_rhs.format("complex128", 32)),
+                             (replace(good, matrix=poisoned), message)):
         for method in ("lu", "gmres"):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=expected):
                 solve(system, method)
 
 

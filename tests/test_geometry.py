@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import re
@@ -9,7 +10,11 @@ import numpy as np
 import pytest
 
 import helmbie
-from helmbie.fields import FieldEvaluator, far_field_constant
+from helmbie.fields import (FarFieldPattern, FieldEvaluator, double_layer_far_field,
+                            double_layer_potential, far_field_constant, single_layer_far_field,
+                            single_layer_potential)
+from helmbie.fourier import (TrigPolynomial, dld_matrix, dld_symbol, fft_modes, lambda_matrix,
+                             lambda_symbol, psi_hat, weight_table)
 from helmbie.formulations import (PlaneWave, PointSource, TransmissionProblem, assemble,
                                   build_data, solve)
 from helmbie.geometry import (
@@ -24,6 +29,7 @@ from helmbie.geometry import (
     make_curve,
 )
 from helmbie.kernels import KernelContext
+from helmbie.linalg import lu_factor, lu_solve
 from helmbie.operators import OperatorFamily
 
 from oracles import norm_distance
@@ -318,7 +324,7 @@ def test_grid_size_is_an_integer(bad):
 ], ids=["circle 0", "ellipse 2,0", "ellipse 0,1", "circle nan", "ellipse inf,1"])
 def test_degenerate_or_nonfinite_curve_rejected(name, params):
     # ellipse(2, 0) folds flat: its fine-sample speed is ~1e-16 at t = 0, not 0
-    with pytest.raises(ValueError, match="degenerate|non-finite"):
+    with pytest.raises(ValueError, match=r"degenerate|must be a finite real, got (nan|inf)$"):
         make_curve(name, *params)
 
 
@@ -406,43 +412,146 @@ def _problem(**changed):
                                   "incident": PlaneWave(), **changed})
 
 
-# every entry point that takes a number: (what it takes, how it takes it)
+def _evaluator():
+    return FieldEvaluator(KITE, [("sl", 2.0, np.ones(16))])
+
+
+# every entry point that takes a number: (the name its message gives, what it
+# takes, how it takes it)
 _NUMBER_TAKERS = {
-    "TransmissionProblem k_plus": ("k", lambda v: _problem(k_plus=v)),
-    "TransmissionProblem k_minus": ("k", lambda v: _problem(k_minus=v)),
-    "TransmissionProblem nu": ("k", lambda v: _problem(nu=v)),
-    "KernelContext k": ("k", lambda v: KernelContext(KITE, v)),
-    "OperatorFamily k": ("k", lambda v: OperatorFamily(KITE, v, 8)),
-    "OperatorFamily N": ("N", lambda v: OperatorFamily(KITE, 2.0, v)),
-    "FieldEvaluator k": ("k", lambda v: FieldEvaluator(KITE, [("sl", v, np.ones(16))])),
-    "far_field_constant k": ("k", far_field_constant),
-    "grid N": ("N", grid),
-    "grid_geometry N": ("N", lambda v: grid_geometry(KITE, v)),
-    "build_data N": ("N", lambda v: build_data(_problem(), v)),
-    "assemble N": ("N", lambda v: assemble("l1", _problem(), v)),
+    "TransmissionProblem k_plus": ("k_plus", "k", lambda v: _problem(k_plus=v)),
+    "TransmissionProblem k_minus": ("k_minus", "k", lambda v: _problem(k_minus=v)),
+    "TransmissionProblem nu": ("nu", "k", lambda v: _problem(nu=v)),
+    "KernelContext k": ("wavenumber k", "k", lambda v: KernelContext(KITE, v)),
+    "OperatorFamily k": ("wavenumber k", "k", lambda v: OperatorFamily(KITE, v, 8)),
+    "OperatorFamily N": ("N", "N", lambda v: OperatorFamily(KITE, 2.0, v)),
+    "FieldEvaluator k": ("term 0 (sl): wavenumber k", "k",
+                         lambda v: FieldEvaluator(KITE, [("sl", v, np.ones(16))])),
+    "far_field_constant k": ("wavenumber k", "k", far_field_constant),
+    "grid N": ("N", "N", grid),
+    "grid_geometry N": ("N", "N", lambda v: grid_geometry(KITE, v)),
+    "build_data N": ("N", "N", lambda v: build_data(_problem(), v)),
+    "assemble N": ("N", "N", lambda v: assemble("l1", _problem(), v)),
     # None selects the default kappa and rho
-    "assemble kappa": ("default", lambda v: assemble("l3", _problem(), 8, kappa=v)),
-    "assemble rho": ("default", lambda v: assemble("l4", _problem(), 8, rho=v)),
-    "gmres tol": ("k", lambda v: helmbie.gmres(np.eye(2), np.ones(2), tol=v)),
-    "solve tol": ("k", lambda v: solve(assemble("l1", _problem(), 8), "gmres", tol=v)),
-    "PlaneWave direction": ("vector", PlaneWave),
-    "PointSource location": ("vector", PointSource),
+    "assemble kappa": ("kappa", "default", lambda v: assemble("l3", _problem(), 8, kappa=v)),
+    "assemble rho": ("rho", "default", lambda v: assemble("l4", _problem(), 8, rho=v)),
+    "gmres tol": ("GMRES tol", "k", lambda v: helmbie.gmres(np.eye(2), np.ones(2), tol=v)),
+    "solve tol": ("GMRES tol", "k",
+                  lambda v: solve(assemble("l1", _problem(), 8), "gmres", tol=v)),
+    "PlaneWave direction": ("plane-wave direction", "vector", PlaneWave),
+    "PointSource location": ("point-source location", "vector", PointSource),
+    "fft_modes N": ("N", "N", fft_modes),
+    "weight_table N": ("N", "N", lambda v: weight_table(1, v)),
+    "lambda_symbol N": ("N", "N", lambda_symbol),
+    "lambda_matrix N": ("N", "N", lambda_matrix),
+    "dld_symbol N": ("N", "N", dld_symbol),
+    "dld_matrix N": ("N", "N", dld_matrix),
+    "psi_hat m": ("weight id m", "N", lambda v: psi_hat(v, 3)),
+    "circle radius": ("curve 'circle' radius", "real", circle),
+    "ellipse a": ("curve 'ellipse' semi-axis a", "real", lambda v: ellipse(v, 1.0)),
+    "make_curve ellipse b": ("curve 'ellipse' semi-axis b", "real",
+                             lambda v: make_curve("ellipse", 2.0, v)),
 }
 _NOT_NUMBERS = {"True": True, "None": None, "str": "8", "list": [8.0],
                 "array": np.array([8.0])}
+# more bad inputs, by what a taker takes or by the taker
 _MORE = {"N": {"2**70": 2**70},
-         "vector": {"bools": (True, False), "ragged": ((1.0, 0.0), 1.0)}}
+         "real": {"complex": 1.0 + 1.0j, "nan": np.nan},
+         "vector": {"bools": (True, False), "ragged": ((1.0, 0.0), 1.0)},
+         "psi_hat n": {"2.5": 2.5, "'2'": "2"},
+         "lu_solve rhs": {"length 3": np.ones(3)}}
+
+# every entry point that takes an array of numbers: (the name its message
+# gives, an input it takes, whether complex entries are a bad case for it,
+# how it takes it).  Complex points are not: they were rejected before, and
+# test_fields.py::test_malformed_points_are_rejected keeps them.
+_ARRAY_TAKERS = {
+    "FieldEvaluator points": ("evaluation points", [[3.0, 0.0]], False,
+                              lambda v: _evaluator()(v)),
+    "FieldEvaluator angles": ("far-field angles", [0.5], True,
+                              lambda v: _evaluator().far_field(v)),
+    "distance points": ("evaluation points", [[3.0, 0.0]], False, KITE.distance),
+    "single_layer_potential density": (
+        "density", np.ones(16), False,
+        lambda v: single_layer_potential(KITE, 2.0, v, [[3.0, 0.0]])),
+    "double_layer_potential density": (
+        "density", np.ones(16), False,
+        lambda v: double_layer_potential(KITE, 2.0, v, [[3.0, 0.0]])),
+    "single_layer_far_field density": (
+        "density", np.ones(16), False, lambda v: single_layer_far_field(KITE, 2.0, v, 0.5)),
+    "double_layer_far_field density": (
+        "density", np.ones(16), False, lambda v: double_layer_far_field(KITE, 2.0, v, 0.5)),
+    "FarFieldPattern angles": ("far-field angles", [0.5], True,
+                               lambda v: FarFieldPattern(v, 1.0)),
+    "FarFieldPattern values": ("far-field values", [1.0, 2.0], False,
+                               lambda v: FarFieldPattern([0.0, 1.0], v)),
+    "ParametricCurve cos_coef": ("curve 'kite' cos_coef", KITE.cos_coef, True,
+                                 lambda v: ParametricCurve("kite", v, KITE.sin_coef)),
+    "ParametricCurve sin_coef": ("curve 'kite' sin_coef", KITE.sin_coef, True,
+                                 lambda v: ParametricCurve("kite", KITE.cos_coef, v)),
+    "lu_solve rhs": ("right-hand side", [1.0, 2.0], False,
+                     lambda v: lu_solve(lu_factor(np.eye(2)), v)),
+    "gmres rhs": ("right-hand side", [1.0, 2.0], False, lambda v: helmbie.gmres(np.eye(2), v)),
+    "psi_hat n": ("modes n", [1, 2], True, lambda v: psi_hat(1, v)),
+    "TrigPolynomial nodal values": ("nodal values", np.ones(4), False, TrigPolynomial),
+}
+
+
+def _not_arrays(good, complex_case):
+    good = np.asarray(good)
+    nan = good.astype(float)
+    nan.flat[0] = np.nan
+    bad = {"bools": good.astype(bool), "str": good.astype(str), "None": None,
+           "ragged": [[1.0, 2.0], [3.0]], "nan": nan}
+    return {**bad, "complex": good + 1.0j} if complex_case else bad
 
 
 def _number_cases():
-    for taker, (kind, _) in sorted(_NUMBER_TAKERS.items()):
+    for taker, (name, kind, take) in sorted(_NUMBER_TAKERS.items()):
         for label, bad in {**_NOT_NUMBERS, **_MORE.get(kind, {})}.items():
             if not (kind == "default" and bad is None):
-                yield pytest.param(taker, bad, id=f"{taker}-{label}")
+                shown = _shown(bad) if kind == "vector" else repr(bad)
+                yield pytest.param(name, take, bad, shown, id=f"{taker}-{label}")
+    for taker, (name, good, complex_case, take) in sorted(_ARRAY_TAKERS.items()):
+        for label, bad in {**_not_arrays(good, complex_case), **_MORE.get(taker, {})}.items():
+            yield pytest.param(name, take, bad, _shown(bad), id=f"{taker}-{label}")
 
 
-@pytest.mark.parametrize("taker, bad", _number_cases())
-def test_what_takes_a_number_rejects_anything_else(taker, bad):
-    # True ran as 1, an array or None failed inside numpy with a TypeError
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        _NUMBER_TAKERS[taker][1](bad)
+def _shown(bad):
+    """How a message shows what an array check was given: an array by its
+    dtype and shape, anything else by its repr."""
+    try:
+        array = np.asarray(bad)
+    except ValueError:  # a ragged nesting
+        return repr(bad)
+    return f"{array.dtype} values of shape {array.shape}" if array.ndim else repr(bad)
+
+
+@pytest.mark.parametrize("module", ["geometry.py", "fields.py", "fourier.py"])
+def test_finite_checks_go_through_one_helper(module):
+    """Whether numbers are finite is decided in ``geometry._numbers`` alone:
+    an ``isfinite`` anywhere else in these modules is a second check of the
+    library's input that has to be kept in step with it."""
+    tree = ast.parse((pathlib.Path(helmbie.__file__).parent / module).read_text())
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == "_numbers"
+              for node in ast.walk(top)}
+    found, own = [], 0
+    for node in ast.walk(tree):
+        if "isfinite" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            if id(node) in inside:
+                own += 1
+            else:
+                found.append(ast.unparse(node))
+    assert found == []
+    assert own == (2 if module == "geometry.py" else 0)  # the scan sees _numbers' own
+
+
+@pytest.mark.parametrize("name, take, bad, shown", _number_cases())
+def test_what_takes_a_number_rejects_anything_else(name, take, bad, shown):
+    # True ran as 1, an array or None failed inside numpy with a TypeError;
+    # bool arrays ran as 0 and 1, complex ones at their real part, and some
+    # NaN arrays passed
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(name)} must be .+, got {re.escape(shown)}$"):
+        take(bad)
