@@ -11,11 +11,13 @@ worker threads, started per call and only for two blocks or more, takes one
 contiguous run of whole blocks and writes its own slice of the output.  A
 block has rows = max(1, 2**16 // cores // 2N) points (64 at N = 256 on two
 cores), so the entries in flight stay at 2**16, a few MiB whatever the
-number of points or cores.  The block products go through
-``linalg.serial_matmul``, on the worker's own thread (see ``linalg``).
-Every entry is formed by the same operations in the same order as over the
-whole batch, and every output row is the same dot product, so neither the
-blocks nor the worker count change an output bit.
+number of points or cores.  Each block's kernel-density sum is
+``np.einsum("ij,j->i", ...)`` without ``optimize``, which calls no BLAS, so
+it runs on the worker's own thread and wakes no BLAS thread pool (see
+``linalg``).  Every entry is formed by the same operations in the same order
+as over the whole batch, and einsum forms every output row as the same sum
+whatever the block, so neither the blocks nor the worker count change an
+output bit.
 
 The distance guard is one k-d tree query bounded by the guard distance:
 it measures every point at most that far from the curve exactly, so it
@@ -137,7 +139,7 @@ def single_layer_potential(curve, k, density, points):
     def block_values(dx, dy, r):
         kern = specfun.hankel1(0, k * r)
         kern *= 0.25j
-        return (np.pi / N) * linalg.serial_matmul(kern, density)
+        return (np.pi / N) * np.einsum("ij,j->i", kern, density)
 
     return _by_blocks(_as_points(points), xb, block_values)
 
@@ -157,7 +159,7 @@ def double_layer_potential(curve, k, density, points):
         kern *= 0.25j * k
         kern *= dx
         kern /= r
-        return (np.pi / N) * linalg.serial_matmul(kern, density)
+        return (np.pi / N) * np.einsum("ij,j->i", kern, density)
 
     return _by_blocks(_as_points(points), xb, block_values)
 
@@ -168,11 +170,6 @@ def _angles(angles):
     angles = _numbers(angles, "far-field angles", "finite reals, a scalar or a non-empty "
                       "1-D array of them", lambda a: a.ndim <= 1 and a.size > 0, shape=None)
     return np.atleast_1d(angles.astype(float, copy=False))
-
-
-def _directions(angles):
-    angles = _angles(angles)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 def _far_field(curve, k, sl_density, dl_density, angles):
@@ -186,7 +183,8 @@ def _far_field(curve, k, sl_density, dl_density, angles):
     _, dl = _term(k, dl_density)
     N = sl.size // 2
     _, _, m = grid_geometry(curve, N)
-    xhat = _directions(angles)
+    angles = _angles(angles)
+    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     p = xhat.shape[0]
     cols = np.stack([sl, m[:, 0] * dl, m[:, 1] * dl], axis=1)
     trig = _phase_table(curve, N, k, xhat)
@@ -223,10 +221,6 @@ class FarFieldPattern:
         values = np.atleast_1d(values.astype(complex, copy=False))
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
-
-    @property
-    def directions(self):
-        return _directions(self.angles)
 
 
 def far_field_linf_diff(p: FarFieldPattern, q: FarFieldPattern) -> float:

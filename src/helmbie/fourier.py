@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .geometry import _grid_size, _numbers
+from .geometry import _grid_size, _numbers, _parameter
 
 __all__ = [
     "TrigPolynomial",
@@ -79,13 +79,13 @@ class TrigPolynomial:
         return fft_modes(self.N)
 
     def coeff(self, n: int) -> complex:
-        if not -self.N < n <= self.N:
-            raise ValueError(f"mode {n} outside (-N, N] with N={self.N}")
+        n = _numbers(n, "mode n", f"an integer in (-N, N] with N = {self.N}",
+                     lambda n: -self.N < n <= self.N, kinds="iu")
         return self.spectral[n % (2 * self.N)]
 
     def eval(self, t):
         """Evaluate the interpolant at arbitrary points."""
-        t = np.asarray(t, dtype=float)
+        t = _parameter(t)
         phases = np.exp(1j * np.multiply.outer(t, self.modes))
         return phases @ self.spectral
 

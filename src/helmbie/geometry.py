@@ -38,6 +38,13 @@ __all__ = [
 FINE_SAMPLES = 4096  # fine sample behind the speed check, max_speed and distance
 
 
+def _parameter(t) -> np.ndarray:
+    """t as a float array, or a float scalar; raises unless its entries are
+    finite reals.  The curves and the interpolant take their parameter here."""
+    t = _numbers(t, "parameter t", "finite reals, a scalar or an array of them", shape=None)
+    return t.astype(float, copy=False)
+
+
 def _as_points(points) -> np.ndarray:
     """points as a float array of shape (n, 2); one point of shape (2,) gives n = 1."""
     pts = _numbers(points, "evaluation points", "finite real values of shape (n, 2) or (2,)",
@@ -108,7 +115,7 @@ class ParametricCurve:
 
     def _trig_sum(self, t, order):
         """Order-th derivative of the trigonometric sum, vectorized over t."""
-        t = np.asarray(t, dtype=float)
+        t = _parameter(t)
         m = np.arange(1, self.degree + 1)
         mt = np.multiply.outer(t, m)                      # (..., M)
         # d^p/dt^p cos(mt) and sin(mt), cycled through the quadrature of phases
@@ -136,12 +143,6 @@ class ParametricCurve:
         """|x'(t)|."""
         return np.linalg.norm(self.d1(t), axis=-1)
 
-    def normal(self, t):
-        """Outward unit normal (x2', -x1')/|x'|, shape (..., 2)."""
-        d = self.d1(t)
-        n = np.stack([d[..., 1], -d[..., 0]], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
-
     @cached_property
     def _fine_sample(self):
         """Coordinate rows x1, x2 (shape (2, S)) and speeds on FINE_SAMPLES
@@ -155,6 +156,8 @@ class ParametricCurve:
     def winding_number(self, point) -> int:
         """How often the polygon of the FINE_SAMPLES nodes winds around a
         point off the curve: 1 inside a counterclockwise curve, 0 outside."""
+        point = _numbers(point, "winding-number point", "finite reals of shape (2,)",
+                         shape=(2,))
         x1, x2 = self._fine_sample[0]
         return _winding(x1 - point[0], x2 - point[1])
 

@@ -24,7 +24,8 @@ too: the package needs no D of its own; so does the closed-form far field
 of a point source, ``point_source_far_field``, the target of the
 point-source tests, and ``circle_transmission_far_field``, the exact far
 field of the transmission problem on a circle by separation of variables,
-the target every formulation is gated on.
+the target every formulation is gated on, and ``directions``, the unit
+directions of a far-field pattern's angles.
 
 The composition section holds l3 and l4 as full-matrix sums and products
 (one 4N x 4N product for R_PS L2, five 2N x 2N products for l4), with V_PS
@@ -32,11 +33,12 @@ and H_PS formed as dense matrices from their symbols: the reference for the
 package's block algebra, which reassociates those sums and applies R_PS by
 FFTs.
 
-The near-field section holds the blocked-norm curve distance, the guard
-decided on the exact distance of every point, and the difference-array
-layer potentials over all points at once, with the real Hankel value formed
-as J + iY from Cephes: the bit-for-bit reference for the package's distance,
-its radius-query guard, its blocked layer potentials and
+The near-field section holds a curve's outward unit ``normal``, the
+blocked-norm curve distance, the guard decided on the exact distance of
+every point, and the difference-array layer potentials over all points at
+once, with the real Hankel value formed as J + iY from Cephes and the sum
+by the package's ``einsum``: the bit-for-bit reference for the package's
+distance, its radius-query guard, its blocked layer potentials and
 ``specfun.hankel1``.
 """
 
@@ -494,6 +496,11 @@ def t_from_pairwise_grid(ctx, N):
     return conv_matrix(weight_table(1, N)).real * e_mat + (np.pi / N) * f_mat
 
 
+def directions(pattern):
+    """The unit directions (cos, sin) of a FarFieldPattern's angles, shape (p, 2)."""
+    return np.stack([np.cos(pattern.angles), np.sin(pattern.angles)], axis=-1)
+
+
 def two_exponential_far_field(curve, terms, angles):
     """Far field of ("sl" | "dl", k, density) terms, one e^{-ik x^.x(t)} per
     term, summed term by term."""
@@ -627,6 +634,13 @@ def l4_full_matrix(problem, N, rho, fp, fm):
 _NORM_BLOCK = 64  # points per block of the (points, FINE_SAMPLES, 2) array
 
 
+def normal(curve, t):
+    """Outward unit normal (x2', -x1')/|x'| of ``curve`` at t, shape (..., 2)."""
+    d = curve.d1(t)
+    n = np.stack([d[..., 1], -d[..., 0]], axis=-1)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
 def cephes_hankel1(order, z):
     """H^(1)_order(z) = J + 1j*Y for real z > 0, as two Cephes calls."""
     j, y = ((sp.j0, sp.y0), (sp.j1, sp.y1))[order]
@@ -673,7 +687,7 @@ def diff_single_layer(curve, k, density, points):
     """Trapezoid single-layer potential from the (points, 2N, 2) array."""
     density, N, _, _, r = _diff_geometry(curve, density, points)
     kern = 0.25j * cephes_hankel1(0, k * r)
-    return (np.pi / N) * (kern @ density)
+    return (np.pi / N) * np.einsum("ij,j->i", kern, density)
 
 
 def diff_double_layer(curve, k, density, points):
@@ -681,4 +695,4 @@ def diff_double_layer(curve, k, density, points):
     density, N, m, diff, r = _diff_geometry(curve, density, points)
     dot = diff[..., 0] * m[None, :, 0] + diff[..., 1] * m[None, :, 1]
     kern = 0.25j * k * cephes_hankel1(1, k * r) * dot / r
-    return (np.pi / N) * (kern @ density)
+    return (np.pi / N) * np.einsum("ij,j->i", kern, density)

@@ -31,7 +31,7 @@ from helmbie.geometry import (ParametricCurve, circle, ellipse, grid, grid_geome
                               kite, make_curve)
 from helmbie.linalg import gmres, lu_factor, lu_solve
 from helmbie.operators import MIN_N, OperatorFamily
-from oracles import (circle_transmission_far_field, l3_full_matrix, l4_full_matrix,
+from oracles import (circle_transmission_far_field, l3_full_matrix, l4_full_matrix, normal,
                      ps_operators)
 
 KITE = kite()
@@ -86,7 +86,7 @@ def test_build_data_eta_carries_speed_factor():
     data = build_data(prob, 16)
     t = grid(16)
     xb = circle().point(t)
-    n = circle().normal(t)
+    n = normal(circle(), t)
     grad = prob.incident.gradient(2.0, xb)
     direct = -np.sum(grad * n, axis=-1)
     assert np.max(np.abs(data.eta - direct)) <= 1e-14

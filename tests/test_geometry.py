@@ -32,7 +32,7 @@ from helmbie.kernels import KernelContext
 from helmbie.linalg import lu_factor, lu_solve
 from helmbie.operators import OperatorFamily
 
-from oracles import norm_distance
+from oracles import norm_distance, normal
 
 ALL_CURVES = [circle(), ellipse(2.0, 1.0), kite(), cavity()]
 KITE = kite()
@@ -87,15 +87,15 @@ def test_derivatives_by_finite_differences(curve):
 @pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
 def test_normal_unit_and_orthogonal(curve):
     t = np.linspace(0, 2 * np.pi, 500, endpoint=False)
-    n = curve.normal(t)
+    n = normal(curve, t)
     assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-14
     dots = np.abs(np.sum(n * curve.d1(t), axis=-1))
     assert np.max(dots / curve.speed(t)) <= 1e-13
 
 
 def test_normal_outward_on_circle():
-    assert np.allclose(circle().normal(0.0), [1.0, 0.0], atol=1e-15)
-    assert np.allclose(circle().normal(np.pi / 2), [0.0, 1.0],
+    assert np.allclose(normal(circle(), 0.0), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(normal(circle(), np.pi / 2), [0.0, 1.0],
                        atol=1e-15)
 
 
@@ -106,7 +106,7 @@ def test_ellipse_normal_matches_implicit_gradient():
     x = curve.point(t)
     grad = np.stack([2 * x[:, 0] / a**2, 2 * x[:, 1] / b**2], axis=-1)
     grad /= np.linalg.norm(grad, axis=-1, keepdims=True)
-    assert np.max(np.abs(curve.normal(t) - grad)) <= 1e-13
+    assert np.max(np.abs(normal(curve, t) - grad)) <= 1e-13
 
 
 def test_cavity_is_reentrant():
@@ -131,7 +131,7 @@ def test_grid_geometry_normal_carries_speed():
     t, x, m = grid_geometry(curve, 16)
     assert np.array_equal(t, grid(16))
     assert np.array_equal(x, curve.point(t))
-    assert np.max(np.abs(m - curve.speed(t)[:, None] * curve.normal(t))) <= 1e-14
+    assert np.max(np.abs(m - curve.speed(t)[:, None] * normal(curve, t))) <= 1e-14
 
 
 def test_grid_geometry_is_sampled_once_and_read_only(monkeypatch):
@@ -176,7 +176,7 @@ def _guard_test_points(curve, rng, count):
     curve between and at the fine-sample nodes, in a shuffled order."""
     t = rng.uniform(0.0, 2.0 * np.pi, count)
     guard = 5.0 * (np.pi / 64) * curve.max_speed()
-    past = curve.point(t) + (guard * (1.0 + 1e-9)) * curve.normal(t)
+    past = curve.point(t) + (guard * (1.0 + 1e-9)) * normal(curve, t)
     radius = rng.uniform(3.0, 8.0, count)
     far = np.stack([radius * np.cos(t), radius * np.sin(t)], axis=-1)
     nodes = 2.0 * np.pi * rng.integers(0, FINE_SAMPLES, count) / FINE_SAMPLES
@@ -221,7 +221,7 @@ def test_near_keeps_every_point_within_the_radius(curve):
     for n in (16, 64, 256):
         radius = 5.0 * (np.pi / n) * curve.max_speed()
         along = radius * (1.0 - 1e-15 * rng.uniform(0.0, 1.0, (200, 1)))
-        pts = curve.point(nodes) + along * curve.normal(nodes)
+        pts = curve.point(nodes) + along * normal(curve, nodes)
         dist = curve.distance(pts)
         bounded = curve.distance(pts, radius)
         kept = np.isfinite(bounded)
@@ -447,6 +447,7 @@ _NUMBER_TAKERS = {
     "dld_symbol N": ("N", "N", dld_symbol),
     "dld_matrix N": ("N", "N", dld_matrix),
     "psi_hat m": ("weight id m", "N", lambda v: psi_hat(v, 3)),
+    "TrigPolynomial coeff n": ("mode n", "N", TrigPolynomial(np.ones(4)).coeff),
     "circle radius": ("curve 'circle' radius", "real", circle),
     "ellipse a": ("curve 'ellipse' semi-axis a", "real", lambda v: ellipse(v, 1.0)),
     "make_curve ellipse b": ("curve 'ellipse' semi-axis b", "real",
@@ -459,7 +460,13 @@ _MORE = {"N": {"2**70": 2**70},
          "real": {"complex": 1.0 + 1.0j, "nan": np.nan},
          "vector": {"bools": (True, False), "ragged": ((1.0, 0.0), 1.0)},
          "psi_hat n": {"2.5": 2.5, "'2'": "2"},
-         "lu_solve rhs": {"length 3": np.ones(3)}}
+         "lu_solve rhs": {"length 3": np.ones(3)},
+         "TrigPolynomial coeff n": {"1.5": 1.5, "past N": 3},
+         "winding_number point": {"'ab'": "ab"},
+         **{taker: {"'1'": "1", "True": True, "complex scalar": 1.0 + 1.0j}
+            for taker in ("ParametricCurve point t", "ParametricCurve d1 t",
+                          "ParametricCurve d2 t", "ParametricCurve speed t",
+                          "TrigPolynomial eval t")}}
 
 # every entry point that takes an array of numbers: (the name its message
 # gives, an input it takes, whether complex entries are a bad case for it,
@@ -494,6 +501,12 @@ _ARRAY_TAKERS = {
     "gmres rhs": ("right-hand side", [1.0, 2.0], False, lambda v: helmbie.gmres(np.eye(2), v)),
     "psi_hat n": ("modes n", [1, 2], True, lambda v: psi_hat(1, v)),
     "TrigPolynomial nodal values": ("nodal values", np.ones(4), False, TrigPolynomial),
+    "ParametricCurve point t": ("parameter t", [0.5], True, KITE.point),
+    "ParametricCurve d1 t": ("parameter t", [0.5], True, KITE.d1),
+    "ParametricCurve d2 t": ("parameter t", [0.5], True, KITE.d2),
+    "ParametricCurve speed t": ("parameter t", [0.5], True, KITE.speed),
+    "TrigPolynomial eval t": ("parameter t", [0.5], True, TrigPolynomial(np.ones(4)).eval),
+    "winding_number point": ("winding-number point", [3.0, 0.0], True, KITE.winding_number),
 }
 
 
@@ -508,7 +521,7 @@ def _not_arrays(good, complex_case):
 
 def _number_cases():
     for taker, (name, kind, take) in sorted(_NUMBER_TAKERS.items()):
-        for label, bad in {**_NOT_NUMBERS, **_MORE.get(kind, {})}.items():
+        for label, bad in {**_NOT_NUMBERS, **_MORE.get(kind, {}), **_MORE.get(taker, {})}.items():
             if not (kind == "default" and bad is None):
                 shown = _shown(bad) if kind == "vector" else repr(bad)
                 yield pytest.param(name, take, bad, shown, id=f"{taker}-{label}")

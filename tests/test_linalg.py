@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg.lapack
 
 import helmbie
-from helmbie import linalg
 from helmbie.linalg import (
     GmresError,
     SingularMatrixError,
@@ -17,7 +16,6 @@ from helmbie.linalg import (
     lu_factor,
     lu_solve,
     matmul,
-    serial_matmul,
 )
 
 
@@ -241,27 +239,6 @@ def test_matmul_rejects_operands_that_do_not_align(a_shape, b_shape):
         matmul(np.ones(a_shape), np.ones(b_shape))
 
 
-@pytest.mark.parametrize("shape", [(1, 32), (7, 512), (8, 512), (300, 512), (5, 4096),
-                                   (100, 1), (40, 1000)])
-def test_serial_matmul_is_matmul_in_slices_below_the_threading_threshold(
-        shape, monkeypatch):
-    rng = np.random.default_rng(list(shape))
-    a, x = _random(rng, *shape), _random(rng, shape[1])
-    expected = matmul(a, x)
-    sizes = []
-
-    def recording(a, b):
-        sizes.append(np.size(a))
-        return matmul(a, b)
-
-    monkeypatch.setattr(linalg, "matmul", recording)
-    got = serial_matmul(a, x)
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    # every slice but a single row stays below OpenBLAS's threaded gemv
-    assert all(size < 4096 or size == shape[1] for size in sizes)
-    assert sum(sizes) == a.size and len(sizes) >= 1
-
-
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((0, 4), (4,)), ((3, 0), (0,)), ((0, 0), (0,)),
     ((0, 4), (4, 3)), ((3, 0), (0, 2)), ((3, 4), (4, 0)), ((0, 0), (0, 0)),
@@ -271,35 +248,41 @@ def test_matmul_with_a_zero_size_operand_is_numpys(a_shape, b_shape, dtype):
     # scipy's gemv rejects zero-size operands, so matmul must not reach it
     a, b = np.ones(a_shape, dtype=dtype), np.ones(b_shape, dtype=dtype)
     expected = a @ b
-    for product in (matmul, serial_matmul) if b.ndim == 1 else (matmul,):
-        got = product(a, b)
-        assert got.shape == expected.shape and got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+    got = matmul(a, b)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
-def test_serial_matmul_rejects_what_matmul_rejects():
-    for a_shape, x_shape in (((3, 2), (3,)), ((3,), (3,)), ((900, 5), (4,))):
-        with pytest.raises(ValueError, match="matmul needs"):
-            serial_matmul(np.ones(a_shape), np.ones(x_shape))
+# The numpy products that stay, by source text: with a 2-vector, into a
+# curve's two coordinates, and the interpolant's evaluation off that path
+_NUMPY_PRODUCTS = {
+    "formulations.py": {"pts @ d"},
+    "geometry.py": {"cos_part @ self.cos_coef[:, 1:].T", "sin_part @ self.sin_coef.T"},
+    "fourier.py": {"phases @ self.spectral"},
+}
 
 
-# Products with a 2-vector run on the calling thread in either BLAS
-_NUMPY_PRODUCTS = {"formulations.py": {"pts @ d"}}
-
-
-@pytest.mark.parametrize("module", ["formulations.py", "fields.py", "linalg.py"])
+@pytest.mark.parametrize("module", ["formulations.py", "fields.py", "linalg.py",
+                                    "geometry.py", "kernels.py", "operators.py",
+                                    "fourier.py", "specfun.py"])
 def test_dense_products_go_through_one_blas(module):
     """Every matrix product on the assemble -> solve -> far field path goes
     through linalg.matmul, whose BLAS also factors and solves (see the linalg
     module docstring): a numpy product there brings back numpy's own
-    OpenBLAS thread pool."""
+    OpenBLAS thread pool.  The near-field block sums are ``np.einsum``, which
+    calls no BLAS unless it is passed ``optimize``: that routes the sum
+    through ``tensordot`` and numpy's BLAS, so the scan counts it too."""
     path = pathlib.Path(helmbie.__file__).parent / module
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append(ast.unparse(node))
-        elif (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot")
               and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and any(kw.arg in ("optimize", None) for kw in node.keywords)):
             found.append(ast.unparse(node))
     assert sorted(found) == sorted(_NUMPY_PRODUCTS.get(module, ()))
 

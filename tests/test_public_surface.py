@@ -3,8 +3,9 @@
 The traced benchmark run (``perfbench/spans.py``) wraps helmbie's functions
 and methods by name; entering its ``installed`` context resolves every one
 of them, so removing or renaming a wrapped name fails here.  Every name in a
-module's ``__all__`` must exist, and must be read by code other than the
-tests: a name only the tests read is an oracle, and lives in tests/oracles.py.
+module's ``__all__`` must exist, and it and the public methods and properties
+of a class there must be read by code other than the tests: a name only the
+tests read is an oracle, and lives in tests/oracles.py.
 """
 
 import ast
@@ -14,6 +15,8 @@ import pathlib
 import pkgutil
 import re
 import sys
+import types
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -96,11 +99,26 @@ def _library_reads(path):
     return reads
 
 
+def _public_members(module):
+    """(class, member) for each public method and property that a class in
+    the module's ``__all__`` defines itself."""
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    for name in getattr(module, "__all__", ()):
+        cls = getattr(module, name)
+        if isinstance(cls, type) and cls.__module__ == module.__name__:
+            yield from ((name, attr) for attr, value in vars(cls).items()
+                        if not attr.startswith("_") and isinstance(value, kinds))
+
+
 def test_every_exported_name_is_read_outside_the_tests():
-    """A name in a module's ``__all__`` that only the tests read is a test
-    oracle, and belongs in tests/oracles.py rather than in the package: each
-    must be read by library code other than its definition and re-export,
-    or by a demo, README.md or perfbench/."""
+    """A name in a module's ``__all__``, or a public method or property of a
+    class there, that only the tests read is a test oracle, and belongs in
+    tests/oracles.py rather than in the package: each must be read by library
+    code other than its definition and re-export, or by a demo, README.md or
+    perfbench/ (a member as ``.name``).  A member is known by its name alone,
+    so any attribute of that name counts as a read of it: before it moved to
+    the oracles, ``FarFieldPattern.directions`` passed here because
+    ``harness`` reads ``StudyConfig.directions``."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     reads = {path: _library_reads(path) for path in modules}
     texts = [path.read_text() for path in (*sorted((ROOT / "demos").glob("*.py")),
@@ -108,11 +126,18 @@ def test_every_exported_name_is_read_outside_the_tests():
                                            *sorted((ROOT / "perfbench").rglob("*.py")))]
     unread = []
     for path in modules:
-        for name in getattr(importlib.import_module(f"helmbie.{path.stem}"), "__all__", ()):
+        module = importlib.import_module(f"helmbie.{path.stem}")
+        for name in getattr(module, "__all__", ()):
             # read outside the body of every definition named ``name``
             library = (any(name not in enclosing for enclosing in reads[path].get(name, ()))
                        or any(name in reads[other] for other in modules if other != path))
             outside = any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
             if not (library or outside):
                 unread.append(f"{path.stem}.{name}")
+        for owner, name in _public_members(module):
+            library = any(name not in enclosing
+                          for other in modules for enclosing in reads[other].get(name, ()))
+            outside = any(re.search(rf"\.{re.escape(name)}\b", text) for text in texts)
+            if not (library or outside):
+                unread.append(f"{path.stem}.{owner}.{name}")
     assert not unread, f"exported names only the tests read: {unread}"
